@@ -4,7 +4,8 @@ Builds partially separable functions whose subcomponents (groups of decision
 variables) have non-uniform sizes and non-uniform, possibly conflicting,
 contributions: block sizes are log-uniform, weights are log-uniform over six
 orders of magnitude, and each block gets its own shift and rotation.  In
-overlap mode consecutive blocks share a quarter of their variables.
+overlap mode each block shares a quarter of its variables (at most all of
+the previous block) with the previous block and no other.
 """
 
 from __future__ import annotations
@@ -36,28 +37,29 @@ def lsgo_composite(
         raise ConfigurationError("composite generation needs dimension >= 4")
     if num_blocks < 1:
         raise ConfigurationError("need at least one block")
+    if 2 * num_blocks > dimension:  # every block needs two new variables at least
+        raise ConfigurationError(
+            f"dimension {dimension} too small for {num_blocks} blocks needing {2 * num_blocks} variables"
+        )
     rng = np.random.default_rng(derive_seed(transform_seed, ["lsgo"]))
     hi = max(2, dimension // 2)
 
-    def net_need(size: int, first: bool) -> int:
-        return size - (0 if first or not overlap else size // 4)
+    def shared_with(size: int, prev: int) -> int:
+        # a quarter of the block, taken from the previous block only
+        return min(size // 4, prev) if overlap else 0
 
-    min_needed = sum(net_need(2, i == 0) for i in range(num_blocks))
-    if min_needed > dimension:
-        raise ConfigurationError(
-            f"dimension {dimension} too small for {num_blocks} blocks needing {min_needed} variables"
-        )
-    sizes = []
+    sizes, shared = [], []
     available = dimension
     for i in range(num_blocks):
-        reserve = sum(net_need(2, False) for _ in range(num_blocks - i - 1))
+        reserve = 2 * (num_blocks - i - 1)
+        prev = sizes[-1] if sizes else 0
         size = int(round(math.exp(rng.uniform(math.log(2.0), math.log(hi)))))
         size = min(max(size, 2), hi)
-        while net_need(size, i == 0) > available - reserve and size > 2:
+        while size - shared_with(size, prev) > available - reserve and size > 2:
             size -= 1  # clamp to the remaining capacity
         sizes.append(size)
-        available -= net_need(size, i == 0)
-    shared = [0] + [s // 4 if overlap else 0 for s in sizes[1:]]
+        shared.append(shared_with(size, prev))
+        available -= size - shared[-1]
     order = rng.permutation(dimension)
     blocks = []
     cursor = 0

@@ -124,7 +124,6 @@ class BaseFunction:
     name: str
     fn: Callable[[np.ndarray], float]
     discrete: bool = False
-    multimodal: bool = False
     minimum_value: float = 0.0
 
     def minimum_point(self, dimension: int) -> np.ndarray | None:
@@ -148,12 +147,12 @@ CATALOG: dict[str, BaseFunction] = {
         BaseFunction("sphere", sphere),
         BaseFunction("cigar", cigar),
         BaseFunction("ellipsoid", ellipsoid),
-        BaseFunction("hm", hm, multimodal=True),
-        BaseFunction("ackley", ackley, multimodal=True),
+        BaseFunction("hm", hm),
+        BaseFunction("ackley", ackley),
         BaseFunction("rosenbrock", rosenbrock),
-        BaseFunction("griewank", griewank, multimodal=True),
-        BaseFunction("lunacek", lunacek, multimodal=True),
-        BaseFunction("deceptive_multimodal", deceptive_multimodal, multimodal=True),
+        BaseFunction("griewank", griewank),
+        BaseFunction("lunacek", lunacek),
+        BaseFunction("deceptive_multimodal", deceptive_multimodal),
         BaseFunction("onemax", onemax, discrete=True),
         BaseFunction("leadingones", leadingones, discrete=True),
     )

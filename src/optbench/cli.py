@@ -27,14 +27,15 @@ from .harness.evalserver import external_evaluator_session
 from .harness.experiment import run_experiment
 from .harness.records import load_records
 from .harness.reports import curves_table, emit_reports, rank_algorithms, winning_rate_heatmap
-from .wizard import SelectionContext, explain_selection
+from .wizard import WIZARD_ID, SelectionContext, explain_selection, validate_spec
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return list(range(int(text)))
+    lo, dots, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if dots else list(range(int(text)))
+    except ValueError:
+        raise OptbenchError(f"bad --seeds {text!r}; expected a count n or a range a..b") from None
 
 
 def _master_seed(value: int | None) -> int:
@@ -138,6 +139,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_eval_server(args) -> int:
+    spec = validate_spec(args.algs)  # before the child process starts
     with external_evaluator_session(args.cmd, timeout=args.timeout) as function:
         context = RunContext(
             domain=function.domain,
@@ -146,7 +148,7 @@ def _cmd_eval_server(args) -> int:
             noisy=args.noisy,
             master_seed=_master_seed(args.master_seed),
         )
-        recommendation, history = run_loop(args.algs, function, context)
+        recommendation, history = run_loop(spec, function, context)
         final = function(recommendation.point)  # score the recommendation
         print(
             json.dumps(
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("eval-server", help="optimize an external evaluator process")
     eval_p.add_argument("--cmd", required=True, help="child command speaking the eval protocol")
-    eval_p.add_argument("--algs", default="abbo")
+    eval_p.add_argument("--algs", default=WIZARD_ID)
     eval_p.add_argument("--budget", type=int, default=100)
     eval_p.add_argument("--num-workers", type=int, default=1)
     eval_p.add_argument("--noisy", action="store_true")

@@ -1,9 +1,21 @@
 """Algorithm composition: chaining, bet-and-run, progressive widening.
 
-Combinators are optimizers whose asks route to child optimizers built on
-demand.  Child handles are wrapped candidate-by-candidate so ids stay local
-to each handle, budgets are conserved exactly, and the parallelism contract
-forwards to the active child.
+Every composite (the three here, ``MetamodelWrapper`` and ``SoftmaxBridge``)
+is a :class:`RoutingOptimizer` with the constructor ``(context, spec,
+builder, path, seed, init_point)``.  It builds its children on demand with
+``builder(child_spec, child_context, path + (index,), init_point)`` and
+routes candidates to them:
+
+- ``_wrap(child, child_cand, lift)`` returns the outer candidate for a child
+  candidate, a new one with the payload ``(child, child_cand)`` or, when the
+  child re-asks one of its own candidates, the outer candidate it already
+  has;
+- the inherited ``_tell`` forwards every tell and re-tell of a routed
+  candidate to its child, then calls ``_after_tell``.  Candidates a
+  composite makes itself (surrogate proposals) carry no route.
+
+Ids stay local to each handle, budgets are conserved exactly, and the
+parallelism contract forwards to the active child.
 """
 
 from __future__ import annotations
@@ -13,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .algospec import BetAndRun, Chain
 from .core import Candidate, Optimizer, RunContext
 from .domain import DomainSpec
 from .errors import BudgetExceededError, ConfigurationError
@@ -22,27 +33,40 @@ from .errors import BudgetExceededError, ConfigurationError
 ChildBuilder = Callable[..., Optimizer]
 
 
-class _RoutingOptimizer(Optimizer):
-    """Shared child-candidate wrapping for composite optimizers."""
+class RoutingOptimizer(Optimizer):
+    """Base of every composite: child construction and candidate routing."""
 
-    def __init__(self, context: RunContext, seed: int = 0, init_point=None):
+    def __init__(
+        self,
+        context: RunContext,
+        spec,
+        builder: ChildBuilder,
+        path: tuple = (),
+        seed: int = 0,
+        init_point=None,
+    ):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._route: dict[int, tuple[Optimizer, Candidate]] = {}
-        self._reverse: dict[tuple[int, int], Candidate] = {}
+        self.spec = spec
+        self._builder = builder
+        self._path = path
+        self._outer: dict[Candidate, Candidate] = {}  # child candidate -> outer candidate
 
-    def _wrap(self, child_key: int, child: Optimizer, child_cand: Candidate) -> Candidate:
-        known = self._reverse.get((child_key, child_cand.id))
-        if known is not None:
-            return known  # child re-asked one of its own candidates
-        cand = self._new_candidate(child_cand.point)
-        self._route[cand.id] = (child, child_cand)
-        self._reverse[(child_key, child_cand.id)] = cand
+    def _build(self, index: int, spec, context: RunContext, init_point) -> Optimizer:
+        return self._builder(spec, context, self._path + (index,), init_point)
+
+    def _wrap(self, child: Optimizer, child_cand: Candidate, lift=None) -> Candidate:
+        """The outer candidate for ``child_cand``; ``lift`` maps a child point
+        to an outer point and runs only when the candidate is new."""
+        cand = self._outer.get(child_cand)
+        if cand is None:
+            point = child_cand.point if lift is None else lift(child_cand.point)
+            cand = self._new_candidate(point, payload=(child, child_cand))
+            self._outer[child_cand] = cand
         return cand
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
-        entry = self._route.get(candidate.id)
-        if entry is not None:
-            child, child_cand = entry
+        if candidate.payload is not None:
+            child, child_cand = candidate.payload
             child.tell(child_cand, loss)
         self._after_tell(candidate, loss)
 
@@ -76,7 +100,7 @@ def chain_allocations(budget: int, fractions, asks) -> list[int]:
     return allocs
 
 
-class ChainOptimizer(_RoutingOptimizer):
+class ChainOptimizer(RoutingOptimizer):
     """Run children in turn; each starts from the best point found so far.
 
     The final recommendation is the last child's recommendation, with the
@@ -84,19 +108,8 @@ class ChainOptimizer(_RoutingOptimizer):
     to be worse.
     """
 
-    def __init__(
-        self,
-        context: RunContext,
-        spec: Chain,
-        builder: ChildBuilder,
-        path: tuple = (),
-        seed: int = 0,
-        init_point=None,
-    ):
-        super().__init__(context, seed=seed, init_point=init_point)
-        self.spec = spec
-        self._builder = builder
-        self._path = path
+    def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
+        super().__init__(context, spec, builder, path, seed, init_point)
         self._allocs = chain_allocations(context.budget, spec.fractions, spec.asks)
         self._active_index = -1
         self._active: Optimizer | None = None
@@ -117,11 +130,8 @@ class ChainOptimizer(_RoutingOptimizer):
                 continue
             child_context = self.context.with_budget(alloc)
             init = self.incumbent.point if self.incumbent is not None else self.init_point
-            self._active = self._builder(
-                self.spec.children[self._active_index],
-                child_context,
-                self._path + (self._active_index,),
-                init,
+            self._active = self._build(
+                self._active_index, self.spec.children[self._active_index], child_context, init
             )
             self._last_built = self._active
             self._active_alloc = alloc
@@ -141,7 +151,7 @@ class ChainOptimizer(_RoutingOptimizer):
             if self._active is None:
                 raise
             child_cand = self._active.ask()
-        return self._wrap(self._active_index, self._active, child_cand)
+        return self._wrap(self._active, child_cand)
 
     def _recommend(self):
         final = self._active or self._last_built
@@ -153,21 +163,12 @@ class ChainOptimizer(_RoutingOptimizer):
         return rec
 
 
-class BetAndRunOptimizer(_RoutingOptimizer):
+class BetAndRunOptimizer(RoutingOptimizer):
     """Phase 1 splits a budget slice round-robin over all children; the
     child with the best told loss survives and gets everything left."""
 
-    def __init__(
-        self,
-        context: RunContext,
-        spec: BetAndRun,
-        builder: ChildBuilder,
-        path: tuple = (),
-        seed: int = 0,
-        init_point=None,
-    ):
-        super().__init__(context, seed=seed, init_point=init_point)
-        self.spec = spec
+    def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
+        super().__init__(context, spec, builder, path, seed, init_point)
         m = len(spec.children)
         phase_total = int(context.budget * spec.phase_fraction)
         base = phase_total // m
@@ -178,12 +179,7 @@ class BetAndRunOptimizer(_RoutingOptimizer):
         self._phase_allocs = [base + (phase_total - base * m if i == 0 else 0) for i in range(m)]
         rest = context.budget - phase_total
         self.children = [
-            builder(
-                child,
-                context.with_budget(self._phase_allocs[i] + rest),
-                path + (i,),
-                init_point,
-            )
+            self._build(i, child, context.with_budget(self._phase_allocs[i] + rest), init_point)
             for i, child in enumerate(spec.children)
         ]
         self._best: list[float] = [math.inf] * m
@@ -211,14 +207,10 @@ class BetAndRunOptimizer(_RoutingOptimizer):
                     raise BudgetExceededError("phase-1 allocations exhausted")
             self._cursor += 1
         child = self.children[idx]
-        return self._wrap(idx, child, child.ask())
+        return self._wrap(child, child.ask())
 
     def _after_tell(self, candidate: Candidate, loss: float) -> None:
-        entry = self._route.get(candidate.id)
-        if entry is None:
-            return
-        child = entry[0]
-        idx = self.children.index(child)
+        idx = self.children.index(candidate.payload[0])
         if loss < self._best[idx]:
             self._best[idx] = loss
         if self.survivor is None and self.num_tells >= sum(self._phase_allocs):
@@ -236,7 +228,7 @@ class BetAndRunOptimizer(_RoutingOptimizer):
         return None
 
 
-class ProgressiveWidening(_RoutingOptimizer):
+class ProgressiveWidening(RoutingOptimizer):
     """Optimize a growing prefix of coordinates, pinning the rest.
 
     At evaluation ``t`` only the first ``active(t) = min(d, 1 + floor(t /
@@ -244,21 +236,10 @@ class ProgressiveWidening(_RoutingOptimizer):
     the wider subspace at each widening, warm-started from the best point.
     """
 
-    def __init__(
-        self,
-        context: RunContext,
-        child_spec,
-        builder: ChildBuilder,
-        path: tuple = (),
-        seed: int = 0,
-        init_point=None,
-    ):
-        super().__init__(context, seed=seed, init_point=init_point)
+    def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
+        super().__init__(context, spec, builder, path, seed, init_point)
         if not self.domain.all_continuous:
             raise ConfigurationError("progressive widening needs a continuous domain")
-        self.child_spec = child_spec
-        self._builder = builder
-        self._path = path
         d = len(self.domain.variables)
         self._step = max(1, math.ceil(0.8 * context.budget / d))
         self._center = self.domain.center()
@@ -286,25 +267,20 @@ class ProgressiveWidening(_RoutingOptimizer):
                 init = self.incumbent.point[:k]
             elif self.init_point is not None:
                 init = self.init_point[:k]
-            self._child = self._builder(
-                self.child_spec, child_context, self._path + (self._rebuilds,), init
-            )
+            self._child = self._build(self._rebuilds, self.spec.child, child_context, init)
             self._rebuilds += 1
         return self._child
 
+    def _lift(self, prefix: np.ndarray) -> np.ndarray:
+        point = self._center.copy()
+        point[: len(prefix)] = prefix
+        return point
+
     def _ask(self) -> Candidate:
         child = self._ensure_child()
-        child_cand = child.ask()
-        point = self._center.copy()
-        point[: self._active_dims] = child_cand.point
-        cand = self._new_candidate(point)
-        self._route[cand.id] = (child, child_cand)
-        return cand
+        return self._wrap(child, child.ask(), self._lift)
 
     def _recommend(self):
         if self._child is None or self._child.num_tells == 0:
             return None
-        rec = self._child.recommend()
-        point = self._center.copy()
-        point[: len(rec.point)] = rec.point
-        return point
+        return self._lift(self._child.recommend().point)

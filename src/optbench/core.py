@@ -55,12 +55,20 @@ class Candidate:
 
     Observations are only appended through ``tell``; re-tells of the same
     candidate are legal and used by resampling solvers under noise.
+
+    ``payload`` belongs to the optimizer that created the candidate.  A
+    solver stores what its update needs from the ask (a sample direction, a
+    population slot) and reads and clears it at the first tell, so a re-tell
+    finds ``None`` and the archive keeps no extra vectors.  A composite
+    stores the ``(child, child_candidate)`` route and keeps it, so every
+    re-tell reaches the child.
     """
 
     id: int
     point: np.ndarray
     observations: list[float] = field(default_factory=list)
     is_default_center: bool = False
+    payload: object = None
 
     @property
     def num_observations(self) -> int:
@@ -81,12 +89,14 @@ class Candidate:
 class Optimizer:
     """Base class for all solvers and combinators.
 
-    Subclasses implement ``_ask`` (return a point, or an already-issued
-    Candidate to request a re-tell), ``_tell``, and optionally
-    ``_recommend``.  The base class owns budget accounting, the pending set,
-    the archive, and incumbent tracking: strict-improvement replacement in
-    noise-free mode, lowest mean loss (ties: more observations, then lower
-    id) in noisy mode.
+    Subclasses implement ``_ask`` (return a point, a fresh candidate from
+    ``_new_candidate(point, payload)``, or an already-issued Candidate to
+    request a re-tell), ``_tell``, and optionally ``_recommend``.  The base
+    class owns budget accounting, the pending set, the archive, and
+    incumbent tracking: strict-improvement replacement in noise-free mode,
+    lowest mean loss (ties: more observations, then lower id) in noisy mode.
+    Composites derive from ``combinators.RoutingOptimizer``, which routes
+    candidates to their children through the payload.
     """
 
     #: generation-based solvers expose their population size for combinators
@@ -121,8 +131,8 @@ class Optimizer:
         return None
 
     # ------------------------------------------------------------------
-    def _new_candidate(self, point) -> Candidate:
-        cand = Candidate(self._next_id, np.asarray(point, dtype=float))
+    def _new_candidate(self, point, payload=None) -> Candidate:
+        cand = Candidate(self._next_id, np.asarray(point, dtype=float), payload=payload)
         self._candidates[self._next_id] = cand
         self._next_id += 1
         return cand

@@ -12,14 +12,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
-from ..algospec import canonical_text, parse_algorithm
+from ..algospec import canonical_text
 from ..bench.suites import BenchmarkSuite, SuiteProblem
 from ..bench.transforms import make_function
 from ..core import RunContext, run_loop
-from ..errors import OptbenchError, RegistryError
+from ..errors import OptbenchError
 from ..seeds import derive_seed
-from ..solvers import REGISTRY
-from ..wizard import WIZARD_ID
+from ..wizard import validate_spec
 from .records import ExperimentRecord
 
 
@@ -34,31 +33,6 @@ def checkpoint_grid(budget: int) -> list[int]:
             break
         k += 1
     return sorted(grid)
-
-
-def _validate_algorithms(algorithms: Sequence) -> list[tuple[str, object]]:
-    parsed = []
-    for alg in algorithms:
-        spec = parse_algorithm(alg) if isinstance(alg, str) else alg
-        _validate_leaves(spec)
-        parsed.append((canonical_text(spec), spec))
-    return parsed
-
-
-def _validate_leaves(spec) -> None:
-    from ..algospec import BetAndRun, Chain, Leaf, Wrap
-
-    if isinstance(spec, Leaf):
-        if spec.name != WIZARD_ID and spec.name not in REGISTRY:
-            raise RegistryError(
-                f"unknown solver id {spec.name!r}; known ids: "
-                f"{', '.join(sorted(REGISTRY) + [WIZARD_ID])}"
-            )
-    elif isinstance(spec, (Chain, BetAndRun)):
-        for child in spec.children:
-            _validate_leaves(child)
-    elif isinstance(spec, Wrap):
-        _validate_leaves(spec.child)
 
 
 def run_cell(
@@ -144,7 +118,7 @@ def run_experiment(
     All algorithm ids are validated before any cell executes.  Records come
     back in canonical cell order regardless of ``jobs``.
     """
-    parsed = _validate_algorithms(algorithms)
+    parsed = [(canonical_text(spec), spec) for spec in map(validate_spec, algorithms)]
     cells = []
     for problem in suite.problems:
         for budget in problem.budgets:

@@ -106,6 +106,8 @@ def save_records(records: list[ExperimentRecord], directory) -> Path:
 def load_records(directory) -> list[ExperimentRecord]:
     directory = Path(directory)
     records_path = directory if directory.is_file() else directory / "records.jsonl"
+    if not records_path.is_file():
+        raise ConfigurationError(f"no records file at {str(records_path)!r}")
     timings: dict[str, float] = {}
     timings_path = records_path.parent / "timings.jsonl"
     if timings_path.exists():

@@ -56,7 +56,3 @@ def derive_seed(master_seed: int, labels: Iterable = ()) -> int:
         state = _mix64(state ^ _hash_label(label))
     return state
 
-
-def spawn_rng_seed(master_seed: int, *labels) -> int:
-    """Convenience wrapper: ``derive_seed`` with varargs labels."""
-    return derive_seed(master_seed, labels)

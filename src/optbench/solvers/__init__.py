@@ -1,8 +1,13 @@
-"""Solver registry: canonical algorithm ids to constructors."""
+"""Solver registry: canonical algorithm ids to constructors.
+
+Each entry is the solver class with the parameters that define the id
+bound; ``optbench.wizard`` resolves spec leaves against it.
+"""
 
 from __future__ import annotations
 
-from ..errors import RegistryError
+from functools import partial
+
 from .cma import CmaEs
 from .de import DifferentialEvolution
 from .discrete import DiscreteOnePlusOne, FastGa, strength_probabilities
@@ -14,45 +19,25 @@ from .softmax import SoftmaxBridge, logit_domain, softmax_probabilities
 from .tbpsa import Tbpsa
 
 
-def _variant(cls, **fixed):
-    def factory(context, seed=0, init_point=None, **params):
-        return cls(context, seed=seed, init_point=init_point, **fixed, **params)
-
-    return factory
-
-
 REGISTRY = {
-    "cma": _variant(CmaEs),
-    "diagcma": _variant(CmaEs, diagonal=True),
-    "de": _variant(DifferentialEvolution),
-    "lhsde": _variant(DifferentialEvolution, lhs_init=True, population_size=30),
-    "one-plus-one-es": _variant(OnePlusOneEs),
-    "tbpsa": _variant(Tbpsa),
-    "naive-tbpsa": _variant(Tbpsa, naive=True),
-    "powell": _variant(Powell),
-    "linear-tr": _variant(TrustRegion, quadratic=False),
-    "quadratic-tr": _variant(TrustRegion, quadratic=True),
-    "oneshot": _variant(OneShotRecentering),
-    "discrete-fixed": _variant(DiscreteOnePlusOne, variant="fixed"),
-    "discrete-lineardecay": _variant(DiscreteOnePlusOne, variant="linear_decay"),
-    "discrete-adaptive": _variant(DiscreteOnePlusOne, variant="adaptive"),
-    "discrete-portfolio": _variant(DiscreteOnePlusOne, variant="portfolio"),
-    "discrete-optimistic": _variant(DiscreteOnePlusOne, variant="optimistic_noisy"),
-    "fastga": _variant(FastGa),
+    "cma": partial(CmaEs),
+    "diagcma": partial(CmaEs, diagonal=True),
+    "de": partial(DifferentialEvolution),
+    "lhsde": partial(DifferentialEvolution, lhs_init=True, population_size=30),
+    "one-plus-one-es": partial(OnePlusOneEs),
+    "tbpsa": partial(Tbpsa),
+    "naive-tbpsa": partial(Tbpsa, naive=True),
+    "powell": partial(Powell),
+    "linear-tr": partial(TrustRegion, quadratic=False),
+    "quadratic-tr": partial(TrustRegion, quadratic=True),
+    "oneshot": partial(OneShotRecentering),
+    "discrete-fixed": partial(DiscreteOnePlusOne, variant="fixed"),
+    "discrete-lineardecay": partial(DiscreteOnePlusOne, variant="linear_decay"),
+    "discrete-adaptive": partial(DiscreteOnePlusOne, variant="adaptive"),
+    "discrete-portfolio": partial(DiscreteOnePlusOne, variant="portfolio"),
+    "discrete-optimistic": partial(DiscreteOnePlusOne, variant="optimistic_noisy"),
+    "fastga": partial(FastGa),
 }
-
-
-def known_solvers() -> tuple[str, ...]:
-    return tuple(sorted(REGISTRY)) + ("abbo",)
-
-
-def solver_factory(name: str):
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown solver id {name!r}; known ids: {', '.join(known_solvers())}"
-        ) from None
 
 
 __all__ = [
@@ -68,7 +53,6 @@ __all__ = [
     "SoftmaxBridge",
     "Tbpsa",
     "TrustRegion",
-    "known_solvers",
     "linear_descent_step",
     "logit_domain",
     "metamodel_min_points",
@@ -76,6 +60,5 @@ __all__ = [
     "quadratic_model_step",
     "recentering_std",
     "softmax_probabilities",
-    "solver_factory",
     "strength_probabilities",
 ]

@@ -89,7 +89,6 @@ class CmaEs(Optimizer):
         self._sample_queue: list[np.ndarray] = []
         self._told_y: list[np.ndarray] = []
         self._told_losses: list[float] = []
-        self._asked_y: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def _sample_batch(self) -> None:
@@ -116,12 +115,10 @@ class CmaEs(Optimizer):
         if not self._sample_queue:
             self._sample_batch()
         y = self._sample_queue.pop()
-        cand = self._new_candidate(self._view.decode(self.mean + self.sigma * y))
-        self._asked_y[cand.id] = y
-        return cand
+        return self._new_candidate(self._view.decode(self.mean + self.sigma * y), payload=y)
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
-        y = self._asked_y.pop(candidate.id, None)
+        y, candidate.payload = candidate.payload, None
         if y is None:
             y = (self._view.encode(candidate.point) - self.mean) / self.sigma
         self._told_y.append(y)
@@ -187,6 +184,3 @@ class CmaEs(Optimizer):
             self.sigma = SIGMA_FLOOR
         self.sigma = min(self.sigma, 1e20)
 
-
-def diagonal_cma(context: RunContext, seed: int = 0, init_point=None, **kwargs) -> CmaEs:
-    return CmaEs(context, seed=seed, init_point=init_point, diagonal=True, **kwargs)

@@ -49,7 +49,6 @@ class DifferentialEvolution(Optimizer):
         if self.init_point is not None:
             self._init_samples[0] = self._view.encode(self.init_point)
         self._cursor = 0
-        self._slot_of: dict[int, tuple[int, np.ndarray]] = {}
 
     def _draw_init(self, lhs_init: bool) -> np.ndarray:
         lo, hi = self._view.init_box()
@@ -70,9 +69,7 @@ class DifferentialEvolution(Optimizer):
             z = self._init_samples[slot].copy()
         else:
             z = self._trial(slot)
-        cand = self._new_candidate(self._view.decode(z))
-        self._slot_of[cand.id] = (slot, z)
-        return cand
+        return self._new_candidate(self._view.decode(z), payload=(slot, z))
 
     def _trial(self, slot: int) -> np.ndarray:
         ready = np.flatnonzero(self._initialized)
@@ -89,7 +86,7 @@ class DifferentialEvolution(Optimizer):
         return np.where(mask, mutant, self.positions[slot])
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
-        entry = self._slot_of.pop(candidate.id, None)
+        entry, candidate.payload = candidate.payload, None
         if entry is None:
             return  # re-tell of an old candidate: population already settled
         slot, z = entry

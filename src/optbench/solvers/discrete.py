@@ -208,7 +208,6 @@ class FastGa(Optimizer):
             else self.domain.center()
         )
         self.parent_loss: float | None = None
-        self._points: dict[int, np.ndarray] = {}
 
     def sample_strength(self) -> int:
         return int(self.rng.choice(self._support, p=self._probs))

@@ -44,17 +44,14 @@ class OnePlusOneEs(Optimizer):
         else:
             self._parent = np.zeros(self._view.dim)
         self._parent_loss: float | None = None
-        self._mutation_z: dict[int, np.ndarray] = {}
 
     def _ask(self) -> Candidate:
         z = self._parent + self.sigma * self.rng.standard_normal(self._view.dim)
-        cand = self._new_candidate(self._view.decode(z))
-        self._mutation_z[cand.id] = z
-        return cand
+        return self._new_candidate(self._view.decode(z), payload=z)
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
-        z = self._mutation_z.pop(candidate.id, None)
-        if z is None:  # re-tell or foreign candidate: reconstruct from the point
+        z, candidate.payload = candidate.payload, None
+        if z is None:  # re-tell: reconstruct from the point
             z = self._view.encode(candidate.point)
         if self._parent_loss is None:
             self._parent = z

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Candidate, Optimizer, RunContext
+from ..combinators import RoutingOptimizer
+from ..core import Candidate
 
 
 def quadratic_feature_count(dim: int) -> int:
@@ -96,7 +97,7 @@ def metamodel_propose(points, losses, dim: int | None = None) -> np.ndarray | No
     return x_star
 
 
-class MetamodelWrapper(Optimizer):
+class MetamodelWrapper(RoutingOptimizer):
     """Injects quadratic-surrogate minimizers into a sampling child.
 
     Once per child generation, the wrapper fits a quadratic on its own told
@@ -105,14 +106,13 @@ class MetamodelWrapper(Optimizer):
     incumbent but are not fed back into the child's distribution update.
     """
 
-    def __init__(self, context: RunContext, child: Optimizer):
-        super().__init__(context, seed=0)
-        self.child = child
-        self.generation_size = child.generation_size
+    def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
+        super().__init__(context, spec, builder, path, seed, init_point)
+        self.child = self._build(0, spec.child, context, init_point)
+        self.generation_size = self.child.generation_size
         self._view = self.domain.scalar_view
         self._points: list[np.ndarray] = []
         self._losses: list[float] = []
-        self._route: dict[int, Candidate] = {}
         self._tells_at_attempt = 0
 
     def _ask(self):
@@ -124,14 +124,8 @@ class MetamodelWrapper(Optimizer):
             proposal = metamodel_propose(np.asarray(self._points), self._losses)
             if proposal is not None:
                 return self._view.decode(self._view.encode(proposal))
-        child_cand = self.child.ask()
-        mine = self._new_candidate(child_cand.point)
-        self._route[mine.id] = child_cand
-        return mine
+        return self._wrap(self.child, self.child.ask())
 
-    def _tell(self, candidate: Candidate, loss: float) -> None:
+    def _after_tell(self, candidate: Candidate, loss: float) -> None:
         self._points.append(candidate.point)
         self._losses.append(loss)
-        child_cand = self._route.pop(candidate.id, None)
-        if child_cand is not None:
-            self.child.tell(child_cand, loss)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Candidate, Optimizer, RunContext
+from ..combinators import RoutingOptimizer
+from ..core import Candidate, RunContext
 from ..domain import CATEGORICAL, DomainSpec, continuous
 from ..errors import ConfigurationError
 
@@ -38,18 +39,13 @@ def softmax_probabilities(logits: np.ndarray, temperature: float) -> np.ndarray:
     return e / e.sum()
 
 
-class SoftmaxBridge(Optimizer):
+class SoftmaxBridge(RoutingOptimizer):
     """Wraps an inner optimizer built on the logit encoding."""
 
     def __init__(
-        self,
-        context: RunContext,
-        inner_factory,
-        seed: int = 0,
-        init_point=None,
-        temperature: float = 1.0,
+        self, context, spec, builder, path=(), seed=0, init_point=None, temperature: float = 1.0
     ):
-        super().__init__(context, seed=seed, init_point=init_point)
+        super().__init__(context, spec, builder, path, seed, init_point)
         if temperature <= 0:
             raise ConfigurationError("temperature must be positive")
         self.temperature = temperature
@@ -62,8 +58,7 @@ class SoftmaxBridge(Optimizer):
             master_seed=context.master_seed,
         )
         inner_init = self.encode(self.init_point) if self.init_point is not None else None
-        self.inner: Optimizer = inner_factory(inner_context, inner_init)
-        self._route: dict[int, Candidate] = {}
+        self.inner = self._build(0, spec.child, inner_context, inner_init)
 
     # ------------------------------------------------------------------
     def encode(self, point) -> np.ndarray:
@@ -98,15 +93,9 @@ class SoftmaxBridge(Optimizer):
 
     # ------------------------------------------------------------------
     def _ask(self) -> Candidate:
-        inner_cand = self.inner.ask()
-        cand = self._new_candidate(self.decode(inner_cand.point, stochastic=True))
-        self._route[cand.id] = inner_cand
-        return cand
-
-    def _tell(self, candidate: Candidate, loss: float) -> None:
-        inner_cand = self._route.pop(candidate.id, None)
-        if inner_cand is not None:
-            self.inner.tell(inner_cand, loss)
+        return self._wrap(
+            self.inner, self.inner.ask(), lambda point: self.decode(point, stochastic=True)
+        )
 
     def _recommend(self):
         if self.inner.num_tells == 0:

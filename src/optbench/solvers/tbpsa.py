@@ -52,7 +52,6 @@ class Tbpsa(Optimizer):
         self.sigma = 1.0
         self.center_history: list[np.ndarray] = []
         self._gen: list[tuple[np.ndarray, float, float]] = []  # (z, log sigma_i, loss)
-        self._meta: dict[int, tuple[np.ndarray, float]] = {}
         self._best_elite_mean = math.inf
         self._stagnation = 0
         self._best_single: tuple[float, np.ndarray] | None = None
@@ -61,17 +60,15 @@ class Tbpsa(Optimizer):
         d = self._view.dim
         log_sigma_i = math.log(self.sigma) + self.tau * self.rng.standard_normal()
         z = self.center + math.exp(log_sigma_i) * self.rng.standard_normal(d)
-        cand = self._new_candidate(self._view.decode(z))
-        self._meta[cand.id] = (z, log_sigma_i)
-        return cand
+        return self._new_candidate(self._view.decode(z), payload=(z, log_sigma_i))
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
         if self._best_single is None or loss < self._best_single[0]:
             self._best_single = (loss, candidate.point)
-        meta = self._meta.pop(candidate.id, None)
-        if meta is None:
-            meta = (self._view.encode(candidate.point), math.log(self.sigma))
-        self._gen.append((meta[0], meta[1], loss))
+        sample, candidate.payload = candidate.payload, None
+        if sample is None:
+            sample = (self._view.encode(candidate.point), math.log(self.sigma))
+        self._gen.append((sample[0], sample[1], loss))
         if len(self._gen) >= self.lam:
             self._update_generation()
 

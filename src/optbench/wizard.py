@@ -8,22 +8,25 @@ fired.
 
 ``build_optimizer`` instantiates any spec tree against a run context,
 deriving each tree node's RNG seed from the master seed and the node's path
-so that sibling nodes get independent streams.
+so that sibling nodes get independent streams.  Leaves resolve against the
+single solver registry in one place, which ``validate_spec`` also uses to
+reject unknown ids and parameters before anything runs.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, replace
 
-from .algospec import AlgorithmSpec, BetAndRun, Chain, Leaf, Wrap, parse_algorithm
+from .algospec import AlgorithmSpec, BetAndRun, Chain, Leaf, Wrap, canonical_text, parse_algorithm
 from .combinators import BetAndRunOptimizer, ChainOptimizer, ProgressiveWidening
 from .core import Optimizer, RunContext
 from .domain import DomainSpec
 from .errors import RegistryError
 from .seeds import derive_seed
-from .solvers import SoftmaxBridge, solver_factory
-from .solvers.metamodel import MetamodelWrapper
+from .solvers import REGISTRY, MetamodelWrapper, SoftmaxBridge
 
 WIZARD_ID = "abbo"
 
@@ -125,8 +128,67 @@ def select_algorithm(ctx: SelectionContext) -> AlgorithmSpec:
 # construction
 
 
-def _leaf_params(leaf: Leaf) -> dict:
-    return dict(leaf.params)
+def _leaf_factory(leaf: Leaf, seed: int = 0):
+    """``factory(context, init_point=...)`` for a registry leaf, or None for
+    the wizard id.
+
+    The factory is the registry constructor with the leaf's params and
+    ``seed`` bound; a leaf ``seed`` param overrides the derived one.  Unknown
+    ids, unknown params and params the leaf repeats or its id already fixes
+    raise RegistryError.
+    """
+    params = dict(leaf.params)
+    if len(params) < len(leaf.params):
+        raise RegistryError(f"repeated parameter in {canonical_text(leaf)!r}")
+    if leaf.name == WIZARD_ID:
+        if params:
+            raise RegistryError(f"{WIZARD_ID!r} takes no parameters")
+        return None
+    variant = REGISTRY.get(leaf.name)
+    if variant is None:
+        raise RegistryError(
+            f"unknown solver id {leaf.name!r}; known ids: "
+            f"{', '.join(sorted(REGISTRY) + [WIZARD_ID])}"
+        )
+    if params:
+        known = inspect.signature(variant).parameters.keys() - {"context", "init_point"}
+        for key in params:
+            if key in variant.keywords:
+                raise RegistryError(f"{leaf.name!r} fixes parameter {key!r}")
+            if key not in known:
+                raise RegistryError(
+                    f"unknown parameter {key!r} for {leaf.name!r}; "
+                    f"known: {', '.join(sorted(known - variant.keywords.keys()))}"
+                )
+    return functools.partial(variant, **{"seed": seed, **params})
+
+
+def validate_spec(spec: "AlgorithmSpec | str") -> AlgorithmSpec:
+    """Check every leaf of a spec tree (or its text form) the way
+    ``build_optimizer`` resolves it, without a run context; returns the tree.
+    """
+    if isinstance(spec, str):
+        spec = parse_algorithm(spec)
+    if isinstance(spec, Leaf):
+        _leaf_factory(spec)
+    elif isinstance(spec, Wrap):
+        validate_spec(spec.child)
+    elif isinstance(spec, (Chain, BetAndRun)):
+        for child in spec.children:
+            validate_spec(child)
+    else:
+        raise RegistryError(f"not an algorithm spec: {spec!r}")
+    return spec
+
+
+#: spec type, or wrapper kind, -> composite class
+_COMPOSITES = {
+    Chain: ChainOptimizer,
+    BetAndRun: BetAndRunOptimizer,
+    "metamodel": MetamodelWrapper,
+    "progressive": ProgressiveWidening,
+    "softmax": SoftmaxBridge,
+}
 
 
 def build_optimizer(
@@ -144,41 +206,19 @@ def build_optimizer(
     if isinstance(spec, str):
         spec = parse_algorithm(spec)
     seed = derive_seed(context.master_seed, list(_path))
-
-    def child_builder(child_spec, child_context, child_path, init_point):
-        return build_optimizer(child_spec, child_context, tuple(child_path), init_point)
-
     if isinstance(spec, Leaf):
-        if spec.name == WIZARD_ID:
-            ctx = SelectionContext.from_problem(context.domain, context)
-            resolved = select_algorithm(ctx)
-            return build_optimizer(resolved, context, _path + (WIZARD_ID,), _init_point)
-        params = _leaf_params(spec)
-        seed = params.pop("seed", seed)
-        factory = solver_factory(spec.name)
-        return factory(context, seed=seed, init_point=_init_point, **params)
-    if isinstance(spec, Chain):
-        return ChainOptimizer(
-            context, spec, child_builder, path=_path, seed=seed, init_point=_init_point
-        )
-    if isinstance(spec, BetAndRun):
-        return BetAndRunOptimizer(
-            context, spec, child_builder, path=_path, seed=seed, init_point=_init_point
-        )
-    if isinstance(spec, Wrap):
-        if spec.kind == "metamodel":
-            child = build_optimizer(spec.child, context, _path + (0,), _init_point)
-            return MetamodelWrapper(context, child)
-        if spec.kind == "progressive":
-            return ProgressiveWidening(
-                context, spec.child, child_builder, path=_path, seed=seed, init_point=_init_point
-            )
-        if spec.kind == "softmax":
+        factory = _leaf_factory(spec, seed)
+        if factory is not None:
+            return factory(context, init_point=_init_point)
+        resolved = select_algorithm(SelectionContext.from_problem(context.domain, context))
+        return build_optimizer(resolved, context, _path + (WIZARD_ID,), _init_point)
+    composite = _COMPOSITES.get(spec.kind if isinstance(spec, Wrap) else type(spec))
+    if composite is None:
+        raise RegistryError(f"cannot build optimizer from {spec!r}")
+    return composite(context, spec, _build_child, _path, seed, _init_point)
 
-            def inner_factory(inner_context, inner_init):
-                return build_optimizer(spec.child, inner_context, _path + (0,), inner_init)
 
-            return SoftmaxBridge(
-                context, inner_factory, seed=seed, init_point=_init_point
-            )
-    raise RegistryError(f"cannot build optimizer from {spec!r}")
+def _build_child(spec, context: RunContext, path: tuple, init_point) -> Optimizer:
+    # looks build_optimizer up when called, so a wrapped module attribute
+    # also builds every child
+    return build_optimizer(spec, context, path, init_point)

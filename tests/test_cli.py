@@ -2,6 +2,8 @@ import json
 import sys
 import textwrap
 
+import pytest
+
 from optbench.bench.suites import get_suite, save_manifest
 from optbench.cli import main
 
@@ -138,3 +140,35 @@ def test_eval_server_command(tmp_path, capsys):
     assert payload["budget"] == 60
     assert payload["recommendation_loss"] < 1e-2
     assert len(payload["recommendation"]) == 2
+
+
+@pytest.mark.parametrize("algs", ["cma[bogus=1]", "diagcma[diagonal=false]"])
+def test_bad_leaf_params_fail_before_any_cell(tmp_path, capsys, algs):
+    out = tmp_path / "x"
+    rc = main(["run", "--suite", "discrete_lite", "--algs", algs, "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_eval_server_validates_algs_before_spawning_the_child(tmp_path, capsys):
+    marker = tmp_path / "spawned"
+    child = tmp_path / "child.py"
+    child.write_text(f"open({str(marker)!r}, 'w').close()\n")
+    rc = main(["eval-server", "--cmd", f"{sys.executable} {child}", "--algs", "cma[bogus=1]"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: unknown parameter 'bogus'")
+    assert not marker.exists()
+
+
+def test_bad_seeds_is_an_input_error(tmp_path, capsys):
+    rc = main(["run", "--suite", "discrete_lite", "--algs", "cma", "--seeds", "x", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad --seeds 'x'")
+
+
+def test_report_on_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    rc = main(["report", "--in", str(tmp_path / "missing")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: no records file at")

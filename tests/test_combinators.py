@@ -9,12 +9,15 @@ from optbench import (
     DomainSpec,
     Leaf,
     RunContext,
+    Wrap,
     canonical_text,
+    categorical,
     continuous,
     parse_algorithm,
     run_loop,
 )
-from optbench.combinators import chain_allocations
+from optbench.combinators import ProgressiveWidening, chain_allocations
+from optbench.solvers import MetamodelWrapper, SoftmaxBridge
 from optbench.wizard import build_optimizer
 
 
@@ -249,6 +252,43 @@ def test_progressive_requires_continuous_domain():
     dom = DomainSpec([integer(0, 3)])
     with pytest.raises(ConfigurationError):
         build_optimizer("prog(de)", RunContext(dom, budget=10))
+
+
+# ---------------------------------------------------------------------------
+# re-ask routing through wrappers
+
+
+@pytest.mark.parametrize(
+    "composite, kind, domain",
+    [
+        (MetamodelWrapper, "metamodel", sphere_domain(3)),
+        (ProgressiveWidening, "progressive", sphere_domain(3)),
+        (SoftmaxBridge, "softmax", DomainSpec([categorical(3), categorical(4), continuous()])),
+    ],
+)
+def test_wrapper_routes_child_reasks_and_retells(composite, kind, domain):
+    # discrete-optimistic re-asks its parent candidate half of the time
+    built = []
+
+    def builder(spec, context, path, init):
+        child = build_optimizer(spec, context, path, init)
+        built.append(child)
+        return child
+
+    ctx = RunContext(domain, budget=120, master_seed=13)
+    handle = composite(ctx, Wrap(kind, Leaf("discrete-optimistic")), builder, seed=3)
+    outer_of = {}
+    for _ in range(ctx.budget):
+        cand = handle.ask()
+        if cand.payload is not None:
+            _child, child_cand = cand.payload
+            # a child re-ask comes back as the outer candidate it already has
+            assert outer_of.setdefault(child_cand, cand) is cand
+        handle.tell(cand, float(np.sum(cand.point**2)))
+    outer_retells = handle.num_tells - len(handle.archive)
+    child_retells = sum(child.num_tells - len(child.archive) for child in built)
+    assert outer_retells > 0
+    assert child_retells == outer_retells  # every re-tell reached the child
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,31 @@ def test_generation_is_deterministic():
     a = lsgo_composite(50, 5, transform_seed=42, overlap=True)
     b = lsgo_composite(50, 5, transform_seed=42, overlap=True)
     assert a == b
+
+
+@pytest.mark.parametrize("dimension, num_blocks", [(50, 5), (200, 8), (200, 10)])
+def test_overlapping_blocks_share_only_the_previous_block(dimension, num_blocks):
+    # a block's quarter overlap used to reach past a smaller previous block
+    for seed in range(200):
+        blocks = [b.indices for b in lsgo_composite(dimension, num_blocks, seed, overlap=True).blocks]
+        assert len(blocks) == num_blocks
+        for i, block in enumerate(blocks):
+            assert block and all(0 <= v < dimension for v in block)
+            if i == 0:
+                continue
+            earlier = set().union(*blocks[:i])
+            assert set(block) & earlier <= set(blocks[i - 1])
+            assert len(set(block) & set(blocks[i - 1])) == min(len(block) // 4, len(blocks[i - 1]))
+
+
+def test_shipped_lsgo_lite_specs_are_unchanged():
+    import hashlib
+    import json
+
+    from optbench.bench.suites import get_suite, suite_to_manifest
+
+    manifest = json.dumps(suite_to_manifest(get_suite("lsgo_lite")), sort_keys=True)
+    assert (
+        hashlib.sha256(manifest.encode()).hexdigest()
+        == "02ee6d73e5e6ae998b05834875c11eb1f77a8567058c7608cc07ec37f8458398"
+    )

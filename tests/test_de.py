@@ -54,7 +54,7 @@ def test_selection_rejects_worse_proposal():
     de = make_de(d=2, seed=3, population_size=4)
     fill_population(de, lambda x: 2.0)
     cand = de.ask()
-    slot, _z = de._slot_of[cand.id]
+    slot, _z = cand.payload
     before = de.positions[slot].copy()
     de.tell(cand, 3.0)  # worse than the slot's 2.0
     assert np.array_equal(de.positions[slot], before)
@@ -65,7 +65,7 @@ def test_selection_accepts_ties():
     de = make_de(d=2, seed=4, population_size=4)
     fill_population(de, lambda x: 2.0)
     cand = de.ask()
-    slot, z = de._slot_of[cand.id]
+    slot, z = cand.payload
     de.tell(cand, 2.0)
     assert np.array_equal(de.positions[slot], z)
 

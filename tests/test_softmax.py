@@ -12,6 +12,7 @@ from optbench import (
     categorical,
     continuous,
     integer,
+    parse_algorithm,
     run_loop,
 )
 from optbench.solvers.softmax import SoftmaxBridge, logit_domain, softmax_probabilities
@@ -62,7 +63,7 @@ def test_bridge_rejects_bad_temperature():
     with pytest.raises(ConfigurationError):
         from optbench.solvers.softmax import SoftmaxBridge
 
-        SoftmaxBridge(ctx, lambda c, i: None, temperature=0.0)
+        SoftmaxBridge(ctx, parse_algorithm("softmax(oneshot)"), build_optimizer, temperature=0.0)
 
 
 def test_bridge_optimizes_mixed_domain():

@@ -29,7 +29,7 @@ def test_elite_center_is_mean_of_top_quarter():
     losses = [1.0, 2.0, 3.0, 4.0]
     for p, loss in zip(points, losses):
         cand = t.ask()
-        t._meta[cand.id] = (np.asarray(p), t._meta[cand.id][1])  # pin the sample position
+        cand.payload = (np.asarray(p), cand.payload[1])  # pin the sample position
         t.tell(cand, loss)
     assert np.allclose(t.center, [1.0, 0.0])  # mean of (0,0) and (2,0)
 
