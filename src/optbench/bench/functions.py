@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..domain import DomainSpec, VariableSpec, continuous, integer
+from ..domain import DomainSpec, continuous, integer
 from ..errors import ConfigurationError
 
 _TWO_PI = 2.0 * math.pi
@@ -125,20 +125,13 @@ class BaseFunction:
     fn: Callable[[np.ndarray], float]
     discrete: bool = False
     minimum_value: float = 0.0
+    minimizer: float = 0.0  # the minimum sits at minimizer * ones(d)
 
-    def minimum_point(self, dimension: int) -> np.ndarray | None:
-        if self.name == "rosenbrock":
-            return np.ones(dimension)
-        if self.name == "lunacek":
-            return np.full(dimension, _LUNACEK_MU0)
-        if self.name in ("onemax", "leadingones"):
-            return np.ones(dimension)
-        return np.zeros(dimension)
+    def minimum_point(self, dimension: int) -> np.ndarray:
+        return np.full(dimension, self.minimizer)
 
     def default_domain(self, dimension: int) -> DomainSpec:
-        if self.name in ("onemax", "leadingones"):
-            return DomainSpec([integer(0, 1) for _ in range(dimension)])
-        return DomainSpec([continuous() for _ in range(dimension)])
+        return DomainSpec([integer(0, 1) if self.discrete else continuous() for _ in range(dimension)])
 
 
 CATALOG: dict[str, BaseFunction] = {
@@ -149,12 +142,12 @@ CATALOG: dict[str, BaseFunction] = {
         BaseFunction("ellipsoid", ellipsoid),
         BaseFunction("hm", hm),
         BaseFunction("ackley", ackley),
-        BaseFunction("rosenbrock", rosenbrock),
+        BaseFunction("rosenbrock", rosenbrock, minimizer=1.0),
         BaseFunction("griewank", griewank),
-        BaseFunction("lunacek", lunacek),
+        BaseFunction("lunacek", lunacek, minimizer=_LUNACEK_MU0),
         BaseFunction("deceptive_multimodal", deceptive_multimodal),
-        BaseFunction("onemax", onemax, discrete=True),
-        BaseFunction("leadingones", leadingones, discrete=True),
+        BaseFunction("onemax", onemax, discrete=True, minimizer=1.0),
+        BaseFunction("leadingones", leadingones, discrete=True, minimizer=1.0),
     )
 }
 

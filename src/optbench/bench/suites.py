@@ -8,7 +8,7 @@ reproduces an experiment.  Shipped suites are desk-scale.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import ConfigurationError
@@ -181,28 +181,10 @@ def get_suite(name: str) -> BenchmarkSuite:
 # manifest serialization
 
 
-def _transform_to_obj(t: TransformSpec) -> dict:
-    return {
-        "translation_std": t.translation_std,
-        "far_optimum": t.far_optimum,
-        "rotate": t.rotate,
-        "symmetrize": t.symmetrize,
-        "noise_std": t.noise_std,
-        "transform_seed": t.transform_seed,
-    }
-
-
 def _spec_to_obj(spec: FunctionSpec) -> dict:
-    obj = {
-        "base": spec.base,
-        "dimension": spec.dimension,
-        "transform": _transform_to_obj(spec.transform),
-    }
-    if spec.blocks:
-        obj["blocks"] = [
-            {"base": b.base, "indices": list(b.indices), "weight": b.weight, "seed": b.seed}
-            for b in spec.blocks
-        ]
+    obj = asdict(spec)
+    if not spec.blocks:
+        del obj["blocks"]
     return obj
 
 
@@ -238,18 +220,22 @@ def suite_to_manifest(suite: BenchmarkSuite) -> dict:
 
 
 def suite_from_manifest(obj: dict) -> BenchmarkSuite:
-    if obj.get("schema") != MANIFEST_SCHEMA:
-        raise ConfigurationError(f"unsupported manifest schema {obj.get('schema')!r}")
-    problems = tuple(
-        SuiteProblem(
-            problem_id=p["problem_id"],
-            spec=_spec_from_obj(p["spec"]),
-            budgets=tuple(p["budgets"]),
-            num_workers=tuple(p["num_workers"]),
-        )
-        for p in obj["problems"]
-    )
-    return BenchmarkSuite(obj["name"], problems)
+    """A checked suite; a missing or ill-typed key raises ConfigurationError naming its problem."""
+    if not isinstance(obj, dict) or obj.get("schema") != MANIFEST_SCHEMA:
+        raise ConfigurationError(f"not a manifest of schema {MANIFEST_SCHEMA!r}")
+    where = "manifest"
+    try:
+        problems = []
+        for i, p in enumerate(obj["problems"]):
+            where = f"manifest problem {i}"  # until its id is read
+            where = f"manifest problem {p['problem_id']!r}"
+            spec = _spec_from_obj(p["spec"])
+            problems.append(SuiteProblem(p["problem_id"], spec, tuple(p["budgets"]), tuple(p["num_workers"])))
+        where = "manifest"
+        return BenchmarkSuite(obj["name"], tuple(problems))
+    except (KeyError, AttributeError, TypeError, ValueError, ConfigurationError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigurationError(f"{where}: {detail}") from None
 
 
 def save_manifest(suite: BenchmarkSuite, path) -> None:
@@ -257,7 +243,11 @@ def save_manifest(suite: BenchmarkSuite, path) -> None:
 
 
 def load_manifest(path) -> BenchmarkSuite:
-    return suite_from_manifest(json.loads(Path(path).read_text()))
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read manifest {str(path)!r}: {exc}") from None
+    return suite_from_manifest(obj)
 
 
 def load_suite(name_or_path: str) -> BenchmarkSuite:

@@ -6,10 +6,15 @@ order translate, rotate, symmetrize; the optimum therefore sits at ``t`` in
 original coordinates (shifted by the base minimizer where it is not zero).
 The noise-free part ``g0`` stays available as an oracle for simple-regret
 scoring and never spends evaluation budget.
+
+The one table ``_KINDS`` maps a base name to one of three instance kinds:
+plain catalog functions (the default), ``lsgo_composite`` weighted block sums
+and ``simple_tsp`` tour lengths.  Each kind checks a spec when it is built.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +22,7 @@ import numpy as np
 from ..domain import DomainSpec, continuous
 from ..errors import ConfigurationError
 from ..seeds import derive_seed
-from .functions import BaseFunction, get_base
+from .functions import get_base
 from .tsp import decode_tour, tour_length, tsp_cities, tsp_domain
 
 
@@ -79,16 +84,9 @@ class FunctionSpec:
     blocks: tuple[CompositeBlock, ...] | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
+        if operator.index(self.dimension) < 1:
             raise ConfigurationError("dimension must be positive")
-        if self.base == "lsgo_composite":
-            if not self.blocks:
-                raise ConfigurationError("composite specs need at least one block")
-            for block in self.blocks:
-                if max(block.indices) >= self.dimension:
-                    raise ConfigurationError("block indices exceed the dimension")
-        elif self.blocks:
-            raise ConfigurationError("only lsgo_composite specs carry blocks")
+        _KINDS.get(self.base, BenchmarkFunction).check(self)
 
     @property
     def instance_name(self) -> str:
@@ -111,29 +109,18 @@ def _haar_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _is_continuous_base(name: str) -> bool:
-    if name in ("simple_tsp",):
-        return False
-    if name == "lsgo_composite":
-        return True
-    return not get_base(name).discrete
-
-
 class BenchmarkFunction:
     """Callable instance with a noise-free oracle and analytic minimum.
 
     Calling the object returns a (possibly noisy) loss; ``noise_free`` is
-    the oracle used only for scoring recommendations.
+    the oracle used only for scoring recommendations.  This is the plain
+    catalog kind; the others override ``check`` and the three hooks below.
     """
 
     def __init__(self, spec: FunctionSpec, noise_seed: int | None = None):
         self.spec = spec
         t = spec.transform
         d = spec.dimension
-        if not _is_continuous_base(spec.base) and t.is_affine:
-            raise ConfigurationError(
-                f"translate/rotate/symmetrize do not apply to {spec.base!r}"
-            )
         rng = np.random.default_rng(derive_seed(t.transform_seed, ["transform"]))
         self._t = None
         self._M = None
@@ -148,68 +135,35 @@ class BenchmarkFunction:
         self._noise_rng = np.random.default_rng(
             derive_seed(t.transform_seed if noise_seed is None else noise_seed, ["noise"])
         )
+        self._setup(spec)
 
-        self._base: BaseFunction | None = None
-        self._blocks = None
-        self._cities = None
-        if spec.base == "lsgo_composite":
-            self._blocks = []
-            for block in spec.blocks:
-                entry = get_base(block.base)
-                if entry.discrete:
-                    raise ConfigurationError("composite blocks must be continuous bases")
-                idx = np.asarray(block.indices, dtype=int)
-                bt = bm = None
-                if block.seed is not None:
-                    brng = np.random.default_rng(derive_seed(block.seed, ["block"]))
-                    bt = brng.standard_normal(len(idx))
-                    bm = _haar_orthogonal(brng, len(idx))
-                self._blocks.append((entry.fn, idx, block.weight, bt, bm, entry))
-        elif spec.base == "simple_tsp":
-            self._cities = tsp_cities(d, t.transform_seed)
-        else:
-            self._base = get_base(spec.base)
+    @classmethod
+    def check(cls, spec: FunctionSpec) -> None:
+        """Raise ConfigurationError for a spec this kind cannot build."""
+        if spec.blocks:
+            raise ConfigurationError("only lsgo_composite specs carry blocks")
+        if get_base(spec.base).discrete and spec.transform.is_affine:
+            raise ConfigurationError(f"translate/rotate/symmetrize do not apply to {spec.base!r}")
 
-    # ------------------------------------------------------------------
-    @property
-    def domain(self) -> DomainSpec:
-        spec = self.spec
-        if spec.base == "simple_tsp":
-            return tsp_domain(spec.dimension)
-        if spec.base == "lsgo_composite":
-            return DomainSpec([continuous() for _ in range(spec.dimension)])
-        return self._base.default_domain(spec.dimension)
+    def _setup(self, spec: FunctionSpec) -> None:
+        """Set ``domain``, ``known_minimum`` (None unless analytic) and the kind's state."""
+        self._base = get_base(spec.base)
+        self.domain = self._base.default_domain(spec.dimension)
+        self.known_minimum = self._base.minimum_value
 
-    @property
-    def known_minimum(self) -> float | None:
-        """Minimum value of the noise-free instance, when analytic."""
-        if self.spec.base == "simple_tsp":
-            return None
-        if self.spec.base == "lsgo_composite":
-            seen: set[int] = set()
-            for block in self.spec.blocks:
-                if seen.intersection(block.indices):
-                    return None  # overlapping blocks can conflict
-                seen.update(block.indices)
-            return 0.0
-        return self._base.minimum_value
+    def _inner(self, y: np.ndarray) -> float:
+        """The objective in transformed coordinates."""
+        return self._base.fn(y)
+
+    def _inner_minimum(self) -> np.ndarray:
+        """The minimizer in transformed coordinates, read when ``known_minimum`` is set."""
+        return self._base.minimum_point(self.spec.dimension)
 
     @property
     def minimum_point(self) -> np.ndarray | None:
         if self.known_minimum is None:
             return None
-        if self.spec.base == "lsgo_composite":
-            inner = np.zeros(self.spec.dimension)
-            for (fn, idx, _w, bt, bm, entry) in self._blocks:
-                m = entry.minimum_point(len(idx))
-                if bt is not None:
-                    m = bt + bm.T @ m
-                inner[idx] = m
-        else:
-            inner = self._base.minimum_point(self.spec.dimension)
-        if inner is None:
-            return None
-        x = inner
+        x = self._inner_minimum()
         if self._S is not None:
             x = self._S * x
         if self._M is not None:
@@ -218,26 +172,15 @@ class BenchmarkFunction:
             x = x + self._t
         return x
 
-    # ------------------------------------------------------------------
     def noise_free(self, point) -> float:
         y = np.asarray(point, dtype=float)
-        if self._cities is not None:
-            return tour_length(self._cities, decode_tour(y))
         if self._t is not None:
             y = y - self._t
         if self._M is not None:
             y = self._M @ y
         if self._S is not None:
             y = self._S * y
-        if self._blocks is not None:
-            total = 0.0
-            for fn, idx, weight, bt, bm, _entry in self._blocks:
-                sub = y[idx]
-                if bt is not None:
-                    sub = bm @ (sub - bt)
-                total += weight * fn(sub)
-            return total
-        return self._base.fn(y)
+        return self._inner(y)
 
     def __call__(self, point) -> float:
         value = self.noise_free(point)
@@ -245,11 +188,74 @@ class BenchmarkFunction:
             value += self.noise_std * self._noise_rng.standard_normal()
         return value
 
-    def reseed_noise(self, noise_seed: int) -> None:
-        """Restart the per-evaluation noise stream (one stream per run)."""
-        self._noise_rng = np.random.default_rng(derive_seed(noise_seed, ["noise"]))
+
+class _Composite(BenchmarkFunction):
+    """Weighted sum of catalog functions over (possibly shared) index blocks."""
+
+    @classmethod
+    def check(cls, spec: FunctionSpec) -> None:
+        if not spec.blocks:
+            raise ConfigurationError("composite specs need at least one block")
+        for block in spec.blocks:
+            if max(block.indices) >= spec.dimension:
+                raise ConfigurationError("block indices exceed the dimension")
+            if get_base(block.base).discrete:
+                raise ConfigurationError("composite blocks must be continuous bases")
+
+    def _setup(self, spec: FunctionSpec) -> None:
+        self.domain = DomainSpec([continuous() for _ in range(spec.dimension)])
+        sets = [set(block.indices) for block in spec.blocks]
+        # overlapping blocks can conflict, so only disjoint ones have a known minimum
+        self.known_minimum = 0.0 if sum(map(len, sets)) == len(set().union(*sets)) else None
+        self._blocks = []
+        for block in spec.blocks:
+            idx = np.asarray(block.indices, dtype=int)
+            bt = bm = None
+            if block.seed is not None:
+                brng = np.random.default_rng(derive_seed(block.seed, ["block"]))
+                bt = brng.standard_normal(len(idx))
+                bm = _haar_orthogonal(brng, len(idx))
+            self._blocks.append((get_base(block.base), idx, block.weight, bt, bm))
+
+    def _inner(self, y: np.ndarray) -> float:
+        total = 0.0
+        for entry, idx, weight, bt, bm in self._blocks:
+            sub = y[idx]
+            if bt is not None:
+                sub = bm @ (sub - bt)
+            total += weight * entry.fn(sub)
+        return total
+
+    def _inner_minimum(self) -> np.ndarray:
+        inner = np.zeros(self.spec.dimension)
+        for entry, idx, _weight, bt, bm in self._blocks:
+            m = entry.minimum_point(len(idx))
+            if bt is not None:
+                m = bt + bm.T @ m
+            inner[idx] = m
+        return inner
+
+
+class _Tsp(BenchmarkFunction):
+    """Closed-tour length over random planar cities, Lehmer-code encoded."""
+
+    @classmethod
+    def check(cls, spec: FunctionSpec) -> None:
+        if spec.blocks or spec.transform.is_affine:
+            raise ConfigurationError(f"{spec.base!r} takes no blocks and no translate/rotate/symmetrize")
+
+    def _setup(self, spec: FunctionSpec) -> None:
+        self._cities = tsp_cities(spec.dimension, spec.transform.transform_seed)
+        self.domain = tsp_domain(spec.dimension)
+        self.known_minimum = None
+
+    def _inner(self, y: np.ndarray) -> float:
+        return tour_length(self._cities, decode_tour(y))
+
+
+_KINDS: dict[str, type[BenchmarkFunction]] = {"lsgo_composite": _Composite, "simple_tsp": _Tsp}
 
 
 def make_function(spec: FunctionSpec, noise_seed: int | None = None) -> BenchmarkFunction:
     """Instantiate a benchmark: transforms drawn from the transform seed."""
-    return BenchmarkFunction(spec, noise_seed=noise_seed)
+    return _KINDS.get(spec.base, BenchmarkFunction)(spec, noise_seed=noise_seed)

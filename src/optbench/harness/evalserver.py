@@ -58,17 +58,21 @@ class ExternalEvaluator:
             bufsize=1,
         )
         self._next_id = 0
-        hello = self._read_message()
-        if hello.get("type") != "hello":
-            raise ProtocolError(f"expected a hello handshake, got {hello!r}")
-        variables = hello.get("variables")
-        if variables:
-            self.domain = DomainSpec([_variable_from_obj(v) for v in variables])
-        else:
-            dim = int(hello["dimension"])
-            self.domain = DomainSpec([VariableSpec("continuous") for _ in range(dim)])
-        if len(self.domain.variables) != int(hello["dimension"]):
-            raise ProtocolError("handshake dimension does not match its variable list")
+        try:
+            hello = self._read_message()
+            if hello.get("type") != "hello":
+                raise ProtocolError(f"expected a hello handshake, got {hello!r}")
+            variables = hello.get("variables")
+            if variables:
+                self.domain = DomainSpec([_variable_from_obj(v) for v in variables])
+            else:
+                dim = int(hello["dimension"])
+                self.domain = DomainSpec([VariableSpec("continuous") for _ in range(dim)])
+            if len(self.domain.variables) != int(hello["dimension"]):
+                raise ProtocolError("handshake dimension does not match its variable list")
+        except BaseException:
+            self.close()  # a failed handshake leaves no child behind
+            raise
 
     # ------------------------------------------------------------------
     def _read_message(self) -> dict:
@@ -103,6 +107,8 @@ class ExternalEvaluator:
             raise ProtocolError(
                 f"evaluator answered id {reply.get('id')!r} to request {msg_id}"
             )
+        if not isinstance(reply.get("value"), (int, float)):
+            raise ProtocolError(f"loss reply to request {msg_id} has no numeric value: {reply!r}")
         return float(reply["value"])
 
     def close(self) -> None:

@@ -45,7 +45,7 @@ def run_cell(
     seed: int,
     master_seed: int,
 ) -> ExperimentRecord:
-    """Run one cell; failures are captured in the record, not raised."""
+    """Run one cell; any exception is captured in a failed record, not raised."""
     cell_seed = derive_seed(
         master_seed, [suite_name, problem.problem_id, budget, num_workers, algorithm_text, seed]
     )
@@ -86,7 +86,7 @@ def run_cell(
             checkpoints=tuple(checkpoints),
             wall_time_ms=wall,
         )
-    except OptbenchError as exc:
+    except Exception as exc:  # a fault in one cell fails that cell, not the experiment
         wall = (time.perf_counter() - start) * 1000.0
         return ExperimentRecord(
             suite=suite_name,
@@ -98,7 +98,7 @@ def run_cell(
             checkpoints=(),
             wall_time_ms=wall,
             failed=True,
-            error=str(exc),
+            error=str(exc) if isinstance(exc, OptbenchError) else f"{type(exc).__name__}: {exc}",
         )
 
 

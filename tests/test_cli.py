@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from optbench.bench.suites import get_suite, save_manifest
+from optbench.bench.suites import BenchmarkSuite, SuiteProblem, get_suite, save_manifest, suite_to_manifest
 from optbench.cli import main
 
 
@@ -172,3 +172,52 @@ def test_report_on_a_missing_directory_is_an_input_error(tmp_path, capsys):
     rc = main(["report", "--in", str(tmp_path / "missing")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: no records file at")
+
+
+def _mini_manifest(tmp_path, edit) -> str:
+    # one onemax-d20 problem at budget 30, edited before it is written
+    problem = get_suite("discrete_lite").problems[0]
+    obj = suite_to_manifest(BenchmarkSuite("mini", (SuiteProblem(problem.problem_id, problem.spec, budgets=(30,)),)))
+    edit(obj["problems"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda p: p["spec"].update(base="onemx"), "unknown base function 'onemx'"),
+        (lambda p: p["spec"]["transform"].update(rotate=True), "do not apply to 'onemax'"),
+        (lambda p: p["spec"].pop("dimension"), "missing key 'dimension'"),
+        (lambda p: p["spec"].update(dimension="20"), "'str' object cannot be interpreted as an integer"),
+        (lambda p: p["spec"]["transform"].update(rotat=True), "unexpected keyword argument 'rotat'"),
+    ],
+    ids=["unknown-base", "rotated-onemax", "no-dimension", "str-dimension", "unknown-transform-key"],
+)
+def test_bad_manifest_fails_at_load(tmp_path, capsys, edit, expected):
+    out = tmp_path / "x"
+    rc = main(["run", "--suite", _mini_manifest(tmp_path, edit), "--algs", "discrete-fixed", "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest problem 'onemax-d20': ")
+    assert expected in err[0]
+    assert not out.exists()  # no cell ran
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_faults_inside_a_cell_become_failed_records(tmp_path, capsys, workers):
+    manifest = _mini_manifest(tmp_path, lambda p: p.update(
+        spec={"base": "sphere", "dimension": 3, "transform": {"translation_std": 1.0, "transform_seed": 1}}
+    ))
+    out = tmp_path / "r"
+    algs = "one-plus-one-es[c_up=-1],cma[population_size=x],one-plus-one-es"
+    rc = main(["run", "--suite", manifest, "--algs", algs, "--seeds", "2", "--workers", workers, "--out", str(out)])
+    assert rc == 1
+    assert "4 cells failed" in capsys.readouterr().err
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    errors = {r["algorithm"]: r["error"] for r in records if r["failed"]}
+    assert errors["one-plus-one-es[c_up=-1]"] == "ValueError: step multipliers must be positive"
+    assert errors["cma[population_size=x]"].startswith("TypeError: ")
+    done = [r for r in records if not r["failed"]]
+    assert len(done) == 2 and all(r["algorithm"] == "one-plus-one-es" and r["checkpoints"] for r in done)

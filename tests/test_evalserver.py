@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import textwrap
 
@@ -96,3 +97,37 @@ def test_child_death_fails_only_its_own_cell(tmp_path):
     dom = DomainSpec([continuous(), continuous()])
     rec, hist = run_loop("one-plus-one-es", lambda x: float(x @ x), RunContext(dom, budget=10))
     assert len(hist) == 10
+
+
+def test_failed_handshake_closes_the_child(tmp_path):
+    pid_file = tmp_path / "pid"
+    source = textwrap.dedent(
+        f"""
+        import json, os, sys
+        open({str(pid_file)!r}, "w").write(str(os.getpid()))
+        print(json.dumps({{"type": "greeting"}}), flush=True)
+        for line in sys.stdin:
+            pass
+        """
+    )
+    command = child_command(tmp_path, source, "rude_child.py")
+    with pytest.raises(ProtocolError):
+        external_evaluator_session(command, timeout=20.0)
+    with pytest.raises(ProcessLookupError):  # terminated and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.mark.parametrize("reply", ['{"type": "loss", "id": 0}', '{"type": "loss", "id": 0, "value": "1.5"}'])
+def test_loss_reply_without_a_numeric_value_is_a_protocol_error(tmp_path, reply):
+    source = textwrap.dedent(
+        f"""
+        import json, sys
+        print(json.dumps({{"type": "hello", "dimension": 2}}), flush=True)
+        for line in sys.stdin:
+            print({reply!r}, flush=True)
+        """
+    )
+    command = child_command(tmp_path, source, "valueless_child.py")
+    with external_evaluator_session(command, timeout=20.0) as external:
+        with pytest.raises(ProtocolError, match="no numeric value"):
+            external(np.zeros(2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optbench.bench import FunctionSpec, TransformSpec, make_function
+from optbench.bench import CompositeBlock, FunctionSpec, TransformSpec, make_function
 from optbench.errors import ConfigurationError
 
 
@@ -98,10 +98,12 @@ def test_noise_free_oracle_is_deterministic_mean():
 
 
 def test_noise_stream_reseeding():
+    # one noise stream per run: the same noise seed replays the same stream
     f = make_function(spec(noise_std=1.0), noise_seed=1)
+    g = make_function(spec(noise_std=1.0), noise_seed=1)
     first = [f(np.zeros(5)) for _ in range(5)]
-    f.reseed_noise(1)
-    assert [f(np.zeros(5)) for _ in range(5)] == first
+    assert [g(np.zeros(5)) for _ in range(5)] == first
+    assert len(set(first)) == 5
 
 
 def test_transforms_rejected_for_discrete_bases():
@@ -122,3 +124,20 @@ def test_instance_names_are_descriptive():
         "sphere", 5, TransformSpec(translation_std=1.0, rotate=True, noise_std=0.5, transform_seed=1)
     )
     assert s.instance_name == "sphere-d5-tr-rot-n0.5"
+
+
+@pytest.mark.parametrize(
+    "base, transform, blocks",
+    [
+        ("mystery", TransformSpec(), None),
+        ("onemax", TransformSpec(rotate=True), None),
+        ("simple_tsp", TransformSpec(translation_std=1.0), None),
+        ("lsgo_composite", TransformSpec(), (CompositeBlock("onemax", (0, 1), 1.0),)),
+        ("lsgo_composite", TransformSpec(), (CompositeBlock("mystery", (0, 1), 1.0),)),
+    ],
+    ids=["unknown-base", "rotated-onemax", "translated-tsp", "discrete-block", "unknown-block-base"],
+)
+def test_bad_specs_fail_when_built(base, transform, blocks):
+    # before any cell builds the instance
+    with pytest.raises(ConfigurationError):
+        FunctionSpec(base, 5, transform, blocks)
