@@ -62,13 +62,15 @@ class ExternalEvaluator:
             hello = self._read_message()
             if hello.get("type") != "hello":
                 raise ProtocolError(f"expected a hello handshake, got {hello!r}")
+            dim = hello.get("dimension")
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+                raise ProtocolError(f"handshake dimension must be a positive integer, got {dim!r}")
             variables = hello.get("variables")
             if variables:
                 self.domain = DomainSpec([_variable_from_obj(v) for v in variables])
             else:
-                dim = int(hello["dimension"])
                 self.domain = DomainSpec([VariableSpec("continuous") for _ in range(dim)])
-            if len(self.domain.variables) != int(hello["dimension"]):
+            if len(self.domain.variables) != dim:
                 raise ProtocolError("handshake dimension does not match its variable list")
         except BaseException:
             self.close()  # a failed handshake leaves no child behind
@@ -118,6 +120,12 @@ class ExternalEvaluator:
                 self._proc.wait(timeout=2.0)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            try:
+                pipe.close()
+            except BrokenPipeError:  # unsent output to a child that is gone
+                pass
 
     def __enter__(self) -> "ExternalEvaluator":
         return self

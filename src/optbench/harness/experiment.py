@@ -8,6 +8,7 @@ and order-independent; an optional process pool only changes wall time.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
@@ -16,7 +17,7 @@ from ..algospec import canonical_text
 from ..bench.suites import BenchmarkSuite, SuiteProblem
 from ..bench.transforms import make_function
 from ..core import RunContext, run_loop
-from ..errors import OptbenchError
+from ..errors import EvaluationError, OptbenchError
 from ..seeds import derive_seed
 from ..wizard import validate_spec
 from .records import ExperimentRecord
@@ -72,6 +73,8 @@ def run_cell(
                 regret = function.noise_free(handle.recommend().point)
                 if known_min is not None:
                     regret -= known_min
+                if not math.isfinite(regret):
+                    raise EvaluationError(f"non-finite regret at evaluation {done}")
                 checkpoints.append((done, regret))
 
         run_loop(algorithm_spec, function, context, checkpoint_callback=snapshot)

@@ -79,8 +79,9 @@ class ExperimentRecord:
 
 
 def record_to_line(record: ExperimentRecord) -> str:
-    # json round-trips floats exactly via repr, keeping lines byte-stable
-    return json.dumps(record.to_obj(), sort_keys=True, separators=(",", ":"))
+    # json round-trips floats exactly via repr, keeping lines byte-stable;
+    # a non-finite float raises instead of writing bare NaN or Infinity
+    return json.dumps(record.to_obj(), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def save_records(records: list[ExperimentRecord], directory) -> Path:

@@ -10,7 +10,9 @@ The trust-region variants fill the classic derivative-free slots: a linear
 model stepping to the trust boundary along steepest model descent, and a
 quadratic model stepping to the model minimizer clipped to the trust
 region.  Both shrink the radius on failure; in noisy mode every model point
-is resampled three times and the mean is used.
+is resampled three times and the mean is used.  The quadratic model
+interpolates the last (d+1)(d+2)/2 points and is updated in O(p^2) per step
+as its window slides (``SlidingQuadratic``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ..core import Candidate, Optimizer, RunContext
 from ..errors import ConfigurationError
-from .metamodel import fit_quadratic, quadratic_feature_count
+from .metamodel import fit_quadratic, quadratic_design, quadratic_feature_count, split_quadratic
 
 logger = logging.getLogger(__name__)
 
@@ -49,15 +51,19 @@ def linear_descent_step(points, losses, origin, rho: float) -> np.ndarray | None
 
 
 def quadratic_model_step(points, losses, origin, rho: float) -> np.ndarray | None:
+    """Least-squares quadratic fit of the points, then ``quadratic_fit_step``."""
+    fit = fit_quadratic(points, losses)
+    return None if fit is None else quadratic_fit_step(fit, origin, rho)
+
+
+def quadratic_fit_step(fit, origin, rho: float) -> np.ndarray | None:
     """Model-minimizer step clipped to the trust ball around ``origin``.
 
-    Falls back to a model-gradient step when the quadratic part is not
-    positive-definite; returns None on a singular fit.
+    ``fit`` is ``(A, b, c, mean, scale)`` as from ``fit_quadratic``.  Falls
+    back to a model-gradient step when the quadratic part is not
+    positive-definite; returns None when that gradient vanishes.
     """
     origin = np.asarray(origin, dtype=float)
-    fit = fit_quadratic(points, losses)
-    if fit is None:
-        return None
     quad, b, _c, mean, scale = fit
     u0 = (origin - mean) / scale
     eigvals = np.linalg.eigvalsh(quad)
@@ -74,6 +80,98 @@ def quadratic_model_step(points, losses, origin, rho: float) -> np.ndarray | Non
     if not np.isfinite(norm) or norm < 1e-300:
         return None
     return origin - rho * (grad / norm)
+
+
+#: a slide whose denominator is below this times the largest entry of its
+#: update row refactorizes instead of updating the inverse; about sqrt(eps),
+#: below which one update could lose half the digits of the inverse
+_DENOMINATOR_FLOOR = 1e-8
+#: rows per in-place block of the rank-one update
+_ROW_BLOCK = 64
+#: right-hand-side columns per solve when the inverse is built; beside the
+#: design and the inverse, a solve holds one design copy and a few such blocks
+_SOLVE_BLOCK = 128
+
+
+class SlidingQuadratic:
+    """Quadratic interpolation model of a window of p points slid one by one.
+
+    ``_inv`` is H, the inverse of the p x p interpolation matrix in the frame
+    ``u = (x - mean) / scale`` fixed at the last full factorization; the
+    model's coefficients are ``H @ values``, so it interpolates the window.
+    ``slide`` replaces the oldest point by a new one through one
+    Sherman-Morrison row replacement in O(p^2), as Powell's NEWUOA updates
+    its interpolation model; the update's denominator is the oldest point's
+    Lagrange polynomial at the new point.  A full factorization, with
+    ``fit_quadratic``'s rank test, happens when no inverse exists, after p
+    updates, and when that denominator falls below ``_DENOMINATOR_FLOOR``.
+    """
+
+    def __init__(self, points, values):
+        self._points = np.array(points, dtype=float)
+        self._values = np.array(values, dtype=float)
+        self.size, self.dim = self._points.shape
+        self._oldest = 0  # slot of the point the next slide replaces
+        self._inv: np.ndarray | None = None
+        self._mean = np.zeros(self.dim)
+        self._scale = 1.0
+        self._updates = 0
+        self.factorizations = 0
+        self.threshold_hits = 0
+        self._factorize()
+
+    def fit(self):
+        """``(A, b, c, mean, scale)`` of the model, or None for a rejected window."""
+        if self._inv is None:
+            return None
+        coeffs = self._inv @ self._values
+        return (*split_quadratic(coeffs, self.dim), self._mean, self._scale)
+
+    def slide(self, point, value: float) -> None:
+        """Replace the oldest point of the window by ``point``."""
+        k = self._oldest
+        self._oldest = (k + 1) % self.size
+        old_row = None if self._inv is None else self._features(self._points[k])
+        self._points[k] = point
+        self._values[k] = value
+        if old_row is None or self._updates >= self.size:
+            self._factorize()
+            return
+        w = (self._features(self._points[k]) - old_row) @ self._inv
+        denom = 1.0 + w[k]
+        if not abs(denom) > _DENOMINATOR_FLOOR * np.abs(w).max():
+            self.threshold_hits += 1
+            self._factorize()
+            return
+        col = self._inv[:, k] / denom
+        for start in range(0, self.size, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            self._inv[rows] -= np.outer(col[rows], w)
+        self._updates += 1
+
+    def _features(self, point) -> np.ndarray:
+        return quadratic_design(((point - self._mean) / self._scale)[None, :])[0]
+
+    def _factorize(self) -> None:
+        self._inv = None  # freed before the new inverse is built
+        self._updates = 0
+        self.factorizations += 1
+        p = self.size
+        mean = self._points.mean(axis=0)
+        scale = float(self._points.std())
+        if scale <= 0 or not np.isfinite(scale):
+            return
+        design = quadratic_design((self._points - mean) / scale)
+        singular = np.linalg.svd(design, compute_uv=False)
+        if not singular[-1] > np.finfo(float).eps * p * singular[0]:
+            return  # rank deficient by lstsq's default rcond
+        inv = np.empty((p, p))
+        for start in range(0, p, _SOLVE_BLOCK):
+            width = min(_SOLVE_BLOCK, p - start)
+            unit = np.zeros((p, width))
+            unit[np.arange(start, start + width), np.arange(width)] = 1.0
+            inv[:, start : start + width] = np.linalg.solve(design, unit)
+        self._inv, self._mean, self._scale = inv, mean, scale
 
 
 class _ProbeDrivenSolver(Optimizer):
@@ -100,15 +198,21 @@ class _ProbeDrivenSolver(Optimizer):
     def _ask(self) -> Candidate:
         if self._gen is None:
             self._gen = self._probes()
+        z = None
         if not self._exhausted and self._awaiting is None:
             try:
                 z = self._gen.send(self._last_loss)
             except StopIteration:
                 self._exhausted = True
-            else:
-                cand = self._new_candidate(self._view.decode(z))
-                self._awaiting = cand.id
-                return cand
+        if self.num_asks + 1 == self.budget:
+            # The generator's frame refers back to this solver.  Ending it at
+            # the last ask breaks that cycle, so the solver and its model state
+            # are freed with the run instead of at the next full collection.
+            self._gen.close()
+        if z is not None:
+            cand = self._new_candidate(self._view.decode(z))
+            self._awaiting = cand.id
+            return cand
         z = self._best_z + self._fallback_scale * self.rng.standard_normal(self._view.dim)
         return self._new_candidate(self._view.decode(z))
 
@@ -256,45 +360,43 @@ class TrustRegion(_ProbeDrivenSolver):
         self.quadratic = quadratic
         self.rho = initial_radius
 
-    def _model_points(self) -> int:
-        d = self._view.dim
-        return quadratic_feature_count(d) if self.quadratic else d + 1
-
     def _probes(self):
         d = self._view.dim
+        need = quadratic_feature_count(d) if self.quadratic else d + 1
         x = self._z0.copy()
         fx = yield from self._measure(x)
         best_x, best_f = x.copy(), fx
         points: list[np.ndarray] = [x.copy()]
         values: list[float] = [fx]
-        axis = 0
+        for axis in range(need - 1):
+            direction = _unit(d, axis) if axis < d else self._random_direction(d)
+            z = best_x + self.rho * direction
+            f = yield from self._measure(z)
+            points.append(z)
+            values.append(f)
+            if f < best_f:
+                best_x, best_f = z, f
+        model = SlidingQuadratic(points, values) if self.quadratic else None
         while True:
-            need = self._model_points()
-            while len(points) < need:
-                if axis < d:
-                    z = best_x + self.rho * _unit(d, axis)
-                    axis += 1
-                else:
-                    z = best_x + self.rho * self._random_direction(d)
-                f = yield from self._measure(z)
-                points.append(np.asarray(z))
-                values.append(f)
-                if f < best_f:
-                    best_x, best_f = np.asarray(z), f
-            recent_p = np.asarray(points[-need:])
-            recent_v = np.asarray(values[-need:])
-            if self.quadratic:
-                proposal = quadratic_model_step(recent_p, recent_v, best_x, self.rho)
+            if model is None:
+                proposal = linear_descent_step(
+                    np.asarray(points[-need:]), np.asarray(values[-need:]), best_x, self.rho
+                )
             else:
-                proposal = linear_descent_step(recent_p, recent_v, best_x, self.rho)
+                fit = model.fit()
+                proposal = None if fit is None else quadratic_fit_step(fit, best_x, self.rho)
             if proposal is None:
                 logger.debug("degenerate model fit; random probe at radius %.3g", self.rho)
                 proposal = best_x + self.rho * self._random_direction(d)
+            proposal = np.asarray(proposal, dtype=float)
             f = yield from self._measure(proposal)
-            points.append(np.asarray(proposal, dtype=float))
-            values.append(f)
+            if model is None:
+                points.append(proposal)
+                values.append(f)
+            else:
+                model.slide(proposal, f)
             if f < best_f:
-                best_x, best_f = points[-1], f
+                best_x, best_f = proposal, f
             else:
                 self.rho *= 0.5
                 if self.rho < RHO_FLOOR:

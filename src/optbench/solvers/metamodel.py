@@ -24,12 +24,31 @@ def metamodel_min_points(dim: int) -> int:
     return quadratic_feature_count(dim) + dim + 1
 
 
-def _design_matrix(u: np.ndarray) -> np.ndarray:
+def quadratic_design(u: np.ndarray) -> np.ndarray:
+    """Feature rows ``[1, u, u_i u_j for i <= j]``, filled into one array."""
     n, d = u.shape
-    cols = [np.ones(n)] + [u]
+    design = np.empty((n, quadratic_feature_count(d)))
+    design[:, 0] = 1.0
+    design[:, 1 : d + 1] = u
+    k = d + 1
     for i in range(d):
-        cols.append(u[:, i : i + 1] * u[:, i:])
-    return np.hstack([c if c.ndim == 2 else c[:, None] for c in cols])
+        np.multiply(u[:, i : i + 1], u[:, i:], out=design[:, k : k + d - i])
+        k += d - i
+    return design
+
+
+def split_quadratic(coeffs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(A, b, c)`` of ``c + b.u + u'Au`` from coefficients over ``quadratic_design``."""
+    quad = np.zeros((d, d))
+    k = d + 1
+    for i in range(d):
+        width = d - i
+        row = coeffs[k : k + width]
+        quad[i, i] = row[0]
+        quad[i, i + 1 :] = 0.5 * row[1:]
+        quad[i + 1 :, i] = 0.5 * row[1:]
+        k += width
+    return quad, coeffs[1 : d + 1], coeffs[0]
 
 
 def fit_quadratic(points: np.ndarray, losses: np.ndarray):
@@ -46,24 +65,13 @@ def fit_quadratic(points: np.ndarray, losses: np.ndarray):
     if scale <= 0 or not np.isfinite(scale):
         return None
     u = (pts - mean) / scale
-    design = _design_matrix(u)
-    if n < design.shape[1]:
+    if n < quadratic_feature_count(d):
         return None
+    design = quadratic_design(u)
     coeffs, _res, rank, _sv = np.linalg.lstsq(design, losses, rcond=None)
     if rank < design.shape[1]:
         return None
-    c = coeffs[0]
-    b = coeffs[1 : d + 1]
-    quad = np.zeros((d, d))
-    k = d + 1
-    for i in range(d):
-        width = d - i
-        row = coeffs[k : k + width]
-        quad[i, i] = row[0]
-        quad[i, i + 1 :] = 0.5 * row[1:]
-        quad[i + 1 :, i] = 0.5 * row[1:]
-        k += width
-    return quad, b, c, mean, scale
+    return (*split_quadratic(coeffs, d), mean, scale)
 
 
 def metamodel_propose(points, losses, dim: int | None = None) -> np.ndarray | None:

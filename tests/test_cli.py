@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import textwrap
 
@@ -160,6 +161,27 @@ def test_eval_server_validates_algs_before_spawning_the_child(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: unknown parameter 'bogus'")
     assert not marker.exists()
+
+
+def test_eval_server_rejects_a_hello_without_dimension(tmp_path, capsys):
+    pid_file = tmp_path / "pid"
+    child = tmp_path / "child.py"
+    child.write_text(
+        textwrap.dedent(
+            f"""
+            import json, os, sys
+            open({str(pid_file)!r}, "w").write(str(os.getpid()))
+            print(json.dumps({{"type": "hello", "variables": [{{"kind": "continuous"}}]}}), flush=True)
+            sys.stdin.read()
+            """
+        )
+    )
+    rc = main(["eval-server", "--cmd", f"{sys.executable} {child}", "--algs", "one-plus-one-es"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: handshake dimension must be a positive integer, got None"]
+    with pytest.raises(ProcessLookupError):  # terminated and reaped
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_bad_seeds_is_an_input_error(tmp_path, capsys):

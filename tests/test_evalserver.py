@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import textwrap
 
@@ -8,7 +9,7 @@ import pytest
 
 from optbench import DomainSpec, RunContext, continuous, run_loop
 from optbench.errors import EvaluationError, ProtocolError
-from optbench.harness import external_evaluator_session
+from optbench.harness import evalserver, external_evaluator_session
 
 SPHERE_CHILD = textwrap.dedent(
     """
@@ -131,3 +132,45 @@ def test_loss_reply_without_a_numeric_value_is_a_protocol_error(tmp_path, reply)
     with external_evaluator_session(command, timeout=20.0) as external:
         with pytest.raises(ProtocolError, match="no numeric value"):
             external(np.zeros(2))
+
+
+def _record_children(monkeypatch) -> list:
+    children = []
+    spawn = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        children.append(spawn(*args, **kwargs))
+        return children[-1]
+
+    monkeypatch.setattr(evalserver.subprocess, "Popen", popen)
+    return children
+
+
+def test_pipes_are_closed_after_a_session(tmp_path, monkeypatch):
+    children = _record_children(monkeypatch)
+    with external_evaluator_session(child_command(tmp_path, SPHERE_CHILD, "sphere_child.py")) as external:
+        external(np.zeros(3))
+    (child,) = children
+    assert child.returncode is not None
+    assert child.stdin.closed and child.stdout.closed
+
+
+@pytest.mark.parametrize(
+    "hello",
+    [
+        {"type": "hello", "variables": [{"kind": "continuous"}]},
+        {"type": "hello", "dimension": "2"},
+        {"type": "hello", "dimension": 2.0},
+        {"type": "hello", "dimension": 0},
+        {"type": "hello", "dimension": True},
+    ],
+    ids=["missing", "string", "float", "zero", "bool"],
+)
+def test_handshake_dimension_must_be_a_positive_integer(tmp_path, monkeypatch, hello):
+    children = _record_children(monkeypatch)
+    source = f"import json, sys\nprint(json.dumps({hello!r}), flush=True)\nsys.stdin.read()\n"
+    with pytest.raises(ProtocolError, match="dimension must be a positive integer"):
+        external_evaluator_session(child_command(tmp_path, source, "bad_hello_child.py"), timeout=20.0)
+    (child,) = children
+    assert child.returncode is not None  # terminated and reaped
+    assert child.stdin.closed and child.stdout.closed

@@ -1,12 +1,20 @@
+import gc
+import math
+import weakref
+
 import numpy as np
+import pytest
 
 from optbench import DomainSpec, RunContext, continuous, run_loop
+from optbench.solvers import localsearch
 from optbench.solvers.localsearch import (
     Powell,
+    SlidingQuadratic,
     TrustRegion,
     linear_descent_step,
     quadratic_model_step,
 )
+from optbench.solvers.metamodel import fit_quadratic, quadratic_feature_count
 
 
 def test_linear_step_descends_to_clipped_boundary():
@@ -138,3 +146,84 @@ def test_trust_radius_shrinks_on_failure():
         cand = handle.ask()
         handle.tell(cand, float(abs(cand.point[0])))
     assert handle.rho < rho0
+
+
+def model_values(fit, x):
+    quad, b, c, mean, scale = fit
+    u = (x - mean) / scale
+    return c + u @ b + np.einsum("ni,ij,nj->n", u, quad, u)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_sliding_model_matches_a_fresh_fit_after_every_slide(d):
+    rng = np.random.default_rng(d)
+    p = quadratic_feature_count(d)
+    slides = 3 * (p + 1)  # a full factorization follows every p updates
+    walk = np.cumsum(rng.standard_normal((p + slides, d)), axis=0)
+    values = rng.standard_normal(p + slides)
+    model = SlidingQuadratic(walk[:p], values[:p])
+    for t in range(p, p + slides):
+        model.slide(walk[t], values[t])
+        window = slice(t + 1 - p, t + 1)
+        expected_fit = fit_quadratic(walk[window], values[window])
+        probe = rng.uniform(walk[window].min(axis=0), walk[window].max(axis=0), size=(10, d))
+        expected = model_values(expected_fit, probe)
+        got = model_values(model.fit(), probe)
+        assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
+    assert model.factorizations - model.threshold_hits >= 3  # the first and two scheduled
+
+
+def test_duplicate_point_forces_a_factorization_that_rejects_the_window():
+    rng = np.random.default_rng(1)
+    points = rng.standard_normal((10, 3))
+    values = rng.standard_normal(10)
+    model = SlidingQuadratic(points, values)
+    assert model.fit() is not None and model.factorizations == 1
+    model.slide(points[4], 0.5)  # the oldest point leaves, a copy of points[4] enters
+    assert model.threshold_hits == 1 and model.factorizations == 2
+    assert model.fit() is None
+    window = np.vstack([points[1:], points[4]])
+    assert quadratic_model_step(window, np.append(values[1:], 0.5), points[4], 1.0) is None
+
+
+def test_full_factorizations_are_scheduled_or_forced(monkeypatch):
+    models = []
+
+    class Counted(SlidingQuadratic):
+        def __init__(self, points, values):
+            super().__init__(points, values)
+            self.slides = self.rejected = 0
+            models.append(self)
+
+        def slide(self, point, value):
+            super().slide(point, value)
+            self.slides += 1
+            self.rejected += self.fit() is None  # the next slide factorizes again
+
+    monkeypatch.setattr(localsearch, "SlidingQuadratic", Counted)
+    dom = DomainSpec([continuous() for _ in range(4)])
+
+    def rosenbrock(x):
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+    for _ in range(2):
+        run_solver(TrustRegion, rosenbrock, dom, budget=400, seed=9, quadratic=True)
+    first, second = models
+    counts = [(m.slides, m.factorizations, m.threshold_hits, m.rejected) for m in models]
+    assert counts[0] == counts[1]
+    assert first.slides == 400 - quadratic_feature_count(4) - 1  # the generator ends at the last ask
+    scheduled = math.ceil(first.slides / first.size) + 1
+    assert first.factorizations <= scheduled + first.threshold_hits + first.rejected
+
+
+@pytest.mark.parametrize("solver, kwargs", [(TrustRegion, {"quadratic": True}), (Powell, {})])
+def test_finished_probe_solver_is_freed_without_a_collection(solver, kwargs):
+    dom = DomainSpec([continuous() for _ in range(3)])
+    gc.disable()
+    try:
+        handle, _rec, _history = run_solver(solver, lambda x: float(x @ x), dom, budget=60, **kwargs)
+        alive = weakref.ref(handle)
+        del handle
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 from optbench.bench import get_suite
@@ -9,6 +12,7 @@ from optbench.harness import (
     run_experiment,
     save_records,
 )
+from optbench.harness.records import record_to_line
 
 
 def test_checkpoint_grid_geometric():
@@ -88,3 +92,26 @@ def test_parallel_jobs_give_identical_records():
     parallel = run_experiment(suite, ["discrete-fixed"], seeds=[0, 1], master_seed=5, jobs=2)
     # wall times differ; canonical payloads must not
     assert [r.to_obj() for r in serial] == [r.to_obj() for r in parallel]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_non_finite_regret_fails_the_cell(monkeypatch):
+    from optbench.bench.transforms import BenchmarkFunction
+
+    # the objective keeps its finite values; only the regret oracle overflows
+    monkeypatch.setattr(BenchmarkFunction, "__call__", BenchmarkFunction.noise_free)
+    monkeypatch.setattr(BenchmarkFunction, "noise_free", lambda self, x: math.inf)
+    (record,) = run_experiment(small_suite(), ["discrete-fixed"], seeds=[0], master_seed=6)
+    assert record.failed
+    assert record.error == "non-finite regret at evaluation 1"
+    assert json.loads(record_to_line(record), parse_constant=_reject_constant)["failed"]
+
+
+@pytest.mark.parametrize("regret", [math.inf, -math.inf, math.nan])
+def test_record_lines_refuse_non_finite_floats(regret):
+    record = ExperimentRecord("s", "p", "cma", 0, 10, 1, checkpoints=((10, regret),))
+    with pytest.raises(ValueError):
+        record_to_line(record)
