@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -26,7 +25,7 @@ from .errors import OptbenchError
 from .harness.evalserver import external_evaluator_session
 from .harness.experiment import run_experiment
 from .harness.records import load_records
-from .harness.reports import curves_table, emit_reports, rank_algorithms, winning_rate_heatmap
+from .harness.reports import emit_reports, report_tables
 from .wizard import WIZARD_ID, SelectionContext, explain_selection, validate_spec
 
 
@@ -68,32 +67,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = load_records(args.indir)
-    wanted = [name for name, on in (("curves", args.curves), ("heatmap", args.heatmap), ("ranking", args.ranking)) if on]
-    if not wanted:
-        wanted = ["curves", "heatmap", "ranking"]
-    if "curves" in wanted:
-        print("problem,algorithm,budget,mean_normalized_loss,std")
-        for problem, alg, budget, mean, std in curves_table(records):
-            print(f"{problem},{alg},{budget},{mean:.6g},{std:.6g}")
-    usable = {r.algorithm for r in records if not r.failed}
-    if len(usable) < 2 and ("heatmap" in wanted or "ranking" in wanted):
+    tables = report_tables(load_records(args.indir))
+    wanted = [name for name in ("curves", "heatmap", "ranking") if getattr(args, name)]
+    wanted = wanted or ["curves", "heatmap", "ranking"]
+    sys.stdout.write("".join(tables[name] for name in wanted if name in tables))
+    if not all(name in tables for name in wanted):
         print("pairwise tables need at least two algorithms", file=sys.stderr)
         return 0 if "curves" in wanted else 2
-    if "heatmap" in wanted or "ranking" in wanted:
-        algorithms, heatmap = winning_rate_heatmap(records)
-        ranking = rank_algorithms(algorithms, heatmap)
-        if "heatmap" in wanted:
-            order = [algorithms.index(name) for name, _ in ranking]
-            print("algorithm," + ",".join(algorithms[i] for i in order))
-            for i in order:
-                cells = (
-                    "" if math.isnan(heatmap[i, j]) else f"{heatmap[i, j]:.3f}" for j in order
-                )
-                print(algorithms[i] + "," + ",".join(cells))
-        if "ranking" in wanted:
-            for pos, (name, score) in enumerate(ranking, start=1):
-                print(f"{pos}. {name} {score:.4f}")
     return 0
 
 
@@ -124,7 +104,10 @@ def _parse_ctx(text: str) -> SelectionContext:
         if cast is None:
             kwargs[field] = value.strip().lower() in ("1", "true", "yes")
         else:
-            kwargs[field] = cast(value)
+            try:
+                kwargs[field] = cast(value)
+            except ValueError:
+                raise OptbenchError(f"bad context item {item!r}; {key} takes a number") from None
     if "dimension" not in kwargs or "budget" not in kwargs:
         raise OptbenchError("--ctx needs at least d=<n> and b=<n>")
     if kwargs.get("has_discrete") or kwargs.get("has_categorical"):

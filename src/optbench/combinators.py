@@ -21,6 +21,7 @@ parallelism contract forwards to the active child.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -254,13 +255,9 @@ class ProgressiveWidening(RoutingOptimizer):
         k = self.active_dims(self.num_tells)
         if self._child is None or k > self._active_dims:
             self._active_dims = k
-            remaining = self.budget - self.num_tells
-            child_context = RunContext(
+            child_context = replace(
+                self.context.with_budget(max(1, self.budget - self.num_tells)),
                 domain=DomainSpec(self.domain.variables[:k]),
-                budget=max(1, remaining),
-                num_workers=min(self.num_workers, max(1, remaining)),
-                noisy=self.noisy,
-                master_seed=self.context.master_seed,
             )
             init = None
             if self.incumbent is not None:

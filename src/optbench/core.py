@@ -44,9 +44,8 @@ class RunContext:
         if not (1 <= self.num_workers <= self.budget):
             raise ConfigurationError("num_workers must satisfy 1 <= w <= budget")
 
-    def with_budget(self, budget: int, num_workers: int | None = None) -> "RunContext":
-        w = self.num_workers if num_workers is None else num_workers
-        return replace(self, budget=budget, num_workers=min(w, budget))
+    def with_budget(self, budget: int) -> "RunContext":
+        return replace(self, budget=budget, num_workers=min(self.num_workers, budget))
 
 
 @dataclass(eq=False)
@@ -77,10 +76,6 @@ class Candidate:
     @property
     def mean_loss(self) -> float:
         return sum(self.observations) / len(self.observations)
-
-    @property
-    def last_loss(self) -> float:
-        return self.observations[-1]
 
     def __repr__(self) -> str:
         return f"Candidate(id={self.id}, point={np.asarray(self.point)!r}, n_obs={len(self.observations)})"

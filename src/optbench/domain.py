@@ -10,6 +10,7 @@ one per-variable sampling scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -42,6 +43,8 @@ class VariableSpec:
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown variable kind {self.kind!r}")
         if self.kind == CONTINUOUS:
+            if not all(bound is None or isinstance(bound, numbers.Real) for bound in (self.lower, self.upper)):
+                raise ConfigurationError("continuous bounds must be numbers or None")
             if not (self.scale > 0):
                 raise ConfigurationError("continuous variables need scale > 0")
             if self.lower is not None and self.upper is not None and not (self.lower < self.upper):

@@ -42,3 +42,8 @@ class EvaluationError(OptbenchError):
 
 class ProtocolError(OptbenchError):
     """An external evaluator broke the wire protocol."""
+
+
+def error_text(exc: BaseException) -> str:
+    """An optbench error's own message; any other exception as ``Type: message``."""
+    return str(exc) if isinstance(exc, OptbenchError) else f"{type(exc).__name__}: {exc}"

@@ -8,8 +8,8 @@ from .reports import (
     emit_reports,
     lower_median,
     normalize_losses,
-    normalized_final_losses,
     rank_algorithms,
+    report_tables,
     winning_rate_heatmap,
 )
 
@@ -23,8 +23,8 @@ __all__ = [
     "load_records",
     "lower_median",
     "normalize_losses",
-    "normalized_final_losses",
     "rank_algorithms",
+    "report_tables",
     "run_cell",
     "run_experiment",
     "save_records",

@@ -7,10 +7,12 @@ Wire protocol, newline-delimited JSON over the child's stdio:
     harness -> child   {"type": "eval", "id": N, "point": [...]}
     child -> harness   {"type": "loss", "id": N, "value": X}
 
-Variable objects take the same fields as the domain factories: continuous
-(lower/upper/scale), integer (low/high), categorical (arity),
-unbounded_integer.  Malformed replies, id mismatches, timeouts, and child
-death raise; the harness marks the affected cell failed and moves on.
+A variable object names a domain factory in ``kind`` and passes the
+factory's keywords as its other fields: continuous (lower/upper/scale),
+integer (low/high), categorical (arity), unbounded_integer; a missing,
+unknown or rejected field is a ProtocolError.  Malformed replies, id
+mismatches, timeouts, and child death raise; the harness marks the affected
+cell failed and moves on.
 """
 
 from __future__ import annotations
@@ -22,26 +24,23 @@ import subprocess
 
 import numpy as np
 
-from ..domain import DomainSpec, VariableSpec
-from ..errors import EvaluationError, ProtocolError
+from ..domain import DomainSpec, VariableSpec, categorical, continuous, integer, unbounded_integer
+from ..errors import EvaluationError, OptbenchError, ProtocolError
 
 
-def _variable_from_obj(obj: dict) -> VariableSpec:
-    kind = obj.get("kind")
-    if kind == "continuous":
-        return VariableSpec(
-            "continuous",
-            lower=obj.get("lower"),
-            upper=obj.get("upper"),
-            scale=obj.get("scale", 1.0),
-        )
-    if kind == "integer":
-        return VariableSpec("integer", low=obj["low"], high=obj["high"])
-    if kind == "categorical":
-        return VariableSpec("categorical", arity=obj["arity"])
-    if kind == "unbounded_integer":
-        return VariableSpec("unbounded_integer")
-    raise ProtocolError(f"unknown variable kind in handshake: {kind!r}")
+#: variable kind -> the domain factory of that name
+_FACTORIES = {f.__name__: f for f in (continuous, integer, categorical, unbounded_integer)}
+
+
+def _variable_from_obj(obj) -> VariableSpec:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    factory = _FACTORIES.get(kind) if isinstance(kind, str) else None
+    if factory is None:
+        raise ProtocolError(f"unknown variable kind in handshake: {obj!r}")
+    try:
+        return factory(**{key: value for key, value in obj.items() if key != "kind"})
+    except (OptbenchError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad {kind} variable in handshake {obj!r}: {exc}") from None
 
 
 class ExternalEvaluator:
@@ -65,11 +64,10 @@ class ExternalEvaluator:
             dim = hello.get("dimension")
             if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
                 raise ProtocolError(f"handshake dimension must be a positive integer, got {dim!r}")
-            variables = hello.get("variables")
-            if variables:
-                self.domain = DomainSpec([_variable_from_obj(v) for v in variables])
-            else:
-                self.domain = DomainSpec([VariableSpec("continuous") for _ in range(dim)])
+            variables = hello.get("variables") or [{"kind": "continuous"}] * dim
+            if not isinstance(variables, list):
+                raise ProtocolError(f"handshake variables must be a list, got {variables!r}")
+            self.domain = DomainSpec([_variable_from_obj(v) for v in variables])
             if len(self.domain.variables) != dim:
                 raise ProtocolError("handshake dimension does not match its variable list")
         except BaseException:
@@ -87,9 +85,12 @@ class ExternalEvaluator:
         if not line:
             raise EvaluationError("external evaluator closed its output")
         try:
-            return json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed message from evaluator: {line!r}") from exc
+            message = json.loads(line)
+        except json.JSONDecodeError:
+            message = None
+        if not isinstance(message, dict):
+            raise ProtocolError(f"malformed message from evaluator: {line!r}")
+        return message
 
     def __call__(self, point) -> float:
         msg_id = self._next_id

@@ -17,7 +17,7 @@ from ..algospec import canonical_text
 from ..bench.suites import BenchmarkSuite, SuiteProblem
 from ..bench.transforms import make_function
 from ..core import RunContext, run_loop
-from ..errors import EvaluationError, OptbenchError
+from ..errors import EvaluationError, error_text
 from ..seeds import derive_seed
 from ..wizard import validate_spec
 from .records import ExperimentRecord
@@ -101,7 +101,7 @@ def run_cell(
             checkpoints=(),
             wall_time_ms=wall,
             failed=True,
-            error=str(exc) if isinstance(exc, OptbenchError) else f"{type(exc).__name__}: {exc}",
+            error=error_text(exc),
         )
 
 

@@ -8,10 +8,11 @@ cannot be reproducible, go to a ``timings.jsonl`` sidecar keyed by cell id.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, OptbenchError
 
 RECORD_SCHEMA = 1
 
@@ -47,35 +48,38 @@ class ExperimentRecord:
         return self.checkpoints[-1][1]
 
     def to_obj(self) -> dict:
-        return {
-            "schema": RECORD_SCHEMA,
-            "suite": self.suite,
-            "problem": self.problem,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "budget": self.budget,
-            "num_workers": self.num_workers,
-            "checkpoints": [[e, r] for e, r in self.checkpoints],
-            "failed": self.failed,
-            "error": self.error,
-        }
+        obj = asdict(self)
+        del obj["wall_time_ms"]  # lives in the timings.jsonl sidecar
+        obj["schema"] = RECORD_SCHEMA
+        return obj
 
     @classmethod
-    def from_obj(cls, obj: dict, wall_time_ms: float = 0.0) -> "ExperimentRecord":
+    def from_obj(cls, obj, wall_time_ms: float = 0.0) -> "ExperimentRecord":
+        """The record of one ``records.jsonl`` object; a wrong schema, a
+        missing field or a value of the wrong type is a ConfigurationError."""
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"a record must be a JSON object, got {obj!r}")
         if obj.get("schema") != RECORD_SCHEMA:
             raise ConfigurationError(f"unsupported record schema {obj.get('schema')!r}")
-        return cls(
-            suite=obj["suite"],
-            problem=obj["problem"],
-            algorithm=obj["algorithm"],
-            seed=obj["seed"],
-            budget=obj["budget"],
-            num_workers=obj["num_workers"],
-            checkpoints=tuple((int(e), float(r)) for e, r in obj["checkpoints"]),
-            wall_time_ms=wall_time_ms,
-            failed=obj["failed"],
-            error=obj["error"],
-        )
+        values = {}
+        for name, kind in _STORED_FIELDS.items():
+            if name not in obj:
+                raise ConfigurationError(f"record has no {name!r}")
+            values[name] = obj[name]
+            if typing.get_origin(kind) is None and type(obj[name]) is not kind:
+                raise ConfigurationError(f"record field {name!r} must be {kind.__name__}, got {obj[name]!r}")
+        try:
+            values["checkpoints"] = tuple((int(e), float(r)) for e, r in values["checkpoints"])
+        except (TypeError, ValueError):
+            raise ConfigurationError("record checkpoints must be [evaluation, regret] pairs") from None
+        return cls(**values, wall_time_ms=wall_time_ms)
+
+
+#: field -> type of what ``records.jsonl`` stores: every field but the
+#: wall time, which lives in the timings.jsonl sidecar
+_STORED_FIELDS = {
+    name: kind for name, kind in typing.get_type_hints(ExperimentRecord).items() if name != "wall_time_ms"
+}
 
 
 def record_to_line(record: ExperimentRecord) -> str:
@@ -104,20 +108,33 @@ def save_records(records: list[ExperimentRecord], directory) -> Path:
     return records_path
 
 
+def _parse_lines(path: Path, parse) -> list:
+    """``parse(obj)`` of each JSON line of ``path``; a bad line is one
+    ConfigurationError naming the file and the line number."""
+    out = []
+    for number, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            out.append(parse(json.loads(line)))
+        except (OptbenchError, TypeError, ValueError) as exc:  # ValueError: not UTF-8 JSON
+            raise ConfigurationError(f"{path}, line {number}: {exc}") from None
+    return out
+
+
+def _timing_from_obj(obj) -> tuple[str, float]:
+    cell, wall = (obj.get("cell"), obj.get("wall_time_ms")) if isinstance(obj, dict) else (None, None)
+    if not isinstance(cell, str) or type(wall) not in (int, float):
+        raise ConfigurationError(f"a timing needs a cell id and milliseconds, got {obj!r}")
+    return cell, float(wall)
+
+
 def load_records(directory) -> list[ExperimentRecord]:
     directory = Path(directory)
     records_path = directory if directory.is_file() else directory / "records.jsonl"
     if not records_path.is_file():
         raise ConfigurationError(f"no records file at {str(records_path)!r}")
-    timings: dict[str, float] = {}
     timings_path = records_path.parent / "timings.jsonl"
-    if timings_path.exists():
-        for line in timings_path.read_text().splitlines():
-            obj = json.loads(line)
-            timings[obj["cell"]] = obj["wall_time_ms"]
-    records = []
-    for line in records_path.read_text().splitlines():
-        record = ExperimentRecord.from_obj(json.loads(line))
+    timings = dict(_parse_lines(timings_path, _timing_from_obj)) if timings_path.exists() else {}
+    records = _parse_lines(records_path, ExperimentRecord.from_obj)
+    for record in records:
         record.wall_time_ms = timings.get(record.cell_id, 0.0)
-        records.append(record)
     return records

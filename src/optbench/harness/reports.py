@@ -53,17 +53,6 @@ def normalize_losses(values) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def normalized_final_losses(records) -> dict[tuple, dict[tuple, float]]:
-    """Per group: (algorithm, seed) -> normalized final regret."""
-    out: dict[tuple, dict[tuple, float]] = {}
-    for key, group in group_records(records).items():
-        normalized = normalize_losses([r.final_regret for r in group])
-        out[key] = {
-            (r.algorithm, r.seed): v for r, v in zip(group, normalized)
-        }
-    return out
-
-
 def curves_table(records) -> list[tuple[str, str, int, float, float]]:
     """Rows (problem, algorithm, budget, mean normalized loss, std)."""
     rows = []
@@ -130,41 +119,39 @@ def rank_algorithms(algorithms: list[str], heatmap: np.ndarray) -> list[tuple[st
     return [(algorithms[i], scores[i]) for i in order]
 
 
+#: report table -> the file ``emit_reports`` writes it to
+_FILES = {"curves": "curves.csv", "heatmap": "heatmap.csv", "ranking": "ranking.txt"}
+
+
+def report_tables(records) -> dict[str, str]:
+    """The text of each report table: curves always, heatmap and ranking
+    when two or more algorithms have usable records."""
+    lines = ["problem,algorithm,budget,mean_normalized_loss,std"]
+    for problem, alg, budget, mean, std in curves_table(records):
+        lines.append(f"{problem},{alg},{budget},{_fmt(mean)},{_fmt(std)}")
+    tables = {"curves": lines}
+    if len({r.algorithm for r in records if not r.failed}) >= 2:
+        algorithms, heatmap = winning_rate_heatmap(records)
+        ranking = rank_algorithms(algorithms, heatmap)
+        order = [algorithms.index(name) for name, _score in ranking]
+        tables["heatmap"] = ["algorithm," + ",".join(algorithms[i] for i in order)] + [
+            algorithms[i] + "," + ",".join("" if np.isnan(heatmap[i, j]) else _fmt(heatmap[i, j]) for j in order)
+            for i in order
+        ]
+        tables["ranking"] = [f"{pos}. {name} {_fmt(score)}" for pos, (name, score) in enumerate(ranking, start=1)]
+    return {name: "".join(line + "\n" for line in table) for name, table in tables.items()}
+
+
 def emit_reports(records: list[ExperimentRecord], out_dir) -> dict[str, Path]:
-    """Write records.jsonl, timings.jsonl, curves.csv, heatmap.csv,
-    ranking.txt; refuses an empty record list before touching any file."""
+    """Write records.jsonl, timings.jsonl and each table of
+    ``report_tables``; refuses an empty record list before touching any
+    file."""
     if not records:
         raise ConfigurationError("no records to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {"records": save_records(records, out)}
-    paths["timings"] = out / "timings.jsonl"
-
-    curves_path = out / "curves.csv"
-    with open(curves_path, "w") as fh:
-        fh.write("problem,algorithm,budget,mean_normalized_loss,std\n")
-        for problem, alg, budget, mean, std in curves_table(records):
-            fh.write(f"{problem},{alg},{budget},{_fmt(mean)},{_fmt(std)}\n")
-    paths["curves"] = curves_path
-
-    usable = [r for r in records if not r.failed]
-    if len({r.algorithm for r in usable}) >= 2:
-        algorithms, heatmap = winning_rate_heatmap(records)
-        ranking = rank_algorithms(algorithms, heatmap)
-        order = [algorithms.index(name) for name, _score in ranking]
-        heatmap_path = out / "heatmap.csv"
-        with open(heatmap_path, "w") as fh:
-            names = [algorithms[i] for i in order]
-            fh.write("algorithm," + ",".join(names) + "\n")
-            for i in order:
-                row = [
-                    "" if np.isnan(heatmap[i, j]) else _fmt(heatmap[i, j]) for j in order
-                ]
-                fh.write(algorithms[i] + "," + ",".join(row) + "\n")
-        paths["heatmap"] = heatmap_path
-        ranking_path = out / "ranking.txt"
-        with open(ranking_path, "w") as fh:
-            for pos, (name, score) in enumerate(ranking, start=1):
-                fh.write(f"{pos}. {name} {_fmt(score)}\n")
-        paths["ranking"] = ranking_path
+    paths = {"records": save_records(records, out), "timings": out / "timings.jsonl"}
+    for name, text in report_tables(records).items():
+        paths[name] = out / _FILES[name]
+        paths[name].write_text(text)
     return paths

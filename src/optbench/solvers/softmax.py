@@ -13,10 +13,12 @@ keeps the conversion total for every finite-alphabet domain.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..combinators import RoutingOptimizer
-from ..core import Candidate, RunContext
+from ..core import Candidate
 from ..domain import CATEGORICAL, DomainSpec, continuous
 from ..errors import ConfigurationError
 
@@ -50,15 +52,8 @@ class SoftmaxBridge(RoutingOptimizer):
             raise ConfigurationError("temperature must be positive")
         self.temperature = temperature
         self.inner_domain = logit_domain(self.domain)
-        inner_context = RunContext(
-            domain=self.inner_domain,
-            budget=context.budget,
-            num_workers=context.num_workers,
-            noisy=context.noisy,
-            master_seed=context.master_seed,
-        )
         inner_init = self.encode(self.init_point) if self.init_point is not None else None
-        self.inner = self._build(0, spec.child, inner_context, inner_init)
+        self.inner = self._build(0, spec.child, replace(context, domain=self.inner_domain), inner_init)
 
     # ------------------------------------------------------------------
     def encode(self, point) -> np.ndarray:

@@ -10,7 +10,8 @@ fired.
 deriving each tree node's RNG seed from the master seed and the node's path
 so that sibling nodes get independent streams.  Leaves resolve against the
 single solver registry in one place, which ``validate_spec`` also uses to
-reject unknown ids and parameters before anything runs.
+reject unknown ids and parameters, and parameter values the solver's
+constructor rejects, before anything runs.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, replace
 from .algospec import AlgorithmSpec, BetAndRun, Chain, Leaf, Wrap, canonical_text, parse_algorithm
 from .combinators import BetAndRunOptimizer, ChainOptimizer, ProgressiveWidening
 from .core import Optimizer, RunContext
-from .domain import DomainSpec
-from .errors import RegistryError
+from .domain import DomainSpec, continuous
+from .errors import RegistryError, error_text
 from .seeds import derive_seed
 from .solvers import REGISTRY, MetamodelWrapper, SoftmaxBridge
 
@@ -163,14 +164,25 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
     return functools.partial(variant, **{"seed": seed, **params})
 
 
+#: every leaf ``validate_spec`` checks is built once on this context, so the
+#: solver's own constructor checks the leaf's parameter values
+_PROBE_CONTEXT = RunContext(DomainSpec([continuous(), continuous()]), budget=100)
+
+
 def validate_spec(spec: "AlgorithmSpec | str") -> AlgorithmSpec:
     """Check every leaf of a spec tree (or its text form) the way
-    ``build_optimizer`` resolves it, without a run context; returns the tree.
+    ``build_optimizer`` resolves it, and build it once on a 2-variable
+    continuous context; returns the tree.
     """
     if isinstance(spec, str):
         spec = parse_algorithm(spec)
     if isinstance(spec, Leaf):
-        _leaf_factory(spec)
+        factory = _leaf_factory(spec)
+        if factory is not None:
+            try:
+                factory(_PROBE_CONTEXT)
+            except Exception as exc:
+                raise RegistryError(f"bad parameter value in {canonical_text(spec)!r}: {error_text(exc)}") from None
     elif isinstance(spec, Wrap):
         validate_spec(spec.child)
     elif isinstance(spec, (Chain, BetAndRun)):

@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,10 @@ def test_run_and_report_round_trip(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 and lines[0].startswith("1. ")
+    # report prints the very bytes run wrote
+    for flag, name in (("--curves", "curves.csv"), ("--heatmap", "heatmap.csv"), ("--ranking", "ranking.txt")):
+        assert main(["report", "--in", str(out), flag]) == 0
+        assert capsys.readouterr().out == (out / name).read_text()
 
 
 def test_run_accepts_manifest_path_and_seed_ranges(tmp_path):
@@ -91,6 +96,8 @@ def test_explain_prints_rule_and_spec(capsys):
 def test_explain_rejects_bad_context(capsys):
     assert main(["explain", "--ctx", "bogus=3"]) == 2
     assert "known keys" in capsys.readouterr().err
+    assert main(["explain", "--ctx", "d=x,b=10"]) == 2
+    assert capsys.readouterr().err == "error: bad context item 'd=x'; d takes a number\n"
 
 
 def test_master_seed_env_fallback(tmp_path, monkeypatch):
@@ -143,7 +150,10 @@ def test_eval_server_command(tmp_path, capsys):
     assert len(payload["recommendation"]) == 2
 
 
-@pytest.mark.parametrize("algs", ["cma[bogus=1]", "diagcma[diagonal=false]"])
+@pytest.mark.parametrize(
+    "algs",
+    ["cma[bogus=1]", "diagcma[diagonal=false]", "cma[population_size=x]", "chain(cma,one-plus-one-es[c_up=-1];0.5,0.5)"],
+)
 def test_bad_leaf_params_fail_before_any_cell(tmp_path, capsys, algs):
     out = tmp_path / "x"
     rc = main(["run", "--suite", "discrete_lite", "--algs", algs, "--seeds", "1", "--out", str(out)])
@@ -157,10 +167,15 @@ def test_eval_server_validates_algs_before_spawning_the_child(tmp_path, capsys):
     marker = tmp_path / "spawned"
     child = tmp_path / "child.py"
     child.write_text(f"open({str(marker)!r}, 'w').close()\n")
-    rc = main(["eval-server", "--cmd", f"{sys.executable} {child}", "--algs", "cma[bogus=1]"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: unknown parameter 'bogus'")
-    assert not marker.exists()
+    for algs, message in [
+        ("cma[bogus=1]", "error: unknown parameter 'bogus'"),
+        ("one-plus-one-es[c_up=-1]", "error: bad parameter value in 'one-plus-one-es[c_up=-1]': ValueError: "),
+    ]:
+        rc = main(["eval-server", "--cmd", f"{sys.executable} {child}", "--algs", algs])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not marker.exists()
 
 
 def test_eval_server_rejects_a_hello_without_dimension(tmp_path, capsys):
@@ -233,13 +248,70 @@ def test_faults_inside_a_cell_become_failed_records(tmp_path, capsys, workers):
         spec={"base": "sphere", "dimension": 3, "transform": {"translation_std": 1.0, "transform_seed": 1}}
     ))
     out = tmp_path / "r"
-    algs = "one-plus-one-es[c_up=-1],cma[population_size=x],one-plus-one-es"
+    # both parameters build fine and break only at tbpsa's first generation
+    algs = "tbpsa[elite_fraction=a],tbpsa[recommendation_window=x],one-plus-one-es"
     rc = main(["run", "--suite", manifest, "--algs", algs, "--seeds", "2", "--workers", workers, "--out", str(out)])
     assert rc == 1
     assert "4 cells failed" in capsys.readouterr().err
     records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
     errors = {r["algorithm"]: r["error"] for r in records if r["failed"]}
-    assert errors["one-plus-one-es[c_up=-1]"] == "ValueError: step multipliers must be positive"
-    assert errors["cma[population_size=x]"].startswith("TypeError: ")
+    assert errors["tbpsa[elite_fraction=a]"] == "TypeError: must be real number, not str"
+    assert errors["tbpsa[recommendation_window=x]"].startswith("TypeError: ")
     done = [r for r in records if not r["failed"]]
     assert len(done) == 2 and all(r["algorithm"] == "one-plus-one-es" and r["checkpoints"] for r in done)
+
+
+@pytest.mark.parametrize(
+    "flags, code, printed",
+    [(["--curves"], 0, True), (["--heatmap"], 2, False), (["--ranking"], 2, False), ([], 0, True)],
+    ids=["curves", "heatmap", "ranking", "all"],
+)
+def test_report_with_one_algorithm(tmp_path, capsys, flags, code, printed):
+    out = tmp_path / "r"
+    manifest = _mini_manifest(tmp_path, lambda p: None)
+    assert main(["run", "--suite", manifest, "--algs", "discrete-fixed", "--seeds", "1", "--out", str(out)]) == 0
+    assert not (out / "heatmap.csv").exists()
+    capsys.readouterr()
+    assert main(["report", "--in", str(out), *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ((out / "curves.csv").read_text() if printed else "")
+    assert (captured.err == "pairwise tables need at least two algorithms\n") == (flags != ["--curves"])
+
+
+_GOLDEN_LINE = (Path(__file__).parent / "golden" / "records.jsonl").read_text().splitlines()[0]
+_GOLDEN_CELL = json.loads(_GOLDEN_LINE)
+
+
+def _edited_line(**changes) -> str:
+    return json.dumps({**_GOLDEN_CELL, **changes})
+
+
+@pytest.mark.parametrize(
+    "file, line, expected",
+    [
+        ("records.jsonl", "{not json", "Expecting property name"),
+        ("records.jsonl", json.dumps({k: v for k, v in _GOLDEN_CELL.items() if k != "seed"}), "record has no 'seed'"),
+        ("records.jsonl", _edited_line(schema=2), "unsupported record schema 2"),
+        ("records.jsonl", _edited_line(seed="0"), "record field 'seed' must be int, got '0'"),
+        ("records.jsonl", _edited_line(failed=0), "record field 'failed' must be bool, got 0"),
+        ("records.jsonl", _edited_line(checkpoints=[[1]]), "checkpoints must be [evaluation, regret] pairs"),
+        ("records.jsonl", "[1, 2]", "a record must be a JSON object"),
+        ("records.jsonl", "\udcff", "can't decode byte 0xff"),
+        ("timings.jsonl", "not json", "Expecting value"),
+        ("timings.jsonl", '{"cell": "x"}', "a timing needs a cell id and milliseconds"),
+        ("timings.jsonl", '{"cell": "x", "wall_time_ms": "1"}', "a timing needs a cell id and milliseconds"),
+    ],
+    ids=[
+        "records-not-json", "records-missing-key", "records-schema", "records-str-seed", "records-int-failed",
+        "records-short-checkpoint", "records-list", "records-not-utf8", "timings-not-json", "timings-missing-key", "timings-str-ms",
+    ],
+)
+def test_report_on_a_malformed_line_is_an_input_error(tmp_path, capsys, file, line, expected):
+    (tmp_path / "records.jsonl").write_text(_GOLDEN_LINE + "\n")
+    (tmp_path / "timings.jsonl").write_text('{"cell": "c", "wall_time_ms": 1.5}\n')
+    with open(tmp_path / file, "a", errors="surrogateescape") as fh:
+        fh.write(line + "\n")
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / file}, line 2: ")
+    assert expected in err[0]

@@ -155,21 +155,39 @@ def test_pipes_are_closed_after_a_session(tmp_path, monkeypatch):
     assert child.stdin.closed and child.stdout.closed
 
 
+def _one_variable(variable) -> dict:
+    return {"type": "hello", "dimension": 1, "variables": [variable]}
+
+
 @pytest.mark.parametrize(
-    "hello",
+    "hello, message",
     [
-        {"type": "hello", "variables": [{"kind": "continuous"}]},
-        {"type": "hello", "dimension": "2"},
-        {"type": "hello", "dimension": 2.0},
-        {"type": "hello", "dimension": 0},
-        {"type": "hello", "dimension": True},
+        ({"type": "hello", "variables": [{"kind": "continuous"}]}, "dimension must be a positive integer"),
+        ({"type": "hello", "dimension": "2"}, "dimension must be a positive integer"),
+        ({"type": "hello", "dimension": 2.0}, "dimension must be a positive integer"),
+        ({"type": "hello", "dimension": 0}, "dimension must be a positive integer"),
+        ({"type": "hello", "dimension": True}, "dimension must be a positive integer"),
+        (_one_variable({"kind": "integer"}), "bad integer variable"),
+        (_one_variable({"kind": "categorical"}), "bad categorical variable"),
+        (_one_variable({"kind": "continuous", "bogus": 1}), "unexpected keyword"),
+        (_one_variable({"kind": "integer", "low": 3, "high": 1}), "low <= high"),
+        (_one_variable({"kind": "continuous", "lower": "a"}), "bounds must be numbers"),
+        (_one_variable({"kind": "bogus"}), "unknown variable kind"),
+        (_one_variable("continuous"), "unknown variable kind"),
+        ({"type": "hello", "dimension": 1, "variables": {"kind": "continuous"}}, "variables must be a list"),
+        (["hello", 1], "malformed message"),
     ],
-    ids=["missing", "string", "float", "zero", "bool"],
+    ids=[
+        "missing", "string", "float", "zero", "bool",
+        "integer-without-bounds", "categorical-without-arity", "unknown-field", "rejected-field", "non-numeric-bound",
+        "unknown-kind", "variable-not-an-object", "variables-not-a-list", "hello-not-an-object",
+    ],
 )
-def test_handshake_dimension_must_be_a_positive_integer(tmp_path, monkeypatch, hello):
+def test_handshake_dimension_must_be_a_positive_integer(tmp_path, monkeypatch, hello, message):
+    # every malformed hello, its dimension or its variables, ends the same way
     children = _record_children(monkeypatch)
     source = f"import json, sys\nprint(json.dumps({hello!r}), flush=True)\nsys.stdin.read()\n"
-    with pytest.raises(ProtocolError, match="dimension must be a positive integer"):
+    with pytest.raises(ProtocolError, match=message):
         external_evaluator_session(child_command(tmp_path, source, "bad_hello_child.py"), timeout=20.0)
     (child,) = children
     assert child.returncode is not None  # terminated and reaped

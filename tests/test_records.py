@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +116,11 @@ def test_record_lines_refuse_non_finite_floats(regret):
     record = ExperimentRecord("s", "p", "cma", 0, 10, 1, checkpoints=((10, regret),))
     with pytest.raises(ValueError):
         record_to_line(record)
+
+
+def test_golden_lines_round_trip_through_the_record_type():
+    golden = Path(__file__).parent / "golden" / "records.jsonl"
+    lines = golden.read_text().splitlines()
+    assert len(lines) == 154
+    for line in lines:
+        assert record_to_line(ExperimentRecord.from_obj(json.loads(line))) == line

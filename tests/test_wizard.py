@@ -16,10 +16,13 @@ from optbench import (
     continuous,
     explain_selection,
     integer,
+    parse_algorithm,
     select_algorithm,
     unbounded_integer,
 )
+from optbench.solvers import REGISTRY
 from optbench.solvers.cma import CmaEs
+from optbench.wizard import validate_spec
 
 
 def ctx(**kwargs):
@@ -221,3 +224,24 @@ def test_abbo_leaf_resolves_through_the_wizard():
 
     assert isinstance(handle, TrustRegion)  # rule 17 for d=10, b=200
     assert not handle.quadratic
+
+
+@pytest.mark.parametrize("leaf_id", sorted(REGISTRY))
+def test_every_registry_id_passes_validation(leaf_id):
+    assert validate_spec(leaf_id) == parse_algorithm(leaf_id)
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("cma[population_size=x]", "TypeError: "),
+        ("one-plus-one-es[c_up=-1]", "ValueError: step multipliers must be positive"),
+        ("de[crossover=2]", "crossover rate CR must lie in [0, 1]"),
+        ("meta(tbpsa[seed=x])", "TypeError: "),
+    ],
+)
+def test_validation_builds_each_leaf_and_names_it(spec, reason):
+    with pytest.raises(RegistryError) as err:
+        validate_spec(spec)
+    leaf = spec.removeprefix("meta(").removesuffix(")")
+    assert str(err.value).startswith(f"bad parameter value in {leaf!r}: {reason}")
