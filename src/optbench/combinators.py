@@ -14,6 +14,13 @@ routes candidates to them:
   candidate to its child, then calls ``_after_tell``.  Candidates a
   composite makes itself (surrogate proposals) carry no route.
 
+Each composite's classmethod ``child_contexts(spec, context)`` is the one
+place that decides what its children get: their run contexts in build
+order, None for a child that is never built, or a ConfigurationError when
+the context cannot cover them.  The constructor reads only that method, and
+``wizard.validate_spec`` walks a whole tree through it before the root is
+built, so a lazily built child cannot fail in the middle of a run.
+
 Ids stay local to each handle, budgets are conserved exactly, and the
 parallelism contract forwards to the active child.
 """
@@ -21,14 +28,13 @@ parallelism contract forwards to the active child.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from .core import Candidate, Optimizer, RunContext
 from .domain import DomainSpec
-from .errors import BudgetExceededError, ConfigurationError
+from .errors import ConfigurationError
 
 #: builder(child_spec, child_context, child_path, init_point) -> Optimizer
 ChildBuilder = Callable[..., Optimizer]
@@ -51,6 +57,12 @@ class RoutingOptimizer(Optimizer):
         self._builder = builder
         self._path = path
         self._outer: dict[Candidate, Candidate] = {}  # child candidate -> outer candidate
+
+    @classmethod
+    def child_contexts(cls, spec, context: RunContext):
+        """The run contexts of the children in build order; a wrapper's one
+        child runs on the wrapper's own context."""
+        return [context]
 
     def _build(self, index: int, spec, context: RunContext, init_point) -> Optimizer:
         return self._builder(spec, context, self._path + (index,), init_point)
@@ -109,56 +121,40 @@ class ChainOptimizer(RoutingOptimizer):
     to be worse.
     """
 
+    @classmethod
+    def child_contexts(cls, spec, context: RunContext):
+        allocs = chain_allocations(context.budget, spec.fractions, spec.asks)
+        return [context.with_budget(alloc) if alloc > 0 else None for alloc in allocs]
+
     def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
         super().__init__(context, spec, builder, path, seed, init_point)
-        self._allocs = chain_allocations(context.budget, spec.fractions, spec.asks)
+        self._contexts = self.child_contexts(spec, context)
         self._active_index = -1
-        self._active: Optimizer | None = None
-        self._last_built: Optimizer | None = None
-        self._active_alloc = 0
-        self._unused = 0  # rolled over from children that quit early
         self._advance()
 
     def _advance(self) -> None:
-        while True:
+        # the allocations sum to the budget, so a child with asks left
+        # follows until the last ask
+        self._active_index += 1
+        while self._contexts[self._active_index] is None:
             self._active_index += 1
-            if self._active_index >= len(self.spec.children):
-                self._active = None
-                return
-            alloc = self._allocs[self._active_index] + self._unused
-            self._unused = 0
-            if alloc <= 0:
-                continue
-            child_context = self.context.with_budget(alloc)
-            init = self.incumbent.point if self.incumbent is not None else self.init_point
-            self._active = self._build(
-                self._active_index, self.spec.children[self._active_index], child_context, init
-            )
-            self._last_built = self._active
-            self._active_alloc = alloc
-            return
+        init = self.incumbent.point if self.incumbent is not None else self.init_point
+        self._active = self._build(
+            self._active_index,
+            self.spec.children[self._active_index],
+            self._contexts[self._active_index],
+            init,
+        )
 
     def _ask(self) -> Candidate:
-        while self._active is not None and self._active.num_asks >= self._active_alloc:
+        while self._active.num_asks >= self._active.budget:
             self._advance()
-        if self._active is None:
-            raise BudgetExceededError("chain children exhausted their allocations")
-        try:
-            child_cand = self._active.ask()
-        except BudgetExceededError:
-            # an early-stopping child rolls its remaining budget forward
-            self._unused = self._active_alloc - self._active.num_asks
-            self._advance()
-            if self._active is None:
-                raise
-            child_cand = self._active.ask()
-        return self._wrap(self._active, child_cand)
+        return self._wrap(self._active, self._active.ask())
 
     def _recommend(self):
-        final = self._active or self._last_built
-        if final is None or final.num_tells == 0:
+        if self._active.num_tells == 0:
             return None
-        rec = final.recommend()
+        rec = self._active.recommend()
         if rec.observations and self.incumbent is not None and rec.mean_loss > self.incumbent_loss:
             return self.incumbent
         return rec
@@ -168,8 +164,9 @@ class BetAndRunOptimizer(RoutingOptimizer):
     """Phase 1 splits a budget slice round-robin over all children; the
     child with the best told loss survives and gets everything left."""
 
-    def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
-        super().__init__(context, spec, builder, path, seed, init_point)
+    @classmethod
+    def child_contexts(cls, spec, context: RunContext):
+        """Child i runs its phase-1 share, then everything after phase 1."""
         m = len(spec.children)
         phase_total = int(context.budget * spec.phase_fraction)
         base = phase_total // m
@@ -177,13 +174,19 @@ class BetAndRunOptimizer(RoutingOptimizer):
             raise ConfigurationError(
                 f"phase-1 budget {phase_total} cannot cover {m} children"
             )
-        self._phase_allocs = [base + (phase_total - base * m if i == 0 else 0) for i in range(m)]
-        rest = context.budget - phase_total
+        shares = [base + (phase_total - base * m if i == 0 else 0) for i in range(m)]
+        return [context.with_budget(share + context.budget - phase_total) for share in shares]
+
+    def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
+        super().__init__(context, spec, builder, path, seed, init_point)
+        contexts = self.child_contexts(spec, context)
+        rest = context.budget - int(context.budget * spec.phase_fraction)
+        self._phase_allocs = [child_context.budget - rest for child_context in contexts]
         self.children = [
-            self._build(i, child, context.with_budget(self._phase_allocs[i] + rest), init_point)
-            for i, child in enumerate(spec.children)
+            self._build(i, child, child_context, init_point)
+            for i, (child, child_context) in enumerate(zip(spec.children, contexts))
         ]
-        self._best: list[float] = [math.inf] * m
+        self._best: list[float] = [math.inf] * len(contexts)
         self._cursor = 0
         self.survivor: int | None = None
 
@@ -199,13 +202,9 @@ class BetAndRunOptimizer(RoutingOptimizer):
             idx = self.survivor
         else:
             idx = self._cursor % len(self.children)
-            probes = 0
             while self.children[idx].num_asks >= self._phase_allocs[idx]:
                 self._cursor += 1
                 idx = self._cursor % len(self.children)
-                probes += 1
-                if probes > len(self.children):
-                    raise BudgetExceededError("phase-1 allocations exhausted")
             self._cursor += 1
         child = self.children[idx]
         return self._wrap(child, child.ask())
@@ -233,39 +232,53 @@ class ProgressiveWidening(RoutingOptimizer):
     """Optimize a growing prefix of coordinates, pinning the rest.
 
     At evaluation ``t`` only the first ``active(t) = min(d, 1 + floor(t /
-    ceil(0.8 budget / d)))`` coordinates are free; the child is rebuilt on
-    the wider subspace at each widening, warm-started from the best point.
+    step))`` coordinates are free, with ``step = ceil(0.8 budget / d)``; the
+    child on the k-prefix is built at the first ask that widens to k,
+    warm-started from the best point, with the budget left after ``(k - 1)
+    step`` evaluations.
     """
+
+    @staticmethod
+    def _widening_step(context: RunContext) -> int:
+        return max(1, math.ceil(0.8 * context.budget / len(context.domain.variables)))
+
+    @classmethod
+    def child_contexts(cls, spec, context: RunContext):
+        """Lazily, the context of the k-prefix child for every k reached
+        before the budget ends."""
+        if not context.domain.all_continuous:
+            raise ConfigurationError("progressive widening needs a continuous domain")
+        variables = context.domain.variables
+        step = cls._widening_step(context)
+        widest = min(len(variables), 1 + (context.budget - 1) // step)
+        return (
+            context.with_budget(context.budget - (k - 1) * step, DomainSpec(variables[:k]))
+            for k in range(1, widest + 1)
+        )
 
     def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
         super().__init__(context, spec, builder, path, seed, init_point)
-        if not self.domain.all_continuous:
-            raise ConfigurationError("progressive widening needs a continuous domain")
-        d = len(self.domain.variables)
-        self._step = max(1, math.ceil(0.8 * context.budget / d))
+        self._contexts = self.child_contexts(spec, context)
+        self._step = self._widening_step(context)
         self._center = self.domain.center()
         self._active_dims = 0
         self._child: Optimizer | None = None
-        self._rebuilds = 0
 
     def active_dims(self, tells: int) -> int:
         return min(len(self.domain.variables), 1 + tells // self._step)
 
     def _ensure_child(self) -> Optimizer:
         k = self.active_dims(self.num_tells)
-        if self._child is None or k > self._active_dims:
-            self._active_dims = k
-            child_context = replace(
-                self.context.with_budget(max(1, self.budget - self.num_tells)),
-                domain=DomainSpec(self.domain.variables[:k]),
-            )
+        if k > self._active_dims:
+            while self._active_dims < k:  # several widenings at once under parallel asks
+                child_context = next(self._contexts)
+                self._active_dims += 1
             init = None
             if self.incumbent is not None:
                 init = self.incumbent.point[:k]
             elif self.init_point is not None:
                 init = self.init_point[:k]
-            self._child = self._build(self._rebuilds, self.spec.child, child_context, init)
-            self._rebuilds += 1
+            self._child = self._build(k - 1, self.spec.child, child_context, init)
         return self._child
 
     def _lift(self, prefix: np.ndarray) -> np.ndarray:

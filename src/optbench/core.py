@@ -44,8 +44,14 @@ class RunContext:
         if not (1 <= self.num_workers <= self.budget):
             raise ConfigurationError("num_workers must satisfy 1 <= w <= budget")
 
-    def with_budget(self, budget: int) -> "RunContext":
-        return replace(self, budget=budget, num_workers=min(self.num_workers, budget))
+    def with_budget(self, budget: int, domain: DomainSpec | None = None) -> "RunContext":
+        """This context with another budget, and optionally another domain."""
+        return replace(
+            self,
+            budget=budget,
+            num_workers=min(self.num_workers, budget),
+            domain=self.domain if domain is None else domain,
+        )
 
 
 @dataclass(eq=False)

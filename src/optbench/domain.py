@@ -112,14 +112,21 @@ def continuous(lower: float | None = None, upper: float | None = None, scale: fl
     return VariableSpec(CONTINUOUS, lower=lower, upper=upper, scale=scale)
 
 
+def _whole(value, what: str) -> int:
+    # int() would truncate 0.7 to 0 and parse "3"; bools are not counts
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def integer(low: int, high: int) -> VariableSpec:
     """An integer variable ranging over ``low..high`` inclusive."""
-    return VariableSpec(INTEGER, low=int(low), high=int(high))
+    return VariableSpec(INTEGER, low=_whole(low, "integer bound"), high=_whole(high, "integer bound"))
 
 
 def categorical(arity: int) -> VariableSpec:
     """An unordered categorical variable with ``arity`` categories."""
-    return VariableSpec(CATEGORICAL, arity=int(arity))
+    return VariableSpec(CATEGORICAL, arity=_whole(arity, "categorical arity"))
 
 
 def unbounded_integer() -> VariableSpec:

@@ -6,13 +6,15 @@ outstanding asks than the generator has pending probes) are served as
 Gaussian probes around the best known point, and their tells only feed the
 archive.
 
-The trust-region variants fill the classic derivative-free slots: a linear
-model stepping to the trust boundary along steepest model descent, and a
-quadratic model stepping to the model minimizer clipped to the trust
-region.  Both shrink the radius on failure; in noisy mode every model point
-is resampled three times and the mean is used.  The quadratic model
-interpolates the last (d+1)(d+2)/2 points and is updated in O(p^2) per step
-as its window slides (``SlidingQuadratic``).
+The trust-region variants fill the classic derivative-free slots with one
+interpolation model (``SlidingModel``) over linear features ``[1, u]`` or
+full quadratic features, updated in O(p^2) per step as its window of the
+last p points slides.  One step path serves both: the model minimizer
+clipped to the trust region when the quadratic part is positive-definite,
+otherwise a step to the trust boundary along the model's steepest descent,
+which is the only step a linear model (zero quadratic part) takes.  Both
+shrink the radius on failure; in noisy mode every model point is resampled
+three times and the mean is used.
 """
 
 from __future__ import annotations
@@ -32,24 +34,6 @@ RHO_FLOOR = 1e-12
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def linear_descent_step(points, losses, origin, rho: float) -> np.ndarray | None:
-    """Step from ``origin`` to the trust boundary along the fitted -gradient."""
-    pts = np.asarray(points, dtype=float)
-    losses = np.asarray(losses, dtype=float)
-    n, d = pts.shape
-    if n < d + 1:
-        return None
-    design = np.hstack([np.ones((n, 1)), pts])
-    coeffs, _res, rank, _sv = np.linalg.lstsq(design, losses, rcond=None)
-    if rank < d + 1:
-        return None
-    grad = coeffs[1:]
-    norm = float(np.linalg.norm(grad))
-    if not np.isfinite(norm) or norm < 1e-300:
-        return None
-    return np.asarray(origin, dtype=float) - rho * grad / norm
-
-
 def quadratic_model_step(points, losses, origin, rho: float) -> np.ndarray | None:
     """Least-squares quadratic fit of the points, then ``quadratic_fit_step``."""
     fit = fit_quadratic(points, losses)
@@ -59,22 +43,25 @@ def quadratic_model_step(points, losses, origin, rho: float) -> np.ndarray | Non
 def quadratic_fit_step(fit, origin, rho: float) -> np.ndarray | None:
     """Model-minimizer step clipped to the trust ball around ``origin``.
 
-    ``fit`` is ``(A, b, c, mean, scale)`` as from ``fit_quadratic``.  Falls
-    back to a model-gradient step when the quadratic part is not
-    positive-definite; returns None when that gradient vanishes.
+    ``fit`` is ``(A, b, c, mean, scale)`` as from ``fit_quadratic`` or
+    ``SlidingModel.fit``.  Falls back to a step to the trust boundary along
+    the model's -gradient when the quadratic part is not positive-definite
+    (always for a linear model, whose A is zero); returns None when that
+    gradient vanishes.
     """
     origin = np.asarray(origin, dtype=float)
     quad, b, _c, mean, scale = fit
     u0 = (origin - mean) / scale
-    eigvals = np.linalg.eigvalsh(quad)
-    if eigvals[0] > 1e-12 * max(1.0, abs(eigvals[-1])):
-        u_star = np.linalg.solve(quad, -0.5 * b)
-        x_star = mean + scale * u_star
-        offset = x_star - origin
-        dist = float(np.linalg.norm(offset))
-        if dist > rho:
-            x_star = origin + offset * (rho / dist)
-        return x_star
+    if quad.any():  # a zero quadratic part has no positive eigenvalue
+        eigvals = np.linalg.eigvalsh(quad)
+        if eigvals[0] > 1e-12 * max(1.0, abs(eigvals[-1])):
+            u_star = np.linalg.solve(quad, -0.5 * b)
+            x_star = mean + scale * u_star
+            offset = x_star - origin
+            dist = float(np.linalg.norm(offset))
+            if dist > rho:
+                x_star = origin + offset * (rho / dist)
+            return x_star
     grad = b + 2.0 * quad @ u0  # model gradient at the origin (centered coords)
     norm = float(np.linalg.norm(grad))
     if not np.isfinite(norm) or norm < 1e-300:
@@ -93,8 +80,17 @@ _ROW_BLOCK = 64
 _SOLVE_BLOCK = 128
 
 
-class SlidingQuadratic:
-    """Quadratic interpolation model of a window of p points slid one by one.
+def _linear_design(u: np.ndarray) -> np.ndarray:
+    """Feature rows ``[1, u]``, filled into one array."""
+    design = np.empty((u.shape[0], u.shape[1] + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = u
+    return design
+
+
+class SlidingModel:
+    """Linear or quadratic interpolation model of a window of p points slid
+    one by one; p is the number of features, d + 1 or (d+1)(d+2)/2.
 
     ``_inv`` is H, the inverse of the p x p interpolation matrix in the frame
     ``u = (x - mean) / scale`` fixed at the last full factorization; the
@@ -103,14 +99,16 @@ class SlidingQuadratic:
     Sherman-Morrison row replacement in O(p^2), as Powell's NEWUOA updates
     its interpolation model; the update's denominator is the oldest point's
     Lagrange polynomial at the new point.  A full factorization, with
-    ``fit_quadratic``'s rank test, happens when no inverse exists, after p
-    updates, and when that denominator falls below ``_DENOMINATOR_FLOOR``.
+    ``lstsq``'s rank test, happens when no inverse exists, after p updates,
+    and when that denominator falls below ``_DENOMINATOR_FLOOR``.
     """
 
-    def __init__(self, points, values):
+    def __init__(self, points, values, quadratic: bool):
         self._points = np.array(points, dtype=float)
         self._values = np.array(values, dtype=float)
         self.size, self.dim = self._points.shape
+        self._quadratic = quadratic
+        self._design = quadratic_design if quadratic else _linear_design
         self._oldest = 0  # slot of the point the next slide replaces
         self._inv: np.ndarray | None = None
         self._mean = np.zeros(self.dim)
@@ -125,7 +123,9 @@ class SlidingQuadratic:
         if self._inv is None:
             return None
         coeffs = self._inv @ self._values
-        return (*split_quadratic(coeffs, self.dim), self._mean, self._scale)
+        if self._quadratic:
+            return (*split_quadratic(coeffs, self.dim), self._mean, self._scale)
+        return np.zeros((self.dim, self.dim)), coeffs[1:], coeffs[0], self._mean, self._scale
 
     def slide(self, point, value: float) -> None:
         """Replace the oldest point of the window by ``point``."""
@@ -150,7 +150,7 @@ class SlidingQuadratic:
         self._updates += 1
 
     def _features(self, point) -> np.ndarray:
-        return quadratic_design(((point - self._mean) / self._scale)[None, :])[0]
+        return self._design(((point - self._mean) / self._scale)[None, :])[0]
 
     def _factorize(self) -> None:
         self._inv = None  # freed before the new inverse is built
@@ -161,7 +161,7 @@ class SlidingQuadratic:
         scale = float(self._points.std())
         if scale <= 0 or not np.isfinite(scale):
             return
-        design = quadratic_design((self._points - mean) / scale)
+        design = self._design((self._points - mean) / scale)
         singular = np.linalg.svd(design, compute_uv=False)
         if not singular[-1] > np.finfo(float).eps * p * singular[0]:
             return  # rank deficient by lstsq's default rcond
@@ -376,25 +376,15 @@ class TrustRegion(_ProbeDrivenSolver):
             values.append(f)
             if f < best_f:
                 best_x, best_f = z, f
-        model = SlidingQuadratic(points, values) if self.quadratic else None
+        model = SlidingModel(points, values, self.quadratic)
         while True:
-            if model is None:
-                proposal = linear_descent_step(
-                    np.asarray(points[-need:]), np.asarray(values[-need:]), best_x, self.rho
-                )
-            else:
-                fit = model.fit()
-                proposal = None if fit is None else quadratic_fit_step(fit, best_x, self.rho)
+            fit = model.fit()
+            proposal = None if fit is None else quadratic_fit_step(fit, best_x, self.rho)
             if proposal is None:
                 logger.debug("degenerate model fit; random probe at radius %.3g", self.rho)
                 proposal = best_x + self.rho * self._random_direction(d)
-            proposal = np.asarray(proposal, dtype=float)
             f = yield from self._measure(proposal)
-            if model is None:
-                points.append(proposal)
-                values.append(f)
-            else:
-                model.slide(proposal, f)
+            model.slide(proposal, f)
             if f < best_f:
                 best_x, best_f = proposal, f
             else:

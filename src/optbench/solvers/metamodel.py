@@ -116,7 +116,8 @@ class MetamodelWrapper(RoutingOptimizer):
 
     def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
         super().__init__(context, spec, builder, path, seed, init_point)
-        self.child = self._build(0, spec.child, context, init_point)
+        (child_context,) = self.child_contexts(spec, context)
+        self.child = self._build(0, spec.child, child_context, init_point)
         self.generation_size = self.child.generation_size
         self._view = self.domain.scalar_view
         self._points: list[np.ndarray] = []

@@ -44,6 +44,10 @@ def softmax_probabilities(logits: np.ndarray, temperature: float) -> np.ndarray:
 class SoftmaxBridge(RoutingOptimizer):
     """Wraps an inner optimizer built on the logit encoding."""
 
+    @classmethod
+    def child_contexts(cls, spec, context):
+        return [replace(context, domain=logit_domain(context.domain))]
+
     def __init__(
         self, context, spec, builder, path=(), seed=0, init_point=None, temperature: float = 1.0
     ):
@@ -51,9 +55,9 @@ class SoftmaxBridge(RoutingOptimizer):
         if temperature <= 0:
             raise ConfigurationError("temperature must be positive")
         self.temperature = temperature
-        self.inner_domain = logit_domain(self.domain)
+        (inner_context,) = self.child_contexts(spec, context)
         inner_init = self.encode(self.init_point) if self.init_point is not None else None
-        self.inner = self._build(0, spec.child, replace(context, domain=self.inner_domain), inner_init)
+        self.inner = self._build(0, spec.child, inner_context, inner_init)
 
     # ------------------------------------------------------------------
     def encode(self, point) -> np.ndarray:

@@ -11,13 +11,17 @@ deriving each tree node's RNG seed from the master seed and the node's path
 so that sibling nodes get independent streams.  Leaves resolve against the
 single solver registry in one place, which ``validate_spec`` also uses to
 reject unknown ids and parameters, and parameter values the solver's
-constructor rejects, before anything runs.
+constructor rejects, before anything runs.  Given the run context, the same
+walk follows every composite's child contexts, so a tree whose lazily built
+child could not cover its share fails when the root is built, before the
+first evaluation.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -168,31 +172,6 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
 #: solver's own constructor checks the leaf's parameter values
 _PROBE_CONTEXT = RunContext(DomainSpec([continuous(), continuous()]), budget=100)
 
-
-def validate_spec(spec: "AlgorithmSpec | str") -> AlgorithmSpec:
-    """Check every leaf of a spec tree (or its text form) the way
-    ``build_optimizer`` resolves it, and build it once on a 2-variable
-    continuous context; returns the tree.
-    """
-    if isinstance(spec, str):
-        spec = parse_algorithm(spec)
-    if isinstance(spec, Leaf):
-        factory = _leaf_factory(spec)
-        if factory is not None:
-            try:
-                factory(_PROBE_CONTEXT)
-            except Exception as exc:
-                raise RegistryError(f"bad parameter value in {canonical_text(spec)!r}: {error_text(exc)}") from None
-    elif isinstance(spec, Wrap):
-        validate_spec(spec.child)
-    elif isinstance(spec, (Chain, BetAndRun)):
-        for child in spec.children:
-            validate_spec(child)
-    else:
-        raise RegistryError(f"not an algorithm spec: {spec!r}")
-    return spec
-
-
 #: spec type, or wrapper kind, -> composite class
 _COMPOSITES = {
     Chain: ChainOptimizer,
@@ -201,6 +180,53 @@ _COMPOSITES = {
     "progressive": ProgressiveWidening,
     "softmax": SoftmaxBridge,
 }
+
+
+def _composite(spec):
+    composite = _COMPOSITES.get(spec.kind if isinstance(spec, Wrap) else type(spec))
+    if composite is None:
+        raise RegistryError(f"not an algorithm spec: {spec!r}")
+    return composite
+
+
+def validate_spec(
+    spec: "AlgorithmSpec | str", context: RunContext | None = None, _leaves_checked: bool = False
+) -> AlgorithmSpec:
+    """Check a spec tree (or its text form) the way ``build_optimizer``
+    builds it; returns the tree.
+
+    Every leaf resolves against the registry and is built once on a
+    2-variable continuous context.  With a run ``context``, the walk also
+    follows the contexts each composite gives its children, raising the
+    ConfigurationError of any that cannot cover them, and resolves nested
+    ``abbo`` leaves for their own contexts.
+    """
+    if isinstance(spec, str):
+        spec = parse_algorithm(spec)
+    if context is not None and not _leaves_checked:
+        validate_spec(spec)  # each leaf once, not once per context it meets
+    if isinstance(spec, Leaf):
+        if context is None:
+            factory = _leaf_factory(spec)
+            if factory is not None:
+                try:
+                    factory(_PROBE_CONTEXT)
+                except Exception as exc:
+                    raise RegistryError(f"bad parameter value in {canonical_text(spec)!r}: {error_text(exc)}") from None
+        elif spec.name == WIZARD_ID:
+            validate_spec(select_algorithm(SelectionContext.from_problem(context.domain, context)), context)
+        return spec
+    composite = _composite(spec)
+    if context is None:
+        for child in (spec.child,) if isinstance(spec, Wrap) else spec.children:
+            validate_spec(child)
+        return spec
+    # a wrapper's one child spec may be built several times (prog, once per width)
+    children = itertools.repeat(spec.child) if isinstance(spec, Wrap) else spec.children
+    for child, child_context in zip(children, composite.child_contexts(spec, context)):
+        if child_context is not None:  # None: a chain child with no evaluations
+            validate_spec(child, child_context, _leaves_checked=True)
+    return spec
 
 
 def build_optimizer(
@@ -213,10 +239,13 @@ def build_optimizer(
 
     Node seeds come from ``derive_seed(master_seed, path)`` where the path
     lists child indices from the root; a leaf parameter ``seed=...``
-    overrides the derived seed.
+    overrides the derived seed.  The root first checks the whole tree with
+    ``validate_spec(spec, context)``.
     """
     if isinstance(spec, str):
         spec = parse_algorithm(spec)
+    if _path == ("alg",):
+        validate_spec(spec, context)
     seed = derive_seed(context.master_seed, list(_path))
     if isinstance(spec, Leaf):
         factory = _leaf_factory(spec, seed)
@@ -224,10 +253,7 @@ def build_optimizer(
             return factory(context, init_point=_init_point)
         resolved = select_algorithm(SelectionContext.from_problem(context.domain, context))
         return build_optimizer(resolved, context, _path + (WIZARD_ID,), _init_point)
-    composite = _COMPOSITES.get(spec.kind if isinstance(spec, Wrap) else type(spec))
-    if composite is None:
-        raise RegistryError(f"cannot build optimizer from {spec!r}")
-    return composite(context, spec, _build_child, _path, seed, _init_point)
+    return _composite(spec)(context, spec, _build_child, _path, seed, _init_point)
 
 
 def _build_child(spec, context: RunContext, path: tuple, init_point) -> Optimizer:

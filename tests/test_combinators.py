@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optbench import (
-    Chain,
     ConfigurationError,
     DomainSpec,
     Leaf,
@@ -121,44 +120,7 @@ def test_chain_absolute_ask_child_budget():
         cand = handle.ask()
         handle.tell(cand, sphere(cand.point))
     # child 0 received exactly its pinned 100 asks
-    assert handle._allocs == [100, 200]
-
-
-def test_chain_rolls_budget_forward_when_a_child_stops_early():
-    # a one-shot child that refuses asks beyond its internal cap hands its
-    # unused evaluations to the next child
-    from optbench import BudgetExceededError, Optimizer
-    from optbench.combinators import ChainOptimizer
-
-    class CappedProbe(Optimizer):
-        cap = 7
-
-        def _ask(self):
-            if self.num_asks >= self.cap:
-                raise BudgetExceededError("internal cap reached")
-            return self.rng.standard_normal(len(self.domain.variables))
-
-    class Counter(Optimizer):
-        def _ask(self):
-            return self.rng.standard_normal(len(self.domain.variables))
-
-    built = []
-
-    def builder(spec, context, path, init):
-        handle = (CappedProbe if spec.name == "capped" else Counter)(context, seed=1, init_point=init)
-        built.append((spec.name, handle, context.budget))
-        return handle
-
-    dom = sphere_domain(2)
-    ctx = RunContext(dom, budget=40, master_seed=0)
-    spec = Chain((Leaf("capped"), Leaf("rest")), fractions=(0.5, 0.5))
-    handle = ChainOptimizer(ctx, spec, builder)
-    rec, history = run_loop(handle, sphere, ctx)
-    assert len(history) == 40
-    names = [(name, budget) for name, _h, budget in built]
-    assert names[0] == ("capped", 20)
-    assert names[1] == ("rest", 33)  # 20 planned + 13 rolled over
-    assert built[0][1].num_asks == 7
+    assert [child_context.budget for child_context in handle._contexts] == [100, 200]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +278,12 @@ def spec_trees(draw, depth=0):
     return f"meta({draw(spec_trees(depth=depth + 1))})"
 
 
+#: a bet whose chain share (3 of 30) cannot give each child a phase-1 ask
+THIN_BET_IN_CHAIN = "chain(cma,bet(cma,cma;0.5),cma;0.444444,0.111111,0.444445)"
+
+
 @given(spec_trees(), st.integers(30, 300), st.integers(0, 10_000))
+@example(THIN_BET_IN_CHAIN, 30, 0)
 @settings(max_examples=25, deadline=None)
 def test_budget_conservation_over_random_trees(spec_text, budget, seed):
     try:
@@ -332,3 +299,16 @@ def test_budget_conservation_over_random_trees(spec_text, budget, seed):
     _rec, history = run_loop(handle, sphere, ctx)
     assert len(history) == budget
     assert handle.num_tells == budget
+
+
+def test_a_child_that_cannot_cover_its_share_fails_before_the_first_evaluation():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return sphere(x)
+
+    ctx = RunContext(sphere_domain(3), budget=30, master_seed=0)
+    with pytest.raises(ConfigurationError, match="phase-1 budget 1 cannot cover 2 children"):
+        run_loop(THIN_BET_IN_CHAIN, counted, ctx)
+    assert calls == []

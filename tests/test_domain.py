@@ -27,6 +27,29 @@ def test_variable_validation():
         DomainSpec([])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: integer(0.7, 3.9),
+        lambda: integer(0, 3.0),
+        lambda: integer(True, 3),
+        lambda: integer("0", 3),
+        lambda: categorical("3"),
+        lambda: categorical(3.0),
+        lambda: categorical(True),
+    ],
+    ids=["fractional", "integral-float", "bool", "string", "string-arity", "float-arity", "bool-arity"],
+)
+def test_integer_fields_take_integers_only(make):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        make()
+
+
+def test_integer_fields_accept_numpy_integers():
+    assert integer(np.int64(0), np.int32(3)) == integer(0, 3)
+    assert categorical(np.int64(4)) == categorical(4)
+
+
 def test_encoded_dimension_counts_categorical_arity():
     dom = DomainSpec([categorical(3), categorical(4), continuous(), integer(0, 5)])
     assert dom.dimension == 3 + 4 + 1 + 1

@@ -171,6 +171,8 @@ def _one_variable(variable) -> dict:
         (_one_variable({"kind": "categorical"}), "bad categorical variable"),
         (_one_variable({"kind": "continuous", "bogus": 1}), "unexpected keyword"),
         (_one_variable({"kind": "integer", "low": 3, "high": 1}), "low <= high"),
+        (_one_variable({"kind": "integer", "low": 0.7, "high": 3.9}), "integer bound must be an integer"),
+        (_one_variable({"kind": "categorical", "arity": "3"}), "categorical arity must be an integer"),
         (_one_variable({"kind": "continuous", "lower": "a"}), "bounds must be numbers"),
         (_one_variable({"kind": "bogus"}), "unknown variable kind"),
         (_one_variable("continuous"), "unknown variable kind"),
@@ -179,7 +181,8 @@ def _one_variable(variable) -> dict:
     ],
     ids=[
         "missing", "string", "float", "zero", "bool",
-        "integer-without-bounds", "categorical-without-arity", "unknown-field", "rejected-field", "non-numeric-bound",
+        "integer-without-bounds", "categorical-without-arity", "unknown-field", "rejected-field",
+        "fractional-integer-bounds", "string-arity", "non-numeric-bound",
         "unknown-kind", "variable-not-an-object", "variables-not-a-list", "hello-not-an-object",
     ],
 )

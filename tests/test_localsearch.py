@@ -9,9 +9,9 @@ from optbench import DomainSpec, RunContext, continuous, run_loop
 from optbench.solvers import localsearch
 from optbench.solvers.localsearch import (
     Powell,
-    SlidingQuadratic,
+    SlidingModel,
     TrustRegion,
-    linear_descent_step,
+    quadratic_fit_step,
     quadratic_model_step,
 )
 from optbench.solvers.metamodel import fit_quadratic, quadratic_feature_count
@@ -21,7 +21,8 @@ def test_linear_step_descends_to_clipped_boundary():
     # archive {0, 0.5} on f(x) = x over [-1, 1], rho 1: proposal -1
     points = np.array([[0.0], [0.5]])
     losses = np.array([0.0, 0.5])
-    proposal = linear_descent_step(points, losses, origin=np.array([0.0]), rho=1.0)
+    model = SlidingModel(points, losses, quadratic=False)
+    proposal = quadratic_fit_step(model.fit(), origin=np.array([0.0]), rho=1.0)
     dom = DomainSpec([continuous(-1.0, 1.0)])
     clipped = dom.scalar_view.decode(dom.scalar_view.encode(proposal))
     assert clipped[0] == -1.0
@@ -46,7 +47,7 @@ def test_quadratic_step_clips_to_trust_radius():
 def test_degenerate_fit_returns_none():
     points = np.array([[1.0], [1.0], [1.0]])
     losses = np.array([2.0, 2.0, 2.0])
-    assert linear_descent_step(points, losses, np.array([1.0]), 1.0) is None
+    assert SlidingModel(points[:2], losses[:2], quadratic=False).fit() is None
     assert quadratic_model_step(points, losses, np.array([1.0]), 1.0) is None
 
 
@@ -154,30 +155,45 @@ def model_values(fit, x):
     return c + u @ b + np.einsum("ni,ij,nj->n", u, quad, u)
 
 
-@pytest.mark.parametrize("d", [3, 6])
-def test_sliding_model_matches_a_fresh_fit_after_every_slide(d):
+def check_slides_against_a_fresh_fit(d, p, quadratic, reference):
     rng = np.random.default_rng(d)
-    p = quadratic_feature_count(d)
     slides = 3 * (p + 1)  # a full factorization follows every p updates
     walk = np.cumsum(rng.standard_normal((p + slides, d)), axis=0)
     values = rng.standard_normal(p + slides)
-    model = SlidingQuadratic(walk[:p], values[:p])
+    model = SlidingModel(walk[:p], values[:p], quadratic)
     for t in range(p, p + slides):
         model.slide(walk[t], values[t])
         window = slice(t + 1 - p, t + 1)
-        expected_fit = fit_quadratic(walk[window], values[window])
         probe = rng.uniform(walk[window].min(axis=0), walk[window].max(axis=0), size=(10, d))
-        expected = model_values(expected_fit, probe)
+        expected = reference(walk[window], values[window], probe)
         got = model_values(model.fit(), probe)
         assert np.abs(got - expected).max() <= 1e-8 * np.abs(expected).max()
     assert model.factorizations - model.threshold_hits >= 3  # the first and two scheduled
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_sliding_model_matches_a_fresh_fit_after_every_slide(d):
+    def reference(points, values, probe):
+        return model_values(fit_quadratic(points, values), probe)
+
+    check_slides_against_a_fresh_fit(d, quadratic_feature_count(d), True, reference)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_linear_sliding_model_matches_lstsq_after_every_slide(d):
+    def reference(points, values, probe):
+        design = np.hstack([np.ones((len(points), 1)), points])
+        coeffs = np.linalg.lstsq(design, values, rcond=None)[0]
+        return coeffs[0] + probe @ coeffs[1:]
+
+    check_slides_against_a_fresh_fit(d, d + 1, False, reference)
 
 
 def test_duplicate_point_forces_a_factorization_that_rejects_the_window():
     rng = np.random.default_rng(1)
     points = rng.standard_normal((10, 3))
     values = rng.standard_normal(10)
-    model = SlidingQuadratic(points, values)
+    model = SlidingModel(points, values, quadratic=True)
     assert model.fit() is not None and model.factorizations == 1
     model.slide(points[4], 0.5)  # the oldest point leaves, a copy of points[4] enters
     assert model.threshold_hits == 1 and model.factorizations == 2
@@ -189,9 +205,9 @@ def test_duplicate_point_forces_a_factorization_that_rejects_the_window():
 def test_full_factorizations_are_scheduled_or_forced(monkeypatch):
     models = []
 
-    class Counted(SlidingQuadratic):
-        def __init__(self, points, values):
-            super().__init__(points, values)
+    class Counted(SlidingModel):
+        def __init__(self, points, values, quadratic):
+            super().__init__(points, values, quadratic)
             self.slides = self.rejected = 0
             models.append(self)
 
@@ -200,7 +216,7 @@ def test_full_factorizations_are_scheduled_or_forced(monkeypatch):
             self.slides += 1
             self.rejected += self.fit() is None  # the next slide factorizes again
 
-    monkeypatch.setattr(localsearch, "SlidingQuadratic", Counted)
+    monkeypatch.setattr(localsearch, "SlidingModel", Counted)
     dom = DomainSpec([continuous() for _ in range(4)])
 
     def rosenbrock(x):
