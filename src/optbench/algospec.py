@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import SpecParseError
 
-WRAP_KINDS = ("metamodel", "progressive", "softmax")
-_WRAP_TOKEN = {"metamodel": "meta", "progressive": "prog", "softmax": "softmax"}
-_TOKEN_WRAP = {v: k for k, v in _WRAP_TOKEN.items()}
+WRAP_KINDS = ("meta", "prog", "softmax")
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def canonical_text(spec: AlgorithmSpec) -> str:
         children = ",".join(canonical_text(c) for c in spec.children)
         return f"bet({children};{_format_number(spec.phase_fraction)})"
     if isinstance(spec, Wrap):
-        return f"{_WRAP_TOKEN[spec.kind]}({canonical_text(spec.child)})"
+        return f"{spec.kind}({canonical_text(spec.child)})"
     raise SpecParseError(f"not an algorithm spec: {spec!r}")
 
 
@@ -196,8 +194,8 @@ def parse_algorithm(text: str) -> AlgorithmSpec:
         except ValueError as exc:
             raise SpecParseError(f"bad phase fraction {frac_text!r}") from exc
         return BetAndRun(children, frac)
-    if head in _TOKEN_WRAP:
-        return Wrap(_TOKEN_WRAP[head], parse_algorithm(body))
+    if head in WRAP_KINDS:
+        return Wrap(head, parse_algorithm(body))
     raise SpecParseError(f"unknown combinator {head!r} in {text!r}")
 
 

@@ -98,13 +98,22 @@ class Optimizer:
     lowest mean loss (ties: more observations, then lower id) in noisy mode.
     Composites derive from ``combinators.RoutingOptimizer``, which routes
     candidates to their children through the payload.
+
+    ``check_context`` raises the ConfigurationError of a context the solver
+    cannot run on.  The constructor calls it first, and
+    ``wizard.validate_spec`` calls it on every context a spec tree gives a
+    leaf, so a lazily built leaf cannot fail in the middle of a run.
     """
 
     #: generation-based solvers expose their population size for combinators
     generation_size: int | None = None
 
+    @classmethod
+    def check_context(cls, context: RunContext) -> None:
+        pass
+
     def __init__(self, context: RunContext, seed: int = 0, init_point: Sequence[float] | None = None):
-        self.context = context
+        self.check_context(context)
         self.domain = context.domain
         self.budget = context.budget
         self.num_workers = context.num_workers
@@ -206,6 +215,18 @@ class Optimizer:
         if self.incumbent is None:
             return math.inf
         return self.incumbent.mean_loss if self.noisy else self._incumbent_loss
+
+
+class ScalarSolver(Optimizer):
+    """Base of the solvers that search the domain's standardized scalar view."""
+
+    @classmethod
+    def check_context(cls, context: RunContext) -> None:
+        context.domain.scalar_view  # raises for categorical variables; cached
+
+    def __init__(self, context: RunContext, seed: int = 0, init_point: Sequence[float] | None = None):
+        super().__init__(context, seed=seed, init_point=init_point)
+        self._view = self.domain.scalar_view
 
 
 def run_loop(

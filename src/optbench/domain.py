@@ -164,10 +164,6 @@ class DomainSpec:
     def all_continuous(self) -> bool:
         return all(v.kind == CONTINUOUS for v in self.variables)
 
-    @property
-    def fully_continuous(self) -> bool:
-        return self.all_continuous
-
     @cached_property
     def has_discrete(self) -> bool:
         return any(v.is_discrete for v in self.variables)
@@ -207,13 +203,6 @@ class DomainSpec:
         for i, (v, value) in enumerate(zip(self.variables, arr)):
             if not v.contains(float(value)):
                 raise ContractError(f"value {value!r} outside variable {i} ({v.kind})")
-
-    def contains(self, point: Sequence[float]) -> bool:
-        try:
-            self.validate(point)
-        except ContractError:
-            return False
-        return True
 
     @cached_property
     def scalar_view(self) -> "ScalarView":
@@ -278,11 +267,11 @@ class ScalarView:
     def encode(self, x: Sequence[float]) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.center) / self.scale
 
-    def init_box(self, span: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    def init_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Standardized box for population initialization.
 
-        Bounded sides use the true bound; unbounded sides use ``+-span``.
+        Bounded sides use the true bound; unbounded sides use ``+-2``.
         """
-        lo = np.where(np.isfinite(self.z_lower), self.z_lower, -span)
-        hi = np.where(np.isfinite(self.z_upper), self.z_upper, span)
+        lo = np.where(np.isfinite(self.z_lower), self.z_lower, -2.0)
+        hi = np.where(np.isfinite(self.z_upper), self.z_upper, 2.0)
         return lo, hi

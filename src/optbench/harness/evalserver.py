@@ -18,9 +18,11 @@ cell failed and moves on.
 from __future__ import annotations
 
 import json
+import os
 import select
 import shlex
 import subprocess
+import time
 
 import numpy as np
 
@@ -50,12 +52,11 @@ class ExternalEvaluator:
         self.command = command
         self.timeout = timeout
         self._proc = subprocess.Popen(
-            shlex.split(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
+            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
+        # every read goes through this one buffer, so a line the child wrote
+        # together with an earlier one is never left waiting behind select()
+        self._received = b""
         self._next_id = 0
         try:
             hello = self._read_message()
@@ -76,20 +77,23 @@ class ExternalEvaluator:
 
     # ------------------------------------------------------------------
     def _read_message(self) -> dict:
-        if self._proc.poll() is not None:
-            raise EvaluationError("external evaluator exited")
-        ready, _, _ = select.select([self._proc.stdout], [], [], self.timeout)
-        if not ready:
-            raise EvaluationError(f"external evaluator timed out after {self.timeout}s")
-        line = self._proc.stdout.readline()
-        if not line:
-            raise EvaluationError("external evaluator closed its output")
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + self.timeout
+        while b"\n" not in self._received:
+            ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+            if not ready:
+                raise EvaluationError(f"external evaluator timed out after {self.timeout}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise EvaluationError("external evaluator closed its output")
+            self._received += chunk
+        line, _, self._received = self._received.partition(b"\n")
         try:
             message = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or not UTF-8
             message = None
         if not isinstance(message, dict):
-            raise ProtocolError(f"malformed message from evaluator: {line!r}")
+            raise ProtocolError(f"malformed message from evaluator: {line.decode(errors='replace')!r}")
         return message
 
     def __call__(self, point) -> float:
@@ -98,7 +102,7 @@ class ExternalEvaluator:
         values = [float(v) for v in np.asarray(point, dtype=float)]
         try:
             self._proc.stdin.write(
-                json.dumps({"type": "eval", "id": msg_id, "point": values}) + "\n"
+                (json.dumps({"type": "eval", "id": msg_id, "point": values}) + "\n").encode()
             )
             self._proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:

@@ -12,7 +12,7 @@ from .cma import CmaEs
 from .de import DifferentialEvolution
 from .discrete import DiscreteOnePlusOne, FastGa, strength_probabilities
 from .es import OnePlusOneEs
-from .localsearch import Powell, TrustRegion, quadratic_model_step
+from .localsearch import Powell, TrustRegion
 from .metamodel import MetamodelWrapper, metamodel_min_points, metamodel_propose
 from .oneshot import OneShotRecentering, recentering_std
 from .softmax import SoftmaxBridge, logit_domain, softmax_probabilities
@@ -56,7 +56,6 @@ __all__ = [
     "logit_domain",
     "metamodel_min_points",
     "metamodel_propose",
-    "quadratic_model_step",
     "recentering_std",
     "softmax_probabilities",
     "strength_probabilities",

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ..core import Candidate, Optimizer, RunContext
+from ..core import Candidate, RunContext, ScalarSolver
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ def recombination_weights(mu: int) -> np.ndarray:
     return raw / raw.sum()
 
 
-class CmaEs(Optimizer):
+class CmaEs(ScalarSolver):
     """Covariance matrix adaptation evolution strategy."""
 
     def __init__(
@@ -43,7 +43,6 @@ class CmaEs(Optimizer):
     ):
         super().__init__(context, seed=seed, init_point=init_point)
         self.diagonal = diagonal
-        self._view = self.domain.scalar_view
         d = self._view.dim
         self.dim = d
         lam = population_size or (4 + int(3 * math.log(d)))

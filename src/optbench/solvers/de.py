@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Candidate, Optimizer, RunContext
+from ..core import Candidate, RunContext, ScalarSolver
 from ..errors import ConfigurationError
 
 
-class DifferentialEvolution(Optimizer):
+class DifferentialEvolution(ScalarSolver):
     """rand/1/bin DE over the standardized domain.
 
     The first ``NP`` asks are quasi-uniform initial samples (Latin hypercube
@@ -29,7 +29,6 @@ class DifferentialEvolution(Optimizer):
         lhs_init: bool = False,
     ):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._view = self.domain.scalar_view
         d = self._view.dim
         np_size = population_size or (30 if lhs_init else max(30, d))
         if np_size < 4:

@@ -46,8 +46,6 @@ class _DiscreteMutator:
         self.rng = rng
         self.mutable = _mutable_mask(domain)
         self.num_mutable = int(self.mutable.sum())
-        if self.num_mutable == 0:
-            raise ConfigurationError("every variable has a single value; nothing to mutate")
 
     def mutate_variable(self, point: np.ndarray, i: int) -> None:
         v = self.domain.variables[i]
@@ -90,7 +88,23 @@ class _DiscreteMutator:
         return child
 
 
-class DiscreteOnePlusOne(Optimizer):
+class _ParentMutation(Optimizer):
+    """Base of the solvers that mutate one parent, starting at the initial
+    point or the domain center."""
+
+    @classmethod
+    def check_context(cls, context: RunContext) -> None:
+        if not _mutable_mask(context.domain).any():
+            raise ConfigurationError("every variable has a single value; nothing to mutate")
+
+    def __init__(self, context: RunContext, seed: int = 0, init_point=None):
+        super().__init__(context, seed=seed, init_point=init_point)
+        self._mutator = _DiscreteMutator(self.domain, self.rng)
+        self.parent = self.init_point if self.init_point is not None else self.domain.center()
+        self.parent_loss: float | None = None
+
+
+class DiscreteOnePlusOne(_ParentMutation):
     """(1+1) EA over finite (or mixed) alphabets; see module docstring."""
 
     def __init__(self, context: RunContext, seed: int = 0, init_point=None, variant: str = "fixed"):
@@ -98,15 +112,8 @@ class DiscreteOnePlusOne(Optimizer):
         if variant not in VARIANTS:
             raise ConfigurationError(f"unknown discrete variant {variant!r}; known: {VARIANTS}")
         self.variant = variant
-        self._mutator = _DiscreteMutator(self.domain, self.rng)
         self.d = len(self.domain.variables)
         self.rate = 1.0 / self.d
-        self.parent = (
-            np.asarray(self.init_point, dtype=float)
-            if self.init_point is not None
-            else self.domain.center()
-        )
-        self.parent_loss: float | None = None
         self._parent_candidate: Candidate | None = None
         self._seen: dict[bytes, Candidate] = {}
         rates = (1.0 / self.d, math.sqrt(1.0 / self.d) / 2.0, 0.5)
@@ -188,26 +195,22 @@ def strength_probabilities(d: int, beta: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-class FastGa(Optimizer):
+class FastGa(_ParentMutation):
     """Heavy-tailed mutation (1+1) EA for discrete and unbounded domains."""
+
+    @classmethod
+    def check_context(cls, context: RunContext) -> None:
+        super().check_context(context)
+        if len(context.domain.variables) < 2:
+            raise ConfigurationError("FastGA needs at least 2 variables")
 
     def __init__(self, context: RunContext, seed: int = 0, init_point=None, beta: float = 1.5):
         super().__init__(context, seed=seed, init_point=init_point)
         if beta <= 1.0:
             raise ConfigurationError("the power-law exponent beta must exceed 1")
         self.beta = beta
-        self._mutator = _DiscreteMutator(self.domain, self.rng)
-        d = len(self.domain.variables)
-        if d < 2:
-            raise ConfigurationError("FastGA needs at least 2 variables")
-        self._probs = strength_probabilities(d, beta)
+        self._probs = strength_probabilities(len(self.domain.variables), beta)
         self._support = np.arange(1, len(self._probs) + 1)
-        self.parent = (
-            np.asarray(self.init_point, dtype=float)
-            if self.init_point is not None
-            else self.domain.center()
-        )
-        self.parent_loss: float | None = None
 
     def sample_strength(self) -> int:
         return int(self.rng.choice(self._support, p=self._probs))

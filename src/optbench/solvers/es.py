@@ -6,14 +6,14 @@ import logging
 
 import numpy as np
 
-from ..core import Candidate, Optimizer, RunContext
+from ..core import Candidate, RunContext, ScalarSolver
 
 logger = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 1e-15
 
 
-class OnePlusOneEs(Optimizer):
+class OnePlusOneEs(ScalarSolver):
     """Isotropic Gaussian (1+1)-ES.
 
     Every ask mutates the current parent by ``sigma * N(0, I)`` in the
@@ -38,7 +38,6 @@ class OnePlusOneEs(Optimizer):
         self.c_up = c_up
         self.c_down = c_down
         self.sigma = 1.0
-        self._view = self.domain.scalar_view
         if self.init_point is not None:
             self._parent = self._view.encode(self.init_point)
         else:

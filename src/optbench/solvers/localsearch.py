@@ -24,20 +24,14 @@ import math
 
 import numpy as np
 
-from ..core import Candidate, Optimizer, RunContext
+from ..core import Candidate, RunContext, ScalarSolver
 from ..errors import ConfigurationError
-from .metamodel import fit_quadratic, quadratic_design, quadratic_feature_count, split_quadratic
+from .metamodel import quadratic_design, quadratic_feature_count, split_quadratic
 
 logger = logging.getLogger(__name__)
 
 RHO_FLOOR = 1e-12
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
-def quadratic_model_step(points, losses, origin, rho: float) -> np.ndarray | None:
-    """Least-squares quadratic fit of the points, then ``quadratic_fit_step``."""
-    fit = fit_quadratic(points, losses)
-    return None if fit is None else quadratic_fit_step(fit, origin, rho)
 
 
 def quadratic_fit_step(fit, origin, rho: float) -> np.ndarray | None:
@@ -174,12 +168,11 @@ class SlidingModel:
         self._inv, self._mean, self._scale = inv, mean, scale
 
 
-class _ProbeDrivenSolver(Optimizer):
+class _ProbeDrivenSolver(ScalarSolver):
     """Ask/tell adapter around a sequential probe generator."""
 
     def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._view = self.domain.scalar_view
         self._z0 = (
             self._view.encode(self.init_point)
             if self.init_point is not None
@@ -189,7 +182,6 @@ class _ProbeDrivenSolver(Optimizer):
         self._gen = None
         self._awaiting: int | None = None
         self._last_loss: float | None = None
-        self._exhausted = False
         self._fallback_scale = 1.0
 
     def _probes(self):
@@ -198,12 +190,8 @@ class _ProbeDrivenSolver(Optimizer):
     def _ask(self) -> Candidate:
         if self._gen is None:
             self._gen = self._probes()
-        z = None
-        if not self._exhausted and self._awaiting is None:
-            try:
-                z = self._gen.send(self._last_loss)
-            except StopIteration:
-                self._exhausted = True
+        # the probe generators never end, so a send always yields a probe
+        z = None if self._awaiting is not None else self._gen.send(self._last_loss)
         if self.num_asks + 1 == self.budget:
             # The generator's frame refers back to this solver.  Ending it at
             # the last ask breaks that cycle, so the solver and its model state

@@ -74,14 +74,13 @@ def fit_quadratic(points: np.ndarray, losses: np.ndarray):
     return (*split_quadratic(coeffs, d), mean, scale)
 
 
-def metamodel_propose(points, losses, dim: int | None = None) -> np.ndarray | None:
+def metamodel_propose(points, losses) -> np.ndarray | None:
     """Minimizer of a fitted quadratic, gated for trustworthiness."""
     pts = np.asarray(points, dtype=float)
     losses = np.asarray(losses, dtype=float)
     if pts.ndim != 2 or len(pts) != len(losses):
         return None
-    d = pts.shape[1] if dim is None else dim
-    needed = metamodel_min_points(d)
+    needed = metamodel_min_points(pts.shape[1])
     if len(pts) < needed:
         return None
     window = min(len(pts), 2 * needed)
@@ -113,6 +112,11 @@ class MetamodelWrapper(RoutingOptimizer):
     ask instead of the child's sample.  Surrogate candidates update the
     incumbent but are not fed back into the child's distribution update.
     """
+
+    @classmethod
+    def child_contexts(cls, spec, context):
+        context.domain.scalar_view  # raises for categorical variables; cached
+        return [context]
 
     def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
         super().__init__(context, spec, builder, path, seed, init_point)

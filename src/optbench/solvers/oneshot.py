@@ -12,17 +12,16 @@ import math
 
 import numpy as np
 
-from ..core import Optimizer, RunContext
+from ..core import RunContext, ScalarSolver
 
 
 def recentering_std(budget: int, dim: int) -> float:
     return min(1.0, math.sqrt(math.log1p(budget) / dim))
 
 
-class OneShotRecentering(Optimizer):
+class OneShotRecentering(ScalarSolver):
     def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._view = self.domain.scalar_view
         self.sigma_r = recentering_std(self.budget, self._view.dim)
 
     def _ask(self) -> np.ndarray:

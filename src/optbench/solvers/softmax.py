@@ -2,7 +2,7 @@
 
 Each categorical variable of arity ``a`` becomes a block of ``a`` unbounded
 continuous logits; integers and continuous variables pass through.  Asks
-realize categories stochastically from ``softmax(logits / temperature)``;
+realize categories stochastically from ``softmax(logits)``;
 the recommendation decodes deterministically by argmax with ties going to
 the lowest category index, so it is always a valid domain point.
 
@@ -20,7 +20,6 @@ import numpy as np
 from ..combinators import RoutingOptimizer
 from ..core import Candidate
 from ..domain import CATEGORICAL, DomainSpec, continuous
-from ..errors import ConfigurationError
 
 
 def logit_domain(domain: DomainSpec) -> DomainSpec:
@@ -34,8 +33,8 @@ def logit_domain(domain: DomainSpec) -> DomainSpec:
     return DomainSpec(variables)
 
 
-def softmax_probabilities(logits: np.ndarray, temperature: float) -> np.ndarray:
-    z = np.asarray(logits, dtype=float) / temperature
+def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
+    z = np.asarray(logits, dtype=float)
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -48,13 +47,8 @@ class SoftmaxBridge(RoutingOptimizer):
     def child_contexts(cls, spec, context):
         return [replace(context, domain=logit_domain(context.domain))]
 
-    def __init__(
-        self, context, spec, builder, path=(), seed=0, init_point=None, temperature: float = 1.0
-    ):
+    def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):
         super().__init__(context, spec, builder, path, seed, init_point)
-        if temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
-        self.temperature = temperature
         (inner_context,) = self.child_contexts(spec, context)
         inner_init = self.encode(self.init_point) if self.init_point is not None else None
         self.inner = self._build(0, spec.child, inner_context, inner_init)
@@ -81,7 +75,7 @@ class SoftmaxBridge(RoutingOptimizer):
                 logits = inner_point[cursor : cursor + v.arity]
                 cursor += v.arity
                 if stochastic:
-                    probs = softmax_probabilities(logits, self.temperature)
+                    probs = softmax_probabilities(logits)
                     values[i] = self.rng.choice(v.arity, p=probs)
                 else:
                     values[i] = int(np.argmax(logits))  # ties: lowest index

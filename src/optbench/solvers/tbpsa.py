@@ -16,13 +16,13 @@ import math
 
 import numpy as np
 
-from ..core import Candidate, Optimizer, RunContext
+from ..core import Candidate, RunContext, ScalarSolver
 
 SIGMA_MIN = 1e-18
 SIGMA_MAX = 1e6
 
 
-class Tbpsa(Optimizer):
+class Tbpsa(ScalarSolver):
     """Test-based population size adaptation ES."""
 
     def __init__(
@@ -41,7 +41,6 @@ class Tbpsa(Optimizer):
         self.elite_fraction = elite_fraction
         self.recommendation_window = recommendation_window
         self.stagnation_limit = stagnation_limit
-        self._view = self.domain.scalar_view
         d = self._view.dim
         self.lam = max(4, population_size or (4 + int(3 * math.log(d))))
         self.generation_size = self.lam

@@ -12,9 +12,10 @@ so that sibling nodes get independent streams.  Leaves resolve against the
 single solver registry in one place, which ``validate_spec`` also uses to
 reject unknown ids and parameters, and parameter values the solver's
 constructor rejects, before anything runs.  Given the run context, the same
-walk follows every composite's child contexts, so a tree whose lazily built
-child could not cover its share fails when the root is built, before the
-first evaluation.
+walk follows every composite's child contexts and checks each leaf's solver
+on its own, so a tree whose lazily built child could not cover its share or
+run on its domain fails when the root is built, before the first
+evaluation.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class SelectionContext:
             has_categorical=domain.has_categorical,
             max_arity=math.inf if domain.has_unbounded_discrete else domain.max_arity,
             has_unbounded_discrete=domain.has_unbounded_discrete,
-            fully_continuous=domain.fully_continuous,
+            fully_continuous=domain.all_continuous,
         )
 
     def continuous_counterpart(self) -> "SelectionContext":
@@ -95,7 +96,7 @@ def explain_selection(ctx: SelectionContext) -> tuple[int, AlgorithmSpec]:
         return 5, Leaf("fastga")
     if ctx.noisy:
         if d > 100:
-            return 6, Wrap("progressive", Leaf("de"))
+            return 6, Wrap("prog", Leaf("de"))
         if d <= 30:
             return 7, Leaf("tbpsa")
         if b > 100:
@@ -107,7 +108,7 @@ def explain_selection(ctx: SelectionContext) -> tuple[int, AlgorithmSpec]:
         return 11, Leaf("diagcma")
     if w > b / 5 and d < 5 and b < 500:
         return 12, Chain(
-            (Leaf("diagcma"), Wrap("metamodel", Leaf("cma"))),
+            (Leaf("diagcma"), Wrap("meta", Leaf("cma"))),
             fractions=(None, 1.0),
             asks=(100, None),
         )
@@ -118,7 +119,7 @@ def explain_selection(ctx: SelectionContext) -> tuple[int, AlgorithmSpec]:
     if b < 30 * d and d > 30:
         return 15, Leaf("one-plus-one-es")
     if d < 5 and b < 30 * d:
-        return 16, Wrap("metamodel", Leaf("cma"))
+        return 16, Wrap("meta", Leaf("cma"))
     if b < 30 * d:
         return 17, Leaf("linear-tr")
     return 18, Leaf("cma")
@@ -176,8 +177,8 @@ _PROBE_CONTEXT = RunContext(DomainSpec([continuous(), continuous()]), budget=100
 _COMPOSITES = {
     Chain: ChainOptimizer,
     BetAndRun: BetAndRunOptimizer,
-    "metamodel": MetamodelWrapper,
-    "progressive": ProgressiveWidening,
+    "meta": MetamodelWrapper,
+    "prog": ProgressiveWidening,
     "softmax": SoftmaxBridge,
 }
 
@@ -198,8 +199,10 @@ def validate_spec(
     Every leaf resolves against the registry and is built once on a
     2-variable continuous context.  With a run ``context``, the walk also
     follows the contexts each composite gives its children, raising the
-    ConfigurationError of any that cannot cover them, and resolves nested
-    ``abbo`` leaves for their own contexts.
+    ConfigurationError of any that cannot cover them, checks each leaf's
+    solver class on every context the leaf meets (``check_context``, which
+    builds nothing), and resolves nested ``abbo`` leaves for their own
+    contexts.
     """
     if isinstance(spec, str):
         spec = parse_algorithm(spec)
@@ -215,6 +218,8 @@ def validate_spec(
                     raise RegistryError(f"bad parameter value in {canonical_text(spec)!r}: {error_text(exc)}") from None
         elif spec.name == WIZARD_ID:
             validate_spec(select_algorithm(SelectionContext.from_problem(context.domain, context)), context)
+        else:
+            REGISTRY[spec.name].func.check_context(context)
         return spec
     composite = _composite(spec)
     if context is None:

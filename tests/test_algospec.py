@@ -41,7 +41,7 @@ def test_parse_structure():
     spec = parse_algorithm("chain(diagcma,meta(cma);100a,1)")
     assert spec.asks == (100, None)
     assert spec.fractions == (None, 1.0)
-    assert spec.children[1] == Wrap("metamodel", Leaf("cma"))
+    assert spec.children[1] == Wrap("meta", Leaf("cma"))
 
 
 def test_parse_params():

@@ -12,10 +12,14 @@ from optbench import (
     canonical_text,
     categorical,
     continuous,
+    integer,
     parse_algorithm,
     run_loop,
 )
+from optbench.bench.suites import SuiteProblem
+from optbench.bench.transforms import BenchmarkFunction, FunctionSpec
 from optbench.combinators import ProgressiveWidening, chain_allocations
+from optbench.harness.experiment import run_cell
 from optbench.solvers import MetamodelWrapper, SoftmaxBridge
 from optbench.wizard import build_optimizer
 
@@ -46,6 +50,10 @@ def test_chain_absolute_asks_override_fractions():
     assert chain_allocations(450, (None, 1.0), (100, None)) == [100, 350]
     # budget smaller than the absolute count: truncated, fractional child starved
     assert chain_allocations(80, (None, 1.0), (100, None)) == [80, 0]
+
+
+def test_chain_all_absolute_asks_roll_leftovers_to_the_last_child():
+    assert chain_allocations(100, (None, None), (10, 20)) == [10, 90]
 
 
 def test_chain_budget_conservation_examples():
@@ -110,6 +118,30 @@ def test_chain_incumbent_non_increasing_across_boundary():
         assert handle.incumbent_loss <= best + 1e-15
     rec = handle.recommend()
     assert sphere(rec.point) <= best + 1e-15  # the handoff cannot lose the best point
+
+
+def test_chain_skips_a_child_with_no_evaluations():
+    # int(30 * 0.01) == 0: cma gets no evaluations and is never built
+    ctx = RunContext(sphere_domain(), budget=30, master_seed=5)
+    handle = build_optimizer("chain(cma,de;0.01,0.99)", ctx)
+    assert handle._active_index == 1
+    assert [c is None for c in handle._contexts] == [True, False]
+    _rec, history = run_loop(handle, sphere, ctx)
+    assert len(history) == 30 and handle._active.num_tells == 30
+
+
+def test_chain_warm_starts_a_softmax_bridge_through_its_encoding():
+    dom = DomainSpec([categorical(3), categorical(4)])
+    ctx = RunContext(dom, budget=40, master_seed=6)
+    handle = build_optimizer("chain(discrete-fixed,softmax(cma);0.5,0.5)", ctx)
+    for _ in range(21):  # the 21st ask builds the bridge from the incumbent
+        cand = handle.ask()
+        handle.tell(cand, float(cand.point @ cand.point))
+    bridge = handle._active
+    assert isinstance(bridge, SoftmaxBridge)
+    incumbent = handle.incumbent.point
+    assert np.array_equal(bridge.inner.init_point, bridge.encode(incumbent))
+    assert np.array_equal(bridge.decode(bridge.inner.init_point, stochastic=False), incumbent)
 
 
 def test_chain_absolute_ask_child_budget():
@@ -209,8 +241,6 @@ def test_progressive_identity_in_one_dimension():
 
 
 def test_progressive_requires_continuous_domain():
-    from optbench import integer
-
     dom = DomainSpec([integer(0, 3)])
     with pytest.raises(ConfigurationError):
         build_optimizer("prog(de)", RunContext(dom, budget=10))
@@ -223,8 +253,8 @@ def test_progressive_requires_continuous_domain():
 @pytest.mark.parametrize(
     "composite, kind, domain",
     [
-        (MetamodelWrapper, "metamodel", sphere_domain(3)),
-        (ProgressiveWidening, "progressive", sphere_domain(3)),
+        (MetamodelWrapper, "meta", sphere_domain(3)),
+        (ProgressiveWidening, "prog", sphere_domain(3)),
         (SoftmaxBridge, "softmax", DomainSpec([categorical(3), categorical(4), continuous()])),
     ],
 )
@@ -254,16 +284,30 @@ def test_wrapper_routes_child_reasks_and_retells(composite, kind, domain):
 
 
 # ---------------------------------------------------------------------------
-# budget conservation over random spec trees
+# the run contract over random spec trees
+
+LEAVES = [
+    "cma", "de", "tbpsa", "one-plus-one-es", "oneshot", "powell",
+    "linear-tr", "discrete-fixed", "fastga", "abbo",
+]
+
+DOMAINS = {
+    "1 continuous": DomainSpec([continuous()]),
+    "3 continuous": sphere_domain(3),
+    "box and integer": DomainSpec([continuous(-1.0, 1.0), integer(0, 4)]),
+    "mixed": DomainSpec([categorical(3), integer(0, 2), continuous()]),
+    "4 binary": DomainSpec([integer(0, 1) for _ in range(4)]),
+    "single-valued": DomainSpec([integer(2, 2), integer(1, 1)]),
+}
 
 
 @st.composite
 def spec_trees(draw, depth=0):
-    if depth >= 2:
-        return draw(st.sampled_from(["cma", "de", "one-plus-one-es", "oneshot", "powell"]))
-    kind = draw(st.sampled_from(["leaf", "chain", "bet", "meta"]))
+    if depth >= 3:
+        return draw(st.sampled_from(LEAVES))
+    kind = draw(st.sampled_from(["leaf", "chain", "bet", "meta", "prog", "softmax"]))
     if kind == "leaf":
-        return draw(st.sampled_from(["cma", "de", "tbpsa", "powell"]))
+        return draw(st.sampled_from(LEAVES))
     if kind == "chain":
         n = draw(st.integers(1, 3))
         children = [draw(spec_trees(depth=depth + 1)) for _ in range(n)]
@@ -275,30 +319,68 @@ def spec_trees(draw, depth=0):
     if kind == "bet":
         children = [draw(spec_trees(depth=depth + 1)) for _ in range(draw(st.integers(2, 3)))]
         return f"bet({','.join(children)};0.5)"
-    return f"meta({draw(spec_trees(depth=depth + 1))})"
+    return f"{kind}({draw(spec_trees(depth=depth + 1))})"
 
 
 #: a bet whose chain share (3 of 30) cannot give each child a phase-1 ask
 THIN_BET_IN_CHAIN = "chain(cma,bet(cma,cma;0.5),cma;0.444444,0.111111,0.444445)"
+#: lazily built leaves whose solver rejects its domain
+FASTGA_ON_ONE_VARIABLE = "chain(cma,fastga;0.5,0.5)"
+NOTHING_TO_MUTATE = "chain(cma,discrete-fixed;0.5,0.5)"
+META_ON_CATEGORICALS = "chain(softmax(meta(one-plus-one-es)),meta(fastga);0.5,0.5)"
 
 
-@given(spec_trees(), st.integers(30, 300), st.integers(0, 10_000))
-@example(THIN_BET_IN_CHAIN, 30, 0)
-@settings(max_examples=25, deadline=None)
-def test_budget_conservation_over_random_trees(spec_text, budget, seed):
+@given(
+    spec_trees(),
+    st.sampled_from(sorted(DOMAINS)),
+    st.integers(30, 300),
+    st.sampled_from([1, 2, 5]),
+    st.integers(0, 10_000),
+)
+@example(THIN_BET_IN_CHAIN, "3 continuous", 30, 1, 0)
+@example(FASTGA_ON_ONE_VARIABLE, "1 continuous", 30, 1, 0)
+@example(NOTHING_TO_MUTATE, "single-valued", 30, 1, 0)
+@example(META_ON_CATEGORICALS, "mixed", 30, 1, 0)
+@settings(max_examples=200, deadline=None)
+def test_budget_conservation_over_random_trees(spec_text, domain_name, budget, workers, seed):
+    # once the root is built, the run keeps the contract: every ask in the
+    # domain, the exact budget told, nothing left pending, nothing raised
+    dom = DOMAINS[domain_name]
+    ctx = RunContext(dom, budget=budget, num_workers=workers, master_seed=seed)
     try:
-        spec = parse_algorithm(spec_text)
-    except Exception:
-        return
-    dom = sphere_domain(3)
-    ctx = RunContext(dom, budget=budget, master_seed=seed)
-    try:
-        handle = build_optimizer(spec, ctx)
+        handle = build_optimizer(spec_text, ctx)
     except ConfigurationError:
         return  # e.g. a bet phase too thin for its children
-    _rec, history = run_loop(handle, sphere, ctx)
+
+    def objective(x):
+        dom.validate(x)
+        return float(x @ x)
+
+    _rec, history = run_loop(handle, objective, ctx)
     assert len(history) == budget
-    assert handle.num_tells == budget
+    assert handle.num_asks == handle.num_tells == budget
+    assert handle.pending == {}
+
+
+@pytest.mark.parametrize(
+    "spec, domain, budget, message",
+    [
+        (FASTGA_ON_ONE_VARIABLE, DOMAINS["1 continuous"], 20, "FastGA needs at least 2 variables"),
+        (NOTHING_TO_MUTATE, DOMAINS["single-valued"], 20, "nothing to mutate"),
+        (META_ON_CATEGORICALS, DOMAINS["mixed"], 30, "categorical variables need the softmax bridge"),
+    ],
+    ids=["fastga-one-variable", "nothing-to-mutate", "meta-on-categoricals"],
+)
+def test_a_lazily_built_leaf_that_cannot_run_fails_before_the_first_evaluation(spec, domain, budget, message):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return float(x @ x)
+
+    with pytest.raises(ConfigurationError, match=message):
+        run_loop(spec, counted, RunContext(domain, budget=budget))
+    assert calls == []
 
 
 def test_a_child_that_cannot_cover_its_share_fails_before_the_first_evaluation():
@@ -311,4 +393,15 @@ def test_a_child_that_cannot_cover_its_share_fails_before_the_first_evaluation()
     ctx = RunContext(sphere_domain(3), budget=30, master_seed=0)
     with pytest.raises(ConfigurationError, match="phase-1 budget 1 cannot cover 2 children"):
         run_loop(THIN_BET_IN_CHAIN, counted, ctx)
+    assert calls == []
+
+
+def test_a_cell_with_a_leaf_that_cannot_run_records_its_message(monkeypatch):
+    calls = []
+    evaluate = BenchmarkFunction.__call__
+    monkeypatch.setattr(BenchmarkFunction, "__call__", lambda self, x: calls.append(x) or evaluate(self, x))
+    problem = SuiteProblem("sphere-d1", FunctionSpec("sphere", 1), budgets=(20,))
+    spec = parse_algorithm(FASTGA_ON_ONE_VARIABLE)
+    record = run_cell("lazy", problem, 20, 1, FASTGA_ON_ONE_VARIABLE, spec, 0, 0)
+    assert record.failed and record.error == "FastGA needs at least 2 variables"
     assert calls == []

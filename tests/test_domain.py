@@ -58,7 +58,7 @@ def test_encoded_dimension_counts_categorical_arity():
 
 def test_derived_flags():
     dom = DomainSpec([continuous(), continuous(0.0, 1.0)])
-    assert dom.all_continuous and dom.fully_continuous
+    assert dom.all_continuous
     assert dom.max_arity == 0
     dom = DomainSpec([integer(0, 1), unbounded_integer()])
     assert dom.all_discrete and dom.has_unbounded_discrete

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from optbench import DomainSpec, RunContext, continuous, run_loop
 from optbench.errors import EvaluationError, ProtocolError
 from optbench.harness import evalserver, external_evaluator_session
+from optbench.harness.evalserver import ExternalEvaluator
 
 SPHERE_CHILD = textwrap.dedent(
     """
@@ -132,6 +134,41 @@ def test_loss_reply_without_a_numeric_value_is_a_protocol_error(tmp_path, reply)
     with external_evaluator_session(command, timeout=20.0) as external:
         with pytest.raises(ProtocolError, match="no numeric value"):
             external(np.zeros(2))
+
+
+def test_a_reply_sent_with_the_hello_is_read_at_once(tmp_path):
+    # both lines arrive in one read; the reply must not wait behind select()
+    source = textwrap.dedent(
+        """
+        import json, sys
+        hello = json.dumps({"type": "hello", "dimension": 1})
+        loss = json.dumps({"type": "loss", "id": 0, "value": 1.5})
+        sys.stdout.write(hello + "\\n" + loss + "\\n")
+        sys.stdout.flush()
+        sys.stdin.read()
+        """
+    )
+    with ExternalEvaluator(child_command(tmp_path, source, "eager_child.py"), timeout=2.0) as external:
+        start = time.monotonic()
+        assert external(np.zeros(1)) == 1.5
+        assert time.monotonic() - start < 1.0
+
+
+def test_a_reply_split_over_two_writes_is_joined(tmp_path):
+    source = textwrap.dedent(
+        """
+        import json, sys, time
+        print(json.dumps({"type": "hello", "dimension": 1}), flush=True)
+        for line in sys.stdin:
+            reply = json.dumps({"type": "loss", "id": json.loads(line)["id"], "value": 2.5})
+            sys.stdout.write(reply[:10])
+            sys.stdout.flush()
+            time.sleep(0.05)
+            print(reply[10:], flush=True)
+        """
+    )
+    with ExternalEvaluator(child_command(tmp_path, source, "split_child.py"), timeout=20.0) as external:
+        assert [external(np.zeros(1)) for _ in range(2)] == [2.5, 2.5]
 
 
 def _record_children(monkeypatch) -> list:

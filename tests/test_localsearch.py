@@ -12,7 +12,6 @@ from optbench.solvers.localsearch import (
     SlidingModel,
     TrustRegion,
     quadratic_fit_step,
-    quadratic_model_step,
 )
 from optbench.solvers.metamodel import fit_quadratic, quadratic_feature_count
 
@@ -32,7 +31,7 @@ def test_quadratic_step_proposes_exact_vertex():
     # archive {0, 1, 2} on f(x) = (x-3)^2, rho 5: proposal x = 3
     points = np.array([[0.0], [1.0], [2.0]])
     losses = np.array([9.0, 4.0, 1.0])
-    proposal = quadratic_model_step(points, losses, origin=np.array([2.0]), rho=5.0)
+    proposal = quadratic_fit_step(fit_quadratic(points, losses), origin=np.array([2.0]), rho=5.0)
     assert proposal is not None
     assert abs(proposal[0] - 3.0) < 1e-9
 
@@ -40,7 +39,7 @@ def test_quadratic_step_proposes_exact_vertex():
 def test_quadratic_step_clips_to_trust_radius():
     points = np.array([[0.0], [1.0], [2.0]])
     losses = np.array([9.0, 4.0, 1.0])
-    proposal = quadratic_model_step(points, losses, origin=np.array([2.0]), rho=0.5)
+    proposal = quadratic_fit_step(fit_quadratic(points, losses), origin=np.array([2.0]), rho=0.5)
     assert abs(proposal[0] - 2.5) < 1e-9
 
 
@@ -48,7 +47,7 @@ def test_degenerate_fit_returns_none():
     points = np.array([[1.0], [1.0], [1.0]])
     losses = np.array([2.0, 2.0, 2.0])
     assert SlidingModel(points[:2], losses[:2], quadratic=False).fit() is None
-    assert quadratic_model_step(points, losses, np.array([1.0]), 1.0) is None
+    assert fit_quadratic(points, losses) is None
 
 
 def run_solver(solver_cls, f, dom, budget, seed=0, init=None, **kwargs):
@@ -199,7 +198,7 @@ def test_duplicate_point_forces_a_factorization_that_rejects_the_window():
     assert model.threshold_hits == 1 and model.factorizations == 2
     assert model.fit() is None
     window = np.vstack([points[1:], points[4]])
-    assert quadratic_model_step(window, np.append(values[1:], 0.5), points[4], 1.0) is None
+    assert fit_quadratic(window, np.append(values[1:], 0.5)) is None
 
 
 def test_full_factorizations_are_scheduled_or_forced(monkeypatch):

@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optbench import (
-    ConfigurationError,
     DomainSpec,
     RunContext,
     categorical,
     continuous,
     integer,
-    parse_algorithm,
     run_loop,
 )
-from optbench.solvers.softmax import SoftmaxBridge, logit_domain, softmax_probabilities
+from optbench.solvers.softmax import logit_domain, softmax_probabilities
 from optbench.wizard import build_optimizer
 
 
@@ -28,7 +26,7 @@ def test_logit_domain_dimension_accounting():
 
 
 def test_softmax_probability_formula():
-    probs = softmax_probabilities(np.array([10.0, 0.0, 0.0]), temperature=1.0)
+    probs = softmax_probabilities(np.array([10.0, 0.0, 0.0]))
     expected = math.exp(10.0) / (math.exp(10.0) + 2.0)
     assert probs[0] == pytest.approx(expected, rel=1e-12)
     assert probs[0] == pytest.approx(0.99991, abs=1e-5)
@@ -38,7 +36,7 @@ def test_zero_logits_sample_uniformly_and_decode_to_category_zero():
     dom = DomainSpec([categorical(4)])
     ctx = RunContext(dom, budget=4000, master_seed=0)
     bridge = build_optimizer("softmax(oneshot)", ctx)
-    probs = softmax_probabilities(np.zeros(4), 1.0)
+    probs = softmax_probabilities(np.zeros(4))
     assert np.allclose(probs, 0.25)
     assert bridge.decode(np.zeros(4), stochastic=False)[0] == 0.0  # tie -> lowest index
 
@@ -55,15 +53,6 @@ def test_bridge_without_categoricals_is_a_pure_pass_through():
     rec, _ = run_loop("softmax(cma)", f, ctx)
     dom.validate(rec.point)
     assert f(rec.point) < 0.5
-
-
-def test_bridge_rejects_bad_temperature():
-    dom = DomainSpec([categorical(3)])
-    ctx = RunContext(dom, budget=10)
-    with pytest.raises(ConfigurationError):
-        from optbench.solvers.softmax import SoftmaxBridge
-
-        SoftmaxBridge(ctx, parse_algorithm("softmax(oneshot)"), build_optimizer, temperature=0.0)
 
 
 def test_bridge_optimizes_mixed_domain():
