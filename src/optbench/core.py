@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DomainSpec
+from .domain import CATEGORICAL_NEEDS_BRIDGE, DomainSpec
 from .errors import (
     BudgetExceededError,
     ConfigurationError,
@@ -54,7 +54,7 @@ class RunContext:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Candidate:
     """One proposed point and the losses observed for it.
 
@@ -153,7 +153,7 @@ class Optimizer:
                 f"budget of {self.budget} evaluations exhausted after {self.num_asks} asks"
             )
         out = self._ask()
-        if isinstance(out, Candidate):
+        if type(out) is Candidate:
             cand = out
             if self._candidates.get(cand.id) is not cand:
                 raise ContractError("solver re-asked a candidate it does not own")
@@ -169,8 +169,9 @@ class Optimizer:
             raise InvalidLossError(f"loss must be finite, got {loss!r}")
         if self._candidates.get(candidate.id) is not candidate:
             raise ContractError(f"candidate id {candidate.id} unknown to this optimizer")
-        first = not candidate.observations
-        candidate.observations.append(loss)
+        observations = candidate.observations
+        first = not observations
+        observations.append(loss)
         self.pending.pop(candidate.id, None)
         if first:
             self.archive.append(candidate)
@@ -217,16 +218,38 @@ class Optimizer:
         return self.incumbent.mean_loss if self.noisy else self._incumbent_loss
 
 
+#: rows of one ``ScalarSolver`` normal block
+NORMAL_BLOCK_ROWS = 64
+
+
 class ScalarSolver(Optimizer):
-    """Base of the solvers that search the domain's standardized scalar view."""
+    """Base of the solvers that search the domain's standardized scalar view.
+
+    ``_normal_row(width)`` hands out the rows of one
+    ``standard_normal((NORMAL_BLOCK_ROWS, width))`` block.  One ``(n, k)``
+    draw equals n sequential length-k draws bit for bit, so a solver that
+    draws nothing else from ``self.rng`` and always asks for the same width
+    sees the stream of per-ask draws.
+    """
 
     @classmethod
     def check_context(cls, context: RunContext) -> None:
-        context.domain.scalar_view  # raises for categorical variables; cached
+        if context.domain.has_categorical:  # builds no ScalarView
+            raise ConfigurationError(CATEGORICAL_NEEDS_BRIDGE)
 
     def __init__(self, context: RunContext, seed: int = 0, init_point: Sequence[float] | None = None):
         super().__init__(context, seed=seed, init_point=init_point)
         self._view = self.domain.scalar_view
+        self._normals = np.empty((0, 0))
+        self._normals_used = 0
+
+    def _normal_row(self, width: int) -> np.ndarray:
+        if self._normals_used == len(self._normals):
+            self._normals = self.rng.standard_normal((NORMAL_BLOCK_ROWS, width))
+            self._normals_used = 0
+        row = self._normals[self._normals_used]
+        self._normals_used += 1
+        return row
 
 
 def run_loop(
@@ -254,11 +277,12 @@ def run_loop(
     fdomain = getattr(function, "domain", None)
     if fdomain is not None and fdomain != context.domain:
         raise ContractError("function domain does not match the run context domain")
+    ask, tell = handle.ask, handle.tell
     history: list[tuple[int, float]] = []
     done = 0
     while done < context.budget:
         wave = min(context.num_workers, context.budget - done)
-        cands = [handle.ask() for _ in range(wave)]
+        cands = (ask(),) if wave == 1 else [ask() for _ in range(wave)]
         for cand in cands:
             try:
                 loss = float(function(cand.point))
@@ -267,7 +291,7 @@ def run_loop(
                     f"objective evaluation {done + 1} failed: {exc}", history=history
                 ) from exc
             try:
-                handle.tell(cand, loss)
+                tell(cand, loss)
             except InvalidLossError as exc:
                 raise EvaluationError(str(exc), history=history) from exc
             done += 1

@@ -26,6 +26,8 @@ UNBOUNDED_INTEGER = "unbounded_integer"
 
 _KINDS = (CONTINUOUS, INTEGER, CATEGORICAL, UNBOUNDED_INTEGER)
 
+CATEGORICAL_NEEDS_BRIDGE = "categorical variables need the softmax bridge, not a scalar view"
+
 
 @dataclass(frozen=True)
 class VariableSpec:
@@ -220,11 +222,8 @@ class ScalarView:
     """
 
     def __init__(self, domain: DomainSpec):
-        for v in domain.variables:
-            if v.kind == CATEGORICAL:
-                raise ConfigurationError(
-                    "categorical variables need the softmax bridge, not a scalar view"
-                )
+        if domain.has_categorical:
+            raise ConfigurationError(CATEGORICAL_NEEDS_BRIDGE)
         self.domain = domain
         n = len(domain.variables)
         self.dim = n
@@ -257,11 +256,12 @@ class ScalarView:
         self.z_upper = (hi - self.center) / scale
 
     def decode(self, z: np.ndarray) -> np.ndarray:
+        """The point of ``z``, or one point per row of an ``(n, dim)`` block."""
         x = self.center + self.scale * z
         if self.bounded:
             np.clip(x, self.lower, self.upper, out=x)
         if self.any_int:
-            x[self.int_mask] = np.rint(x[self.int_mask])
+            x[..., self.int_mask] = np.rint(x[..., self.int_mask])
         return x
 
     def encode(self, x: Sequence[float]) -> np.ndarray:

@@ -85,7 +85,7 @@ class CmaEs(ScalarSolver):
             self._eig_stale = False
             self._lazy_gap = max(1, int(1.0 / ((self.c_1 + self.c_mu) * d * 10.0)))
         self._generations = 0
-        self._sample_queue: list[np.ndarray] = []
+        self._sample_queue: list[tuple[np.ndarray, np.ndarray]] = []  # (x, y), popped from the end
         self._told_y: list[np.ndarray] = []
         self._told_losses: list[float] = []
 
@@ -98,7 +98,8 @@ class CmaEs(ScalarSolver):
             if self._eig_stale:
                 self._decompose()
             ys = (n * self._eig_scale) @ self._eig_basis.T
-        self._sample_queue.extend(ys)
+        xs = self._view.decode(self.mean + self.sigma * ys)
+        self._sample_queue = list(zip(xs, ys))
 
     def _decompose(self) -> None:
         vals, basis = np.linalg.eigh(self.cov)
@@ -113,8 +114,8 @@ class CmaEs(ScalarSolver):
     def _ask(self) -> Candidate:
         if not self._sample_queue:
             self._sample_batch()
-        y = self._sample_queue.pop()
-        return self._new_candidate(self._view.decode(self.mean + self.sigma * y), payload=y)
+        x, y = self._sample_queue.pop()
+        return self._new_candidate(x, payload=y)
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
         y, candidate.payload = candidate.payload, None

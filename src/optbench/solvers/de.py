@@ -16,6 +16,12 @@ class DifferentialEvolution(ScalarSolver):
     next population slot with a mutant ``a + F (b - c)`` built from three
     distinct other slots.  A slot is replaced when the trial's loss does not
     exceed the slot's, so slot losses never increase in noise-free mode.
+
+    Each generation (``NP`` consecutive asks) draws one *plan* with one call
+    per array: three uniforms per slot, mapped to three distinct slots that
+    are evaluated and differ from it, a crossover mask ``random < CR`` per
+    slot, and one forced mutant coordinate per slot.  An ask then does only
+    the arithmetic.
     """
 
     def __init__(
@@ -44,6 +50,10 @@ class DifferentialEvolution(ScalarSolver):
         self.positions = np.zeros((np_size, d))
         self.losses = np.full(np_size, np.inf)
         self._initialized = np.zeros(np_size, dtype=bool)
+        self._num_ready = 0
+        self._plan_generation = -1
+        self._donors: list[list[int]] = []  # plan: slot -> [a, b, c]
+        self._masks = np.empty((0, 0), dtype=bool)  # plan: slot -> crossover mask
         self._init_samples = self._draw_init(lhs_init)
         if self.init_point is not None:
             self._init_samples[0] = self._view.encode(self.init_point)
@@ -62,27 +72,50 @@ class DifferentialEvolution(ScalarSolver):
         return lo + u * (hi - lo)
 
     def _ask(self) -> Candidate:
-        slot = self._cursor % self.np_size
+        generation, slot = divmod(self._cursor, self.np_size)
         self._cursor += 1
         if not self._initialized[slot]:
             z = self._init_samples[slot].copy()
         else:
-            z = self._trial(slot)
+            z = self._trial(generation, slot)
         return self._new_candidate(self._view.decode(z), payload=(slot, z))
 
-    def _trial(self, slot: int) -> np.ndarray:
-        ready = np.flatnonzero(self._initialized)
-        pool = ready[ready != slot]
-        if len(pool) < 3:
-            # not enough evaluated slots yet: fall back to a fresh sample
+    def _trial(self, generation: int, slot: int) -> np.ndarray:
+        if self._num_ready < 4:
+            # fewer than 3 other evaluated slots: fall back to a fresh sample
             lo, hi = self._view.init_box()
             return lo + self.rng.random(self._view.dim) * (hi - lo)
-        a, b, c = self.rng.choice(pool, size=3, replace=False)
-        mutant = self.positions[a] + self.f_weight * (self.positions[b] - self.positions[c])
-        d = self._view.dim
-        mask = self.rng.random(d) < self.crossover
-        mask[self.rng.integers(d)] = True  # at least one coordinate from the mutant
-        return np.where(mask, mutant, self.positions[slot])
+        if generation != self._plan_generation:
+            self._draw_plan()
+            self._plan_generation = generation
+        a, b, c = self._donors[slot]
+        p = self.positions
+        return np.where(self._masks[slot], p[a] + self.f_weight * (p[b] - p[c]), p[slot])
+
+    def _draw_plan(self) -> None:
+        """Donors and crossover masks of every slot for one generation.
+
+        Slot s picks three distinct indices into its pool, the evaluated
+        slots other than s, by the usual shift: ``k1`` skips ``k0``, ``k2``
+        skips both.  Slots evaluated later in the generation keep drawing
+        from the pool of the plan, which stays evaluated.
+        """
+        n, d = self.np_size, self._view.dim
+        ready = np.flatnonzero(self._initialized)
+        u = self.rng.random((n, 3))
+        masks = self.rng.random((n, d)) < self.crossover
+        masks[np.arange(n), self.rng.integers(d, size=n)] = True  # a coordinate from the mutant
+        # position of each slot among the ready ones; len(ready) for the others
+        position = np.where(self._initialized, np.cumsum(self._initialized) - 1, len(ready))
+        pool = len(ready) - self._initialized
+        k = (u * (pool[:, None] - np.arange(3))).astype(np.intp)
+        k[:, 1] += k[:, 1] >= k[:, 0]
+        low, high = np.minimum(k[:, 0], k[:, 1]), np.maximum(k[:, 0], k[:, 1])
+        k[:, 2] += k[:, 2] >= low
+        k[:, 2] += k[:, 2] >= high
+        k += k >= position[:, None]
+        self._donors = ready[k].tolist()
+        self._masks = masks
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
         entry, candidate.payload = candidate.payload, None
@@ -92,4 +125,6 @@ class DifferentialEvolution(ScalarSolver):
         if loss <= self.losses[slot]:
             self.positions[slot] = z
             self.losses[slot] = loss
-        self._initialized[slot] = True
+        if not self._initialized[slot]:
+            self._initialized[slot] = True
+            self._num_ready += 1

@@ -45,7 +45,7 @@ class OnePlusOneEs(ScalarSolver):
         self._parent_loss: float | None = None
 
     def _ask(self) -> Candidate:
-        z = self._parent + self.sigma * self.rng.standard_normal(self._view.dim)
+        z = self._parent + self.sigma * self._normal_row(self._view.dim)
         return self._new_candidate(self._view.decode(z), payload=z)
 
     def _tell(self, candidate: Candidate, loss: float) -> None:

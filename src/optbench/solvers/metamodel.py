@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..combinators import RoutingOptimizer
-from ..core import Candidate
+from ..core import Candidate, ScalarSolver
 
 
 def quadratic_feature_count(dim: int) -> int:
@@ -115,7 +115,7 @@ class MetamodelWrapper(RoutingOptimizer):
 
     @classmethod
     def child_contexts(cls, spec, context):
-        context.domain.scalar_view  # raises for categorical variables; cached
+        ScalarSolver.check_context(context)
         return [context]
 
     def __init__(self, context, spec, builder, path=(), seed=0, init_point=None):

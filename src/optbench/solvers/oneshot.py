@@ -25,5 +25,5 @@ class OneShotRecentering(ScalarSolver):
         self.sigma_r = recentering_std(self.budget, self._view.dim)
 
     def _ask(self) -> np.ndarray:
-        z = self.sigma_r * self.rng.standard_normal(self._view.dim)
+        z = self.sigma_r * self._normal_row(self._view.dim)
         return self._view.decode(z)

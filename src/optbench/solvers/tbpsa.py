@@ -56,9 +56,9 @@ class Tbpsa(ScalarSolver):
         self._best_single: tuple[float, np.ndarray] | None = None
 
     def _ask(self) -> Candidate:
-        d = self._view.dim
-        log_sigma_i = math.log(self.sigma) + self.tau * self.rng.standard_normal()
-        z = self.center + math.exp(log_sigma_i) * self.rng.standard_normal(d)
+        draw = self._normal_row(self._view.dim + 1)  # the sigma draw, then the step
+        log_sigma_i = math.log(self.sigma) + self.tau * float(draw[0])
+        z = self.center + math.exp(log_sigma_i) * draw[1:]
         return self._new_candidate(self._view.decode(z), payload=(z, log_sigma_i))
 
     def _tell(self, candidate: Candidate, loss: float) -> None:

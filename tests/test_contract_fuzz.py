@@ -1,7 +1,9 @@
 """Cross-solver contract properties over fuzzed domains.
 
 Every solver must emit only in-domain points, tolerate the full parallelism
-contract, and keep a non-increasing incumbent in noise-free mode.
+contract, and keep a non-increasing incumbent in noise-free mode.  A state
+machine also drives one handle through ask, tell, re-tell and recommend in
+any order, which the wave-shaped ``run_loop`` never does.
 """
 
 import math
@@ -10,8 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from optbench import (
+    BudgetExceededError,
     DomainSpec,
     RunContext,
     build_optimizer,
@@ -137,3 +148,72 @@ def test_wizard_built_optimizer_contract_on_scalar_domains(dom, seed, noisy):
     ctx = RunContext(dom, budget=budget, noisy=noisy, master_seed=seed)
     handle = build_optimizer("abbo", ctx)
     drive(handle, dom, budget, 1, np.random.default_rng(seed))
+
+
+class AskTellMachine(RuleBasedStateMachine):
+    """One noise-free handle under arbitrary ask/tell/re-tell/recommend
+    order, against a model of the pending set and the incumbent."""
+
+    def __init__(self, alg):
+        super().__init__()
+        self.alg = alg
+
+    @initialize(
+        dom=scalar_domains(),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(10, 60),
+        workers=st.integers(1, 5),
+    )
+    def build(self, dom, seed, budget, workers):
+        self.domain = dom
+        self.handle = build_optimizer(self.alg, RunContext(dom, budget=budget, num_workers=workers, master_seed=seed))
+        self.pending = {}
+        self.told = []
+        self.best = (math.inf, None)  # the first strictly lowest told loss and its candidate
+
+    @rule()
+    def ask(self):
+        if self.handle.num_asks == self.handle.budget:
+            with pytest.raises(BudgetExceededError):
+                self.handle.ask()
+            return
+        cand = self.handle.ask()
+        self.domain.validate(cand.point)
+        self.pending[cand.id] = cand
+
+    def _tell(self, cand, loss):
+        self.handle.tell(cand, loss)
+        self.pending.pop(cand.id, None)
+        self.told.append(cand)
+        if loss < self.best[0]:
+            self.best = (loss, cand)
+
+    @precondition(lambda self: self.pending)
+    @rule(data=st.data(), loss=st.floats(-10.0, 10.0))
+    def tell(self, data, loss):
+        self._tell(self.pending[data.draw(st.sampled_from(sorted(self.pending)))], loss)
+
+    @precondition(lambda self: self.told)
+    @rule(data=st.data(), loss=st.floats(-10.0, 10.0))
+    def retell(self, data, loss):
+        self._tell(data.draw(st.sampled_from(self.told)), loss)
+
+    @rule()
+    def recommend(self):
+        self.domain.validate(self.handle.recommend().point)
+
+    @invariant()
+    def contract_holds(self):
+        handle = self.handle
+        assert set(handle.pending) == set(self.pending)
+        assert handle.num_asks <= handle.budget
+        assert handle.incumbent is self.best[1]
+        assert handle.incumbent_loss == self.best[0]
+
+
+@pytest.mark.parametrize("alg", ["de", "cma", "tbpsa", "one-plus-one-es", "bet(tbpsa,de;0.2)"])
+def test_ask_tell_in_any_order(alg):
+    run_state_machine_as_test(
+        lambda: AskTellMachine(alg),
+        settings=settings(max_examples=20, stateful_step_count=50, deadline=None),
+    )

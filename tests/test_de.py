@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -29,23 +31,17 @@ def test_population_size_validation():
 def test_cr_one_trial_equals_mutant():
     de = make_de(d=5, seed=1, population_size=6, crossover=1.0, f_weight=0.5)
     fill_population(de, lambda x: float(x @ x))
-    slot = de._cursor % de.np_size
-    trial = de._trial(slot)
-    # reproduce the mutant with the same rng draws
-    de2 = make_de(d=5, seed=1, population_size=6, crossover=1.0, f_weight=0.5)
-    fill_population(de2, lambda x: float(x @ x))
-    pool = np.flatnonzero(de2._initialized)
-    pool = pool[pool != slot]
-    a, b, c = de2.rng.choice(pool, size=3, replace=False)
-    mutant = de2.positions[a] + 0.5 * (de2.positions[b] - de2.positions[c])
+    slot, trial = de.ask().payload
+    # the mutant of the donors the generation's plan holds for the slot
+    a, b, c = de._donors[slot]
+    mutant = de.positions[a] + 0.5 * (de.positions[b] - de.positions[c])
     assert np.allclose(trial, mutant)
 
 
 def test_f_zero_cr_one_trial_equals_a():
     de = make_de(d=5, seed=2, population_size=6, crossover=1.0, f_weight=0.0)
     fill_population(de, lambda x: float(x @ x))
-    slot = de._cursor % de.np_size
-    trial = de._trial(slot)
+    _slot, trial = de.ask().payload
     matches = [np.allclose(trial, de.positions[i]) for i in range(de.np_size)]
     assert any(matches)  # equals one of the existing members (the base a)
 
@@ -113,3 +109,52 @@ def test_bounded_domain_points_always_valid():
         cand = de.ask()
         dom.validate(cand.point)
         de.tell(cand, float(cand.point @ cand.point))
+
+
+def check_plan(de, ready):
+    """Donors of each evaluated slot: distinct, other than the slot, in
+    range and evaluated; one mutant coordinate per mask row at CR = 0."""
+    n = de.np_size
+    for slot in np.flatnonzero(ready):
+        donors = de._donors[slot]
+        assert len(set(donors)) == 3 and slot not in donors
+        assert all(0 <= i < n and ready[i] for i in donors)
+    assert np.array_equal(de._masks.sum(axis=1), np.ones(n))
+
+
+@pytest.mark.parametrize("np_size", [4, 5, 30, 200])
+def test_plan_properties(np_size):
+    d = 6
+    rng = np.random.default_rng(np_size)
+    for seed in range(3):
+        de = make_de(d=d, seed=seed, budget=10 * np_size, population_size=np_size, crossover=0.0)
+        init = [de.ask() for _ in range(np_size)]
+        # a partly initialized population: tell a random subset, ask past it
+        told = rng.choice(np_size, size=int(rng.integers(4, np_size + 1)), replace=False)
+        for i in told:
+            de.tell(init[i], float(rng.random()))
+        ready = de._initialized.copy()
+        trials = [de.ask() for _ in range(np_size)]
+        check_plan(de, ready)
+        for cand in trials:
+            slot, z = cand.payload
+            if ready[slot]:  # CR = 0: the forced coordinate alone comes from the mutant
+                assert np.count_nonzero(z != de.positions[slot]) == 1
+        for cand in init + trials:
+            if cand.payload is not None:
+                de.tell(cand, float(rng.random()))
+        de.ask()  # the next generation's plan, on the full population
+        check_plan(de, de._initialized)
+
+
+@pytest.mark.parametrize("np_size", [4, 5, 30, 200])
+def test_plan_masks_include_the_forced_coordinate(np_size):
+    d = 3  # at CR = 0.5 a row draws no coordinate with probability 1/8
+    de = make_de(d=d, seed=7, budget=3 * np_size, population_size=np_size)
+    fill_population(de, lambda x: float(x @ x))
+    replay = copy.deepcopy(de.rng)
+    de.ask()
+    replay.random((np_size, 3))
+    replay.random((np_size, d))
+    forced = replay.integers(d, size=np_size)
+    assert de._masks[np.arange(np_size), forced].all()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optbench import (
+    ConfigurationError,
     DomainSpec,
     RegistryError,
     RunContext,
@@ -20,6 +21,7 @@ from optbench import (
     select_algorithm,
     unbounded_integer,
 )
+from optbench.domain import CATEGORICAL_NEEDS_BRIDGE
 from optbench.solvers import REGISTRY
 from optbench.solvers.cma import CmaEs
 from optbench.wizard import validate_spec
@@ -245,3 +247,20 @@ def test_validation_builds_each_leaf_and_names_it(spec, reason):
         validate_spec(spec)
     leaf = spec.removeprefix("meta(").removesuffix(")")
     assert str(err.value).startswith(f"bad parameter value in {leaf!r}: {reason}")
+
+
+@pytest.mark.parametrize("spec", ["de", "cma", "meta(cma)"])
+def test_scalar_leaf_check_builds_no_scalar_view(spec):
+    dom = DomainSpec([continuous() for _ in range(6)])
+    validate_spec(spec, RunContext(dom, budget=200))
+    assert "scalar_view" not in dom.__dict__
+
+
+@pytest.mark.parametrize("spec", ["de", "meta(cma)"])
+def test_scalar_leaf_check_rejects_categorical_with_the_view_message(spec):
+    dom = DomainSpec([categorical(3), continuous()])
+    with pytest.raises(ConfigurationError) as view_err:
+        dom.scalar_view
+    with pytest.raises(ConfigurationError) as check_err:
+        validate_spec(spec, RunContext(dom, budget=200))
+    assert str(check_err.value) == str(view_err.value) == CATEGORICAL_NEEDS_BRIDGE
