@@ -40,50 +40,60 @@ _TWO_PI = 2.0 * math.pi
 
 
 def sphere(y: np.ndarray) -> float:
-    return float(y @ y)
+    return float(np.dot(y, y))
 
 
 def cigar(y: np.ndarray) -> float:
     tail = y[1:]
-    return float(y[0] * y[0] + 1e6 * (tail @ tail))
+    return float(y[0] * y[0] + 1e6 * np.dot(tail, tail))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # cached and shared by every call
+    return a
 
 
 @lru_cache(maxsize=None)
 def _ellipsoid_weights(d: int) -> np.ndarray:
     if d == 1:
-        return np.ones(1)
-    return 10.0 ** (6.0 * np.arange(d) / (d - 1))
+        return _read_only(np.ones(1))
+    return _read_only(10.0 ** (6.0 * np.arange(d) / (d - 1)))
 
 
 def ellipsoid(y: np.ndarray) -> float:
-    return float(_ellipsoid_weights(len(y)) @ (y * y))
+    return float(np.dot(_ellipsoid_weights(len(y)), y * y))
 
 
 def hm(y: np.ndarray) -> float:
-    safe = np.where(y == 0.0, 1.0, y)
-    terms = y * y * (1.1 + np.cos(1.0 / safe))
-    return float(np.where(y == 0.0, 0.0, terms).sum())
+    zero = y == 0.0
+    terms = y * y * (1.1 + np.cos(1.0 / np.where(zero, 1.0, y)))
+    return float(np.add.reduce(np.where(zero, 0.0, terms)))
 
 
 def ackley(y: np.ndarray) -> float:
     d = len(y)
     return float(
-        -20.0 * math.exp(-0.2 * math.sqrt((y @ y) / d))
-        - math.exp(np.cos(_TWO_PI * y).sum() / d)
+        -20.0 * math.exp(-0.2 * math.sqrt(np.dot(y, y) / d))
+        - math.exp(np.add.reduce(np.cos(_TWO_PI * y)) / d)
         + 20.0
         + math.e
     )
 
 
+@lru_cache(maxsize=None)
+def _griewank_scales(d: int) -> np.ndarray:
+    return _read_only(np.sqrt(np.arange(1, d + 1)))
+
+
 def griewank(y: np.ndarray) -> float:
-    d = len(y)
-    return float(1.0 + (y @ y) / 4000.0 - np.prod(np.cos(y / np.sqrt(np.arange(1, d + 1)))))
+    return float(1.0 + np.dot(y, y) / 4000.0 - np.multiply.reduce(np.cos(y / _griewank_scales(len(y)))))
 
 
 def rosenbrock(y: np.ndarray) -> float:
     a = y[:-1]
-    b = y[1:]
-    return float(np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2))
+    t = y[1:] - a * a
+    u = 1.0 - a
+    return float(np.add.reduce(100.0 * (t * t) + u * u))
 
 
 _LUNACEK_MU0 = 2.5
@@ -96,19 +106,19 @@ def lunacek(y: np.ndarray) -> float:
     a = y - _LUNACEK_MU0
     b = y - mu1
     return float(
-        min(a @ a, d + s * (b @ b)) + 10.0 * np.sum(1.0 - np.cos(_TWO_PI * a))
+        min(np.dot(a, a), d + s * np.dot(b, b)) + 10.0 * np.add.reduce(1.0 - np.cos(_TWO_PI * a))
     )
 
 
 def deceptive_multimodal(y: np.ndarray) -> float:
-    r = float(np.sqrt(y @ y))
+    r = math.sqrt(np.dot(y, y))
     if r == 0.0:
         return 0.0
     return r * (1.0 + 0.9 * math.cos(_TWO_PI * math.log2(r)))
 
 
 def onemax(v: np.ndarray) -> float:
-    return float(np.sum(v != 1.0))
+    return float(np.count_nonzero(v != 1.0))
 
 
 def leadingones(v: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,7 +178,7 @@ class BenchmarkFunction:
         if self._t is not None:
             y = y - self._t
         if self._M is not None:
-            y = self._M @ y
+            y = np.dot(self._M, y)
         if self._S is not None:
             y = self._S * y
         return self._inner(y)
@@ -207,33 +208,54 @@ class _Composite(BenchmarkFunction):
         sets = [set(block.indices) for block in spec.blocks]
         # overlapping blocks can conflict, so only disjoint ones have a known minimum
         self.known_minimum = 0.0 if sum(map(len, sets)) == len(set().union(*sets)) else None
-        self._blocks = []
-        for block in spec.blocks:
-            idx = np.asarray(block.indices, dtype=int)
-            bt = bm = None
-            if block.seed is not None:
-                brng = np.random.default_rng(derive_seed(block.seed, ["block"]))
-                bt = brng.standard_normal(len(idx))
-                bm = _haar_orthogonal(brng, len(idx))
-            self._blocks.append((get_base(block.base), idx, block.weight, bt, bm))
+        self._gather, self._shift, self._entries = _block_plan(spec.blocks)
 
     def _inner(self, y: np.ndarray) -> float:
+        # one gather and one shift for all blocks; block i owns z[start:stop]
+        z = y[self._gather]
+        z -= self._shift
         total = 0.0
-        for entry, idx, weight, bt, bm in self._blocks:
-            sub = y[idx]
-            if bt is not None:
-                sub = bm @ (sub - bt)
-            total += weight * entry.fn(sub)
+        for fn, start, stop, weight, rotation in self._entries:
+            sub = z[start:stop]
+            if rotation is not None:
+                sub = np.dot(rotation, sub)
+            total += weight * fn(sub)
         return total
 
     def _inner_minimum(self) -> np.ndarray:
         inner = np.zeros(self.spec.dimension)
-        for entry, idx, _weight, bt, bm in self._blocks:
-            m = entry.minimum_point(len(idx))
-            if bt is not None:
-                m = bt + bm.T @ m
-            inner[idx] = m
+        for block, (_fn, start, stop, _weight, rotation) in zip(self.spec.blocks, self._entries):
+            m = get_base(block.base).minimum_point(stop - start)
+            if rotation is not None:
+                m = self._shift[start:stop] + rotation.T @ m
+            inner[self._gather[start:stop]] = m
         return inner
+
+
+@lru_cache(maxsize=8)
+def _block_plan(blocks: tuple[CompositeBlock, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A composite's concatenated block indices and shifts, and one
+    ``(fn, start, stop, weight, rotation)`` entry per block in spec order.
+
+    A block without a seed has a zero shift and no rotation.  Instances with
+    equal blocks share the result, so its arrays are read-only.
+    """
+    shifts, entries, start = [], [], 0
+    for block in blocks:
+        size = len(block.indices)
+        shift, rotation = np.zeros(size), None
+        if block.seed is not None:
+            brng = np.random.default_rng(derive_seed(block.seed, ["block"]))
+            shift = brng.standard_normal(size)
+            rotation = _haar_orthogonal(brng, size)
+            rotation.flags.writeable = False
+        shifts.append(shift)
+        entries.append((get_base(block.base).fn, start, start + size, block.weight, rotation))
+        start += size
+    gather = np.array([i for block in blocks for i in block.indices], dtype=np.intp)
+    shift = np.concatenate(shifts)
+    gather.flags.writeable = shift.flags.writeable = False
+    return gather, shift, tuple(entries)
 
 
 class _Tsp(BenchmarkFunction):

@@ -12,7 +12,8 @@ factory's keywords as its other fields: continuous (lower/upper/scale),
 integer (low/high), categorical (arity), unbounded_integer; a missing,
 unknown or rejected field is a ProtocolError.  Malformed replies, id
 mismatches, timeouts, and child death raise; the harness marks the affected
-cell failed and moves on.
+cell failed and moves on.  The child's stderr goes to an unnamed temporary
+file, and an optbench error that ends a session carries its last 2 KB.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import select
 import shlex
 import subprocess
+import tempfile
 import time
 
 import numpy as np
@@ -29,6 +31,9 @@ import numpy as np
 from ..domain import DomainSpec, VariableSpec, categorical, continuous, integer, unbounded_integer
 from ..errors import EvaluationError, OptbenchError, ProtocolError
 
+
+#: bytes of the child's stderr kept in an error message
+_STDERR_TAIL = 2048
 
 #: variable kind -> the domain factory of that name
 _FACTORIES = {f.__name__: f for f in (continuous, integer, categorical, unbounded_integer)}
@@ -51,9 +56,15 @@ class ExternalEvaluator:
     def __init__(self, command: str, timeout: float = 30.0):
         self.command = command
         self.timeout = timeout
-        self._proc = subprocess.Popen(
-            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
-        )
+        # a file, not a pipe, so a chatty child never blocks on its stderr
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self._proc = subprocess.Popen(
+                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr
+            )
+        except BaseException:
+            self._stderr.close()
+            raise
         # every read goes through this one buffer, so a line the child wrote
         # together with an earlier one is never left waiting behind select()
         self._received = b""
@@ -71,7 +82,8 @@ class ExternalEvaluator:
             self.domain = DomainSpec([_variable_from_obj(v) for v in variables])
             if len(self.domain.variables) != dim:
                 raise ProtocolError("handshake dimension does not match its variable list")
-        except BaseException:
+        except BaseException as exc:
+            self._add_stderr(exc)
             self.close()  # a failed handshake leaves no child behind
             raise
 
@@ -118,6 +130,17 @@ class ExternalEvaluator:
             raise ProtocolError(f"loss reply to request {msg_id} has no numeric value: {reply!r}")
         return float(reply["value"])
 
+    def _add_stderr(self, exc: BaseException) -> None:
+        """Append the last bytes the child wrote to stderr to an optbench error's message."""
+        if not isinstance(exc, OptbenchError):
+            return
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        # pread leaves the file offset, which the child shares, where it is
+        tail = os.pread(fd, min(size, _STDERR_TAIL), max(0, size - _STDERR_TAIL))
+        if tail.strip():
+            exc.args = (f"{exc}; child stderr: {tail.decode(errors='replace')!r}",)
+
     def close(self) -> None:
         if self._proc.poll() is None:
             self._proc.terminate()
@@ -131,11 +154,14 @@ class ExternalEvaluator:
                 pipe.close()
             except BrokenPipeError:  # unsent output to a child that is gone
                 pass
+        self._stderr.close()
 
     def __enter__(self) -> "ExternalEvaluator":
         return self
 
-    def __exit__(self, *_exc) -> None:
+    def __exit__(self, _type, exc, _traceback) -> None:
+        if exc is not None:
+            self._add_stderr(exc)
         self.close()
 
 
