@@ -213,7 +213,9 @@ class BetAndRunOptimizer(RoutingOptimizer):
         idx = self.children.index(candidate.payload[0])
         if loss < self._best[idx]:
             self._best[idx] = loss
-        if self.survivor is None and self.num_tells >= sum(self._phase_allocs):
+        # distinct candidates, so a re-tell cannot end phase 1 before every
+        # child has had its phase-1 asks
+        if self.survivor is None and len(self.archive) >= sum(self._phase_allocs):
             self._pick_survivor()
 
     def _pick_survivor(self) -> None:

@@ -16,10 +16,12 @@ from optbench import (
     parse_algorithm,
     run_loop,
 )
-from optbench.bench.suites import SuiteProblem
-from optbench.bench.transforms import BenchmarkFunction, FunctionSpec
+from optbench.bench.suites import BenchmarkSuite, SuiteProblem
+from optbench.bench.transforms import BenchmarkFunction, FunctionSpec, TransformSpec
+from optbench.bench.tsp import simple_tsp
 from optbench.combinators import ProgressiveWidening, chain_allocations
-from optbench.harness.experiment import run_cell
+from optbench.harness.experiment import run_cell, run_experiment
+from optbench.harness.records import record_to_line
 from optbench.solvers import MetamodelWrapper, SoftmaxBridge
 from optbench.wizard import build_optimizer
 
@@ -207,6 +209,19 @@ def test_bet_and_run_budget_conservation():
     assert sum(c.num_tells for c in handle.children) == 157
 
 
+def test_a_re_tell_does_not_end_phase_1_early():
+    # phase 1 is one ask per child; a re-tell of child 0's candidate used to
+    # make child 0 the survivor, which then ran out of its 9 evaluations
+    handle = build_optimizer("bet(tbpsa,de;0.2)", RunContext(sphere_domain(1), budget=10, master_seed=0))
+    cand = handle.ask()
+    handle.tell(cand, 0.0)
+    handle.tell(cand, 0.0)
+    assert handle.survivor is None
+    for _ in range(9):
+        handle.tell(handle.ask(), 1.0)
+    assert handle.num_asks == 10 and [c.num_asks for c in handle.children] == [9, 1]
+
+
 # ---------------------------------------------------------------------------
 # progressive widening
 
@@ -360,6 +375,31 @@ def test_budget_conservation_over_random_trees(spec_text, domain_name, budget, w
     assert len(history) == budget
     assert handle.num_asks == handle.num_tells == budget
     assert handle.pending == {}
+
+
+#: continuous, noisy, binary and permutation problems, each small
+RECORDS_SUITE_SPECS = {
+    "sphere-d3": FunctionSpec("sphere", 3),
+    "sphere-d3-noisy": FunctionSpec("sphere", 3, TransformSpec(noise_std=1.0, transform_seed=1)),
+    "onemax-d8": FunctionSpec("onemax", 8),
+    "simple_tsp-6": simple_tsp(6, 2),
+}
+
+
+@given(spec_trees(), st.integers(10, 60), st.integers(0, 10_000))
+@settings(max_examples=12, deadline=None)
+def test_records_are_the_same_bytes_for_one_and_two_workers(spec_text, budget, master_seed):
+    # the pool changes only wall time: same cells, same order, same bytes,
+    # failed cells included
+    suite = BenchmarkSuite(
+        "records",
+        tuple(SuiteProblem(name, spec, budgets=(budget,)) for name, spec in RECORDS_SUITE_SPECS.items()),
+    )
+    serial, pooled = (
+        [record_to_line(r) for r in run_experiment(suite, [spec_text], [0], master_seed, jobs=jobs)]
+        for jobs in (1, 2)
+    )
+    assert serial == pooled
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from optbench import DomainSpec, RunContext, continuous, run_loop
+from optbench.cli import main
 from optbench.errors import EvaluationError, ProtocolError
 from optbench.harness import evalserver, external_evaluator_session
 from optbench.harness.evalserver import ExternalEvaluator
@@ -232,3 +233,38 @@ def test_handshake_dimension_must_be_a_positive_integer(tmp_path, monkeypatch, h
     (child,) = children
     assert child.returncode is not None  # terminated and reaped
     assert child.stdin.closed and child.stdout.closed
+
+
+def test_a_child_that_dies_before_its_hello_leaves_its_traceback_in_the_error(tmp_path, monkeypatch, capsys):
+    children = _record_children(monkeypatch)
+    command = child_command(tmp_path, "raise RuntimeError('no hello today')\n", "dead_child.py")
+    with pytest.raises(EvaluationError, match=r"closed its output; child stderr: 'Traceback.*RuntimeError: no hello today"):
+        external_evaluator_session(command, timeout=20.0)
+    assert children[0].returncode is not None
+    # through the CLI: one error line, exit 2
+    assert main(["eval-server", "--cmd", command, "--algs", "cma", "--budget", "5"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: external evaluator closed its output; child stderr:")
+    assert "RuntimeError: no hello today" in line
+
+
+def test_an_error_in_a_session_keeps_the_last_2_kb_of_stderr(tmp_path):
+    # 1 MB of stderr before the hello would fill a pipe nobody reads
+    source = DYING_CHILD.replace(
+        "count = 0", "sys.stderr.write('x' * 1_000_000); sys.stderr.flush()\ncount = 0"
+    ).replace("sys.exit(1)", "sys.exit('gave up after three')")
+    command = child_command(tmp_path, source, "chatty_child.py")
+    with pytest.raises(EvaluationError) as err:
+        with external_evaluator_session(command, timeout=20.0) as external:
+            run_loop("one-plus-one-es", external, RunContext(external.domain, budget=10))
+    message = str(err.value)
+    assert message.startswith("objective evaluation 4 failed: external evaluator closed its output; child stderr: '")
+    assert message.endswith("gave up after three\\n'")
+    assert len(message) < 2200 and len(err.value.history) == 3
+
+
+def test_a_quiet_child_adds_nothing_to_the_error(tmp_path):
+    with pytest.raises(ProtocolError) as err:
+        with external_evaluator_session(child_command(tmp_path, BAD_ID_CHILD, "bad_id_child.py")) as external:
+            external(np.zeros(2))
+    assert "stderr" not in str(err.value)
