@@ -390,13 +390,13 @@ RECORDS_SUITE_SPECS = {
 @settings(max_examples=12, deadline=None)
 def test_records_are_the_same_bytes_for_one_and_two_workers(spec_text, budget, master_seed):
     # the pool changes only wall time: same cells, same order, same bytes,
-    # failed cells included
+    # failed cells included; 8 cells make two chunks, one per worker
     suite = BenchmarkSuite(
         "records",
         tuple(SuiteProblem(name, spec, budgets=(budget,)) for name, spec in RECORDS_SUITE_SPECS.items()),
     )
     serial, pooled = (
-        [record_to_line(r) for r in run_experiment(suite, [spec_text], [0], master_seed, jobs=jobs)]
+        [record_to_line(r) for r in run_experiment(suite, [spec_text], [0, 1], master_seed, jobs=jobs)]
         for jobs in (1, 2)
     )
     assert serial == pooled
