@@ -16,13 +16,9 @@ cases = {
     "parallel, tiny d": SelectionContext(dimension=3, budget=80, num_workers=20),
     "noisy, moderate d": SelectionContext(dimension=25, budget=1000, noisy=True),
     "noisy, high d": SelectionContext(dimension=200, budget=1000, noisy=True),
-    "binary strings": SelectionContext(
-        dimension=20, budget=500, has_discrete=True, all_discrete=True,
-        max_arity=2, fully_continuous=False,
-    ),
+    "binary strings": SelectionContext(dimension=20, budget=500, has_discrete=True, max_arity=2),
     "categorical, arity 10": SelectionContext(
-        dimension=10, budget=500, has_discrete=True, has_categorical=True,
-        max_arity=10, fully_continuous=False,
+        dimension=10, budget=500, has_discrete=True, has_categorical=True, max_arity=10,
     ),
 }
 

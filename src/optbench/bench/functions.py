@@ -12,7 +12,7 @@ all-2.5 vector.  Definitions used here:
     griewank(y)   = 1 + sum y^2/4000 - prod cos(y_i / sqrt(i))
     rosenbrock(y) = sum 100 (y_{i+1} - y_i^2)^2 + (1 - y_i)^2
     lunacek(y)    = bi-Rastrigin with mu0 = 2.5,
-                    s = 1 - 1/(2 sqrt(d + 20) - 8.2),
+                    s = 1 - 1/(2 sqrt(d + 20) - 8.2)  (negative at d = 1, so d >= 2),
                     mu1 = -sqrt((mu0^2 - 1)/s):
                     min(sum (y-mu0)^2, d + s sum (y-mu1)^2)
                       + 10 sum (1 - cos(2 pi (y - mu0)))
@@ -127,6 +127,10 @@ def leadingones(v: np.ndarray) -> float:
     return float(d - (ones[0] if ones.size else d))
 
 
+#: the variable of every continuous default domain, one frozen spec shared by all
+UNBOUNDED_CONTINUOUS = continuous()
+
+
 @dataclass(frozen=True)
 class BaseFunction:
     """Catalog entry: callable, default domain builder, analytic minimum."""
@@ -136,12 +140,13 @@ class BaseFunction:
     discrete: bool = False
     minimum_value: float = 0.0
     minimizer: float = 0.0  # the minimum sits at minimizer * ones(d)
+    min_dimension: int = 1  # the fewest variables ``fn`` is defined on
 
     def minimum_point(self, dimension: int) -> np.ndarray:
         return np.full(dimension, self.minimizer)
 
     def default_domain(self, dimension: int) -> DomainSpec:
-        return DomainSpec([integer(0, 1) if self.discrete else continuous() for _ in range(dimension)])
+        return DomainSpec((integer(0, 1) if self.discrete else UNBOUNDED_CONTINUOUS,) * dimension)
 
 
 CATALOG: dict[str, BaseFunction] = {
@@ -154,7 +159,7 @@ CATALOG: dict[str, BaseFunction] = {
         BaseFunction("ackley", ackley),
         BaseFunction("rosenbrock", rosenbrock, minimizer=1.0),
         BaseFunction("griewank", griewank),
-        BaseFunction("lunacek", lunacek, minimizer=_LUNACEK_MU0),
+        BaseFunction("lunacek", lunacek, minimizer=_LUNACEK_MU0, min_dimension=2),
         BaseFunction("deceptive_multimodal", deceptive_multimodal),
         BaseFunction("onemax", onemax, discrete=True, minimizer=1.0),
         BaseFunction("leadingones", leadingones, discrete=True, minimizer=1.0),

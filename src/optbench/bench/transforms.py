@@ -20,10 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..domain import DomainSpec, continuous
+from ..domain import DomainSpec
 from ..errors import ConfigurationError
 from ..seeds import derive_seed
-from .functions import get_base
+from .functions import UNBOUNDED_CONTINUOUS, get_base
 from .tsp import decode_tour, tour_length, tsp_cities, tsp_domain
 
 
@@ -143,8 +143,11 @@ class BenchmarkFunction:
         """Raise ConfigurationError for a spec this kind cannot build."""
         if spec.blocks:
             raise ConfigurationError("only lsgo_composite specs carry blocks")
-        if get_base(spec.base).discrete and spec.transform.is_affine:
+        base = get_base(spec.base)
+        if base.discrete and spec.transform.is_affine:
             raise ConfigurationError(f"translate/rotate/symmetrize do not apply to {spec.base!r}")
+        if spec.dimension < base.min_dimension:
+            raise ConfigurationError(f"{spec.base!r} needs dimension >= {base.min_dimension}")
 
     def _setup(self, spec: FunctionSpec) -> None:
         """Set ``domain``, ``known_minimum`` (None unless analytic) and the kind's state."""
@@ -200,11 +203,14 @@ class _Composite(BenchmarkFunction):
         for block in spec.blocks:
             if max(block.indices) >= spec.dimension:
                 raise ConfigurationError("block indices exceed the dimension")
-            if get_base(block.base).discrete:
+            base = get_base(block.base)
+            if base.discrete:
                 raise ConfigurationError("composite blocks must be continuous bases")
+            if len(block.indices) < base.min_dimension:
+                raise ConfigurationError(f"a {block.base!r} block needs at least {base.min_dimension} indices")
 
     def _setup(self, spec: FunctionSpec) -> None:
-        self.domain = DomainSpec([continuous() for _ in range(spec.dimension)])
+        self.domain = DomainSpec((UNBOUNDED_CONTINUOUS,) * spec.dimension)
         sets = [set(block.indices) for block in spec.blocks]
         # overlapping blocks can conflict, so only disjoint ones have a known minimum
         self.known_minimum = 0.0 if sum(map(len, sets)) == len(set().union(*sets)) else None

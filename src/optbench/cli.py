@@ -83,12 +83,11 @@ _CTX_FIELDS = {
     "w": ("num_workers", int),
     "noisy": ("noisy", None),
     "has_discrete": ("has_discrete", None),
-    "all_discrete": ("all_discrete", None),
     "has_categorical": ("has_categorical", None),
     "max_arity": ("max_arity", float),
     "has_unbounded_discrete": ("has_unbounded_discrete", None),
-    "fully_continuous": ("fully_continuous", None),
 }
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _parse_ctx(text: str) -> SelectionContext:
@@ -102,7 +101,9 @@ def _parse_ctx(text: str) -> SelectionContext:
             )
         field, cast = _CTX_FIELDS[key]
         if cast is None:
-            kwargs[field] = value.strip().lower() in ("1", "true", "yes")
+            kwargs[field] = _BOOLEANS.get(value.strip().lower())
+            if kwargs[field] is None:
+                raise OptbenchError(f"bad context item {item!r}; {key} takes one of {', '.join(_BOOLEANS)}")
         else:
             try:
                 kwargs[field] = cast(value)
@@ -110,8 +111,6 @@ def _parse_ctx(text: str) -> SelectionContext:
                 raise OptbenchError(f"bad context item {item!r}; {key} takes a number") from None
     if "dimension" not in kwargs or "budget" not in kwargs:
         raise OptbenchError("--ctx needs at least d=<n> and b=<n>")
-    if kwargs.get("has_discrete") or kwargs.get("has_categorical"):
-        kwargs.setdefault("fully_continuous", False)
     return SelectionContext(**kwargs)
 
 

@@ -225,7 +225,8 @@ NORMAL_BLOCK_ROWS = 64
 class ScalarSolver(Optimizer):
     """Base of the solvers that search the domain's standardized scalar view.
 
-    ``_normal_row(width)`` hands out the rows of one
+    ``_z0`` is the standardized start point: the initial point, or the
+    domain center.  ``_normal_row(width)`` hands out the rows of one
     ``standard_normal((NORMAL_BLOCK_ROWS, width))`` block.  One ``(n, k)``
     draw equals n sequential length-k draws bit for bit, so a solver that
     draws nothing else from ``self.rng`` and always asks for the same width
@@ -240,6 +241,7 @@ class ScalarSolver(Optimizer):
     def __init__(self, context: RunContext, seed: int = 0, init_point: Sequence[float] | None = None):
         super().__init__(context, seed=seed, init_point=init_point)
         self._view = self.domain.scalar_view
+        self._z0 = self._view.encode(self.init_point) if self.init_point is not None else np.zeros(self._view.dim)
         self._normals = np.empty((0, 0))
         self._normals_used = 0
 

@@ -10,7 +10,15 @@ from functools import partial
 
 from .cma import CmaEs
 from .de import DifferentialEvolution
-from .discrete import DiscreteOnePlusOne, FastGa, strength_probabilities
+from .discrete import (
+    DiscreteAdaptive,
+    DiscreteLinearDecay,
+    DiscreteOnePlusOne,
+    DiscreteOptimistic,
+    DiscretePortfolio,
+    FastGa,
+    strength_probabilities,
+)
 from .es import OnePlusOneEs
 from .localsearch import Powell, TrustRegion
 from .metamodel import MetamodelWrapper, metamodel_min_points, metamodel_propose
@@ -31,11 +39,11 @@ REGISTRY = {
     "linear-tr": partial(TrustRegion, quadratic=False),
     "quadratic-tr": partial(TrustRegion, quadratic=True),
     "oneshot": partial(OneShotRecentering),
-    "discrete-fixed": partial(DiscreteOnePlusOne, variant="fixed"),
-    "discrete-lineardecay": partial(DiscreteOnePlusOne, variant="linear_decay"),
-    "discrete-adaptive": partial(DiscreteOnePlusOne, variant="adaptive"),
-    "discrete-portfolio": partial(DiscreteOnePlusOne, variant="portfolio"),
-    "discrete-optimistic": partial(DiscreteOnePlusOne, variant="optimistic_noisy"),
+    "discrete-fixed": partial(DiscreteOnePlusOne),
+    "discrete-lineardecay": partial(DiscreteLinearDecay),
+    "discrete-adaptive": partial(DiscreteAdaptive),
+    "discrete-portfolio": partial(DiscretePortfolio),
+    "discrete-optimistic": partial(DiscreteOptimistic),
     "fastga": partial(FastGa),
 }
 

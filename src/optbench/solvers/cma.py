@@ -69,9 +69,7 @@ class CmaEs(ScalarSolver):
             self.c_mu = min(1.0 - self.c_1, self.c_mu * boost)
         self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
 
-        self.mean = (
-            self._view.encode(self.init_point) if self.init_point is not None else np.zeros(d)
-        )
+        self.mean = self._z0
         self.sigma = 1.0
         self.p_sigma = np.zeros(d)
         self.p_c = np.zeros(d)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import logging
 
-import numpy as np
-
 from ..core import Candidate, RunContext, ScalarSolver
 
 logger = logging.getLogger(__name__)
@@ -38,10 +36,7 @@ class OnePlusOneEs(ScalarSolver):
         self.c_up = c_up
         self.c_down = c_down
         self.sigma = 1.0
-        if self.init_point is not None:
-            self._parent = self._view.encode(self.init_point)
-        else:
-            self._parent = np.zeros(self._view.dim)
+        self._parent = self._z0
         self._parent_loss: float | None = None
 
     def _ask(self) -> Candidate:

@@ -173,11 +173,6 @@ class _ProbeDrivenSolver(ScalarSolver):
 
     def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._z0 = (
-            self._view.encode(self.init_point)
-            if self.init_point is not None
-            else np.zeros(self._view.dim)
-        )
         self._best_z = self._z0.copy()
         self._gen = None
         self._awaiting: int | None = None

@@ -45,9 +45,7 @@ class Tbpsa(ScalarSolver):
         self.lam = max(4, population_size or (4 + int(3 * math.log(d))))
         self.generation_size = self.lam
         self.tau = 1.0 / math.sqrt(2.0 * d)
-        self.center = (
-            self._view.encode(self.init_point) if self.init_point is not None else np.zeros(d)
-        )
+        self.center = self._z0
         self.sigma = 1.0
         self.center_history: list[np.ndarray] = []
         self._gen: list[tuple[np.ndarray, float, float]] = []  # (z, log sigma_i, loss)

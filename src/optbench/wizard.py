@@ -46,11 +46,9 @@ class SelectionContext:
     num_workers: int = 1
     noisy: bool = False
     has_discrete: bool = False
-    all_discrete: bool = False
     has_categorical: bool = False
     max_arity: float = 0
     has_unbounded_discrete: bool = False
-    fully_continuous: bool = True
 
     @classmethod
     def from_problem(cls, domain: DomainSpec, context: RunContext) -> "SelectionContext":
@@ -60,11 +58,9 @@ class SelectionContext:
             num_workers=context.num_workers,
             noisy=context.noisy,
             has_discrete=domain.has_discrete,
-            all_discrete=domain.all_discrete,
             has_categorical=domain.has_categorical,
             max_arity=math.inf if domain.has_unbounded_discrete else domain.max_arity,
             has_unbounded_discrete=domain.has_unbounded_discrete,
-            fully_continuous=domain.all_continuous,
         )
 
     def continuous_counterpart(self) -> "SelectionContext":
@@ -72,11 +68,9 @@ class SelectionContext:
         return replace(
             self,
             has_discrete=False,
-            all_discrete=False,
             has_categorical=False,
             max_arity=0,
             has_unbounded_discrete=False,
-            fully_continuous=True,
         )
 
 

@@ -45,8 +45,6 @@ def report(number: int, name: str, passed: bool, detail: str, started: float, li
 def sel(**kwargs):
     kwargs.setdefault("dimension", 10)
     kwargs.setdefault("budget", 1000)
-    if kwargs.get("has_discrete") or kwargs.get("has_categorical"):
-        kwargs.setdefault("fully_continuous", False)
     return SelectionContext(**kwargs)
 
 
@@ -62,7 +60,7 @@ def test_criterion_01_wizard_dispatch_exactness():
         (sel(dimension=200, budget=1000, noisy=True), "prog(de)"),
         (sel(dimension=50, budget=500, noisy=True), "quadratic-tr"),
         (sel(dimension=25, budget=1000, noisy=True), "tbpsa"),
-        (sel(dimension=20, budget=500, has_discrete=True, all_discrete=True, max_arity=2),
+        (sel(dimension=20, budget=500, has_discrete=True, max_arity=2),
          "discrete-lineardecay"),
         (sel(dimension=10, budget=500, has_discrete=True, has_categorical=True, max_arity=10),
          "softmax(cma)"),

@@ -98,6 +98,18 @@ def test_explain_rejects_bad_context(capsys):
     assert "known keys" in capsys.readouterr().err
     assert main(["explain", "--ctx", "d=x,b=10"]) == 2
     assert capsys.readouterr().err == "error: bad context item 'd=x'; d takes a number\n"
+    # features no rule reads are not keys
+    assert main(["explain", "--ctx", "d=20,b=500,fully_continuous=false"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad context item 'fully_continuous=false'; known keys")
+    assert main(["explain", "--ctx", "d=20,b=500,all_discrete=true"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad context item 'all_discrete=true'; known keys")
+    # a misspelled boolean is an error, not false
+    for value in ("ture", "", "2", "on"):
+        assert main(["explain", "--ctx", f"d=25,b=1000,noisy={value}"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad context item 'noisy={value}'; noisy takes one of")
+    for value, rule in (("TRUE", 7), ("Yes", 7), ("1", 7), ("False", 18), ("no", 18), ("0", 18)):
+        assert main(["explain", "--ctx", f"d=25,b=1000,noisy={value}"]) == 0
+        assert capsys.readouterr().out.startswith(f"rule {rule}:")
 
 
 def test_master_seed_env_fallback(tmp_path, monkeypatch):
@@ -229,8 +241,9 @@ def _mini_manifest(tmp_path, edit) -> str:
         (lambda p: p["spec"].pop("dimension"), "missing key 'dimension'"),
         (lambda p: p["spec"].update(dimension="20"), "'str' object cannot be interpreted as an integer"),
         (lambda p: p["spec"]["transform"].update(rotat=True), "unexpected keyword argument 'rotat'"),
+        (lambda p: p["spec"].update(base="lunacek", dimension=1), "'lunacek' needs dimension >= 2"),
     ],
-    ids=["unknown-base", "rotated-onemax", "no-dimension", "str-dimension", "unknown-transform-key"],
+    ids=["unknown-base", "rotated-onemax", "no-dimension", "str-dimension", "unknown-transform-key", "lunacek-d1"],
 )
 def test_bad_manifest_fails_at_load(tmp_path, capsys, edit, expected):
     out = tmp_path / "x"

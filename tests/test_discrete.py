@@ -15,7 +15,8 @@ from optbench import (
     unbounded_integer,
 )
 from optbench.bench import FunctionSpec, make_function
-from optbench.solvers.discrete import DiscreteOnePlusOne, FastGa, strength_probabilities
+from optbench.solvers import REGISTRY
+from optbench.solvers.discrete import FastGa, strength_probabilities
 
 
 def binary_domain(d):
@@ -28,7 +29,7 @@ def onemax(x):
 
 def make_ea(d=10, budget=500, seed=0, variant="fixed", noisy=False):
     ctx = RunContext(binary_domain(d), budget=budget, noisy=noisy)
-    return DiscreteOnePlusOne(ctx, seed=seed, variant=variant)
+    return REGISTRY[f"discrete-{variant}"](ctx, seed=seed)
 
 
 def test_improvement_accepted():
@@ -70,7 +71,7 @@ def test_adaptive_rate_bounded_under_random_schedules():
 
 def test_linear_decay_schedule_value():
     # d=10, budget 100, t=50 -> r = max(0.1, 0.25) = 0.25
-    ea = make_ea(d=10, budget=100, seed=5, variant="linear_decay")
+    ea = make_ea(d=10, budget=100, seed=5, variant="lineardecay")
     ea.num_tells = 50
     assert ea._current_rate() == 0.25
     ea.num_tells = 95
@@ -96,7 +97,7 @@ def test_every_mutation_changes_at_least_one_variable():
 def test_mixed_domain_mutation_keeps_points_valid():
     dom = DomainSpec([integer(0, 3), categorical(4), continuous(-1.0, 1.0), unbounded_integer()])
     ctx = RunContext(dom, budget=300, noisy=False)
-    ea = DiscreteOnePlusOne(ctx, seed=8)
+    ea = REGISTRY["discrete-fixed"](ctx, seed=8)
     for _ in range(300):
         cand = ea.ask()
         dom.validate(cand.point)
@@ -106,11 +107,11 @@ def test_mixed_domain_mutation_keeps_points_valid():
 def test_all_constant_domain_rejected():
     dom = DomainSpec([integer(2, 2), integer(5, 5)])
     with pytest.raises(ConfigurationError):
-        DiscreteOnePlusOne(RunContext(dom, budget=10), seed=0)
+        REGISTRY["discrete-fixed"](RunContext(dom, budget=10), seed=0)
 
 
 def test_noise_free_elitism_for_non_optimistic_variants():
-    for variant in ("fixed", "linear_decay", "adaptive", "portfolio"):
+    for variant in ("fixed", "lineardecay", "adaptive", "portfolio"):
         ea = make_ea(d=10, budget=300, seed=9, variant=variant)
         rng = np.random.default_rng(9)
         best = math.inf
@@ -147,7 +148,7 @@ def test_optimistic_resamples_parent_and_recommends_best_mean():
         return truth[int(x[0])] + float(rng.normal(0, 0.5))
 
     ctx = RunContext(dom, budget=400, noisy=True, master_seed=11)
-    handle = DiscreteOnePlusOne(ctx, seed=11, variant="optimistic_noisy")
+    handle = REGISTRY["discrete-optimistic"](ctx, seed=11)
     rec, _ = run_loop(handle, f, ctx)
     # the recommendation is the point with the best observed mean...
     best_mean = min(handle.archive, key=lambda c: (c.mean_loss, -c.num_observations, c.id))
@@ -161,7 +162,7 @@ def test_optimistic_reuses_candidates_for_revisited_points():
     dom = DomainSpec([integer(0, 1)])
     rng = np.random.default_rng(12)
     ctx = RunContext(dom, budget=100, noisy=True, master_seed=12)
-    handle = DiscreteOnePlusOne(ctx, seed=12, variant="optimistic_noisy")
+    handle = REGISTRY["discrete-optimistic"](ctx, seed=12)
 
     def f(x):
         return float(x[0]) + float(rng.normal(0, 0.1))
@@ -202,7 +203,7 @@ def test_fastga_changes_exactly_k_variables():
     rng_state_parent = handle.parent.copy()
     for _ in range(100):
         k = handle.sample_strength()
-        child = handle._mutator.mutate_exactly(handle.parent, k)
+        child = handle._mutate(handle.rng.choice(10, size=k, replace=False))
         assert int(np.sum(child != rng_state_parent)) == k
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from optbench.bench import CompositeBlock, FunctionSpec, make_function
 from optbench.bench.functions import (
     ackley,
     base_function_catalog,
@@ -40,6 +41,24 @@ def test_rosenbrock_minimum_at_ones():
 def test_lunacek_minimum_at_mu0():
     assert lunacek(np.full(4, 2.5)) == pytest.approx(0.0, abs=1e-12)
     assert lunacek(np.zeros(4)) > 0.0
+
+
+def test_lunacek_below_two_variables_is_rejected_when_the_spec_is_built():
+    # s = 1 - 1/(2 sqrt(21) - 8.2) < 0 at d = 1, so every call would fail
+    with pytest.raises(ConfigurationError, match="'lunacek' needs dimension >= 2"):
+        FunctionSpec("lunacek", 1)
+    one_index = (CompositeBlock("lunacek", (0,), 1.0), CompositeBlock("sphere", (1, 2), 1.0))
+    with pytest.raises(ConfigurationError, match="'lunacek' block needs at least 2 indices"):
+        FunctionSpec("lsgo_composite", 3, blocks=one_index)
+    assert math.isfinite(make_function(FunctionSpec("lunacek", 2))(np.zeros(2)))
+    two_index = (CompositeBlock("lunacek", (0, 1), 1.0, seed=3), CompositeBlock("sphere", (2,), 1.0))
+    assert math.isfinite(make_function(FunctionSpec("lsgo_composite", 3, blocks=two_index))(np.zeros(3)))
+
+
+def test_every_base_evaluates_at_its_minimum_dimension():
+    for name, base in base_function_catalog().items():
+        f = make_function(FunctionSpec(name, base.min_dimension))
+        assert math.isfinite(f(f.domain.center())), name
 
 
 def test_cigar_weighting():

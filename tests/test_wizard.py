@@ -30,8 +30,6 @@ from optbench.wizard import validate_spec
 def ctx(**kwargs):
     kwargs.setdefault("dimension", 10)
     kwargs.setdefault("budget", 1000)
-    if kwargs.get("has_discrete") or kwargs.get("has_categorical"):
-        kwargs.setdefault("fully_continuous", False)
     return SelectionContext(**kwargs)
 
 
@@ -47,7 +45,7 @@ ENUMERATED = [
     (ctx(dimension=50, budget=500, noisy=True), 8, "quadratic-tr"),
     (ctx(dimension=25, budget=1000, noisy=True), 7, "tbpsa"),
     (
-        ctx(dimension=20, budget=500, has_discrete=True, all_discrete=True, max_arity=2),
+        ctx(dimension=20, budget=500, has_discrete=True, max_arity=2),
         2,
         "discrete-lineardecay",
     ),
@@ -150,11 +148,9 @@ def test_totality_fuzz(d, b, w, noisy, has_disc, has_cat, has_unb, arity):
         num_workers=min(w, b),
         noisy=noisy,
         has_discrete=has_discrete,
-        all_discrete=has_discrete,
         has_categorical=has_cat,
         max_arity=math.inf if has_unb else (max(2, arity) if has_discrete else 0),
         has_unbounded_discrete=has_unb,
-        fully_continuous=not has_discrete,
     )
     fired, spec = explain_selection(context)
     assert 1 <= fired <= 18
@@ -168,17 +164,20 @@ def test_totality_over_1e5_random_contexts():
         has_cat = bool(rng.random() < 0.3)
         has_unb = bool(rng.random() < 0.2)
         has_discrete = bool(rng.random() < 0.5) or has_cat or has_unb
+        dimension = int(rng.integers(1, 2000))
+        num_workers = int(rng.integers(1, b + 1))
+        noisy = bool(rng.random() < 0.5)
+        if has_discrete:
+            rng.random()  # a draw the stream has always had here, so the same contexts are sampled
         context = SelectionContext(
-            dimension=int(rng.integers(1, 2000)),
+            dimension=dimension,
             budget=b,
-            num_workers=int(rng.integers(1, b + 1)),
-            noisy=bool(rng.random() < 0.5),
+            num_workers=num_workers,
+            noisy=noisy,
             has_discrete=has_discrete,
-            all_discrete=has_discrete and bool(rng.random() < 0.5),
             has_categorical=has_cat,
             max_arity=math.inf if has_unb else (int(rng.integers(2, 60)) if has_discrete else 0),
             has_unbounded_discrete=has_unb,
-            fully_continuous=not has_discrete,
         )
         fired, spec = explain_selection(context)
         assert 1 <= fired <= 18
