@@ -22,6 +22,14 @@ all-2.5 vector.  Definitions used here:
 
 Discrete entries: onemax counts entries different from one, leadingones
 counts positions after the first non-one entry.
+
+Some entries also have a row kernel, ``rows(ys)``, which evaluates every row
+of an ``(n, d)`` block at once and equals ``fn`` on each row bit for bit:
+``np.vecdot`` is ``np.dot`` per row, ``np.add.reduce(..., axis=-1)`` sums
+each row as the 1-D reduction does, elementwise ufuncs do not depend on the
+shape, and scalar transcendentals stay per-row ``math`` calls.  The
+discrete entries have none.  ``fn`` stays a 1-D kernel where the last-axis
+form would cost more per call.
 """
 
 from __future__ import annotations
@@ -43,9 +51,18 @@ def sphere(y: np.ndarray) -> float:
     return float(np.dot(y, y))
 
 
+def sphere_rows(ys: np.ndarray) -> np.ndarray:
+    return np.vecdot(ys, ys)
+
+
 def cigar(y: np.ndarray) -> float:
     tail = y[1:]
     return float(y[0] * y[0] + 1e6 * np.dot(tail, tail))
+
+
+def cigar_rows(ys: np.ndarray) -> np.ndarray:
+    head, tail = ys[:, 0], ys[:, 1:]
+    return head * head + 1e6 * np.vecdot(tail, tail)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -64,10 +81,18 @@ def ellipsoid(y: np.ndarray) -> float:
     return float(np.dot(_ellipsoid_weights(len(y)), y * y))
 
 
+def ellipsoid_rows(ys: np.ndarray) -> np.ndarray:
+    return np.vecdot(ys * ys, _ellipsoid_weights(ys.shape[1]))
+
+
 def hm(y: np.ndarray) -> float:
-    zero = y == 0.0
-    terms = y * y * (1.1 + np.cos(1.0 / np.where(zero, 1.0, y)))
-    return float(np.add.reduce(np.where(zero, 0.0, terms)))
+    return float(hm_rows(y))
+
+
+def hm_rows(ys: np.ndarray) -> np.ndarray:
+    zero = ys == 0.0
+    terms = ys * ys * (1.1 + np.cos(1.0 / np.where(zero, 1.0, ys)))
+    return np.add.reduce(np.where(zero, 0.0, terms), axis=-1)
 
 
 def ackley(y: np.ndarray) -> float:
@@ -80,6 +105,16 @@ def ackley(y: np.ndarray) -> float:
     )
 
 
+def ackley_rows(ys: np.ndarray) -> np.ndarray:
+    d = ys.shape[1]
+    squares = np.vecdot(ys, ys).tolist()
+    cosines = np.add.reduce(np.cos(_TWO_PI * ys), axis=-1).tolist()
+    return np.array([
+        -20.0 * math.exp(-0.2 * math.sqrt(sq / d)) - math.exp(cs / d) + 20.0 + math.e
+        for sq, cs in zip(squares, cosines)
+    ])
+
+
 @lru_cache(maxsize=None)
 def _griewank_scales(d: int) -> np.ndarray:
     return _read_only(np.sqrt(np.arange(1, d + 1)))
@@ -89,20 +124,33 @@ def griewank(y: np.ndarray) -> float:
     return float(1.0 + np.dot(y, y) / 4000.0 - np.multiply.reduce(np.cos(y / _griewank_scales(len(y)))))
 
 
+def griewank_rows(ys: np.ndarray) -> np.ndarray:
+    cosines = np.cos(ys / _griewank_scales(ys.shape[1]))
+    return 1.0 + np.vecdot(ys, ys) / 4000.0 - np.multiply.reduce(cosines, axis=-1)
+
+
 def rosenbrock(y: np.ndarray) -> float:
-    a = y[:-1]
-    t = y[1:] - a * a
+    return float(rosenbrock_rows(y))
+
+
+def rosenbrock_rows(ys: np.ndarray) -> np.ndarray:
+    a = ys[..., :-1]
+    t = ys[..., 1:] - a * a
     u = 1.0 - a
-    return float(np.add.reduce(100.0 * (t * t) + u * u))
+    return np.add.reduce(100.0 * (t * t) + u * u, axis=-1)
 
 
 _LUNACEK_MU0 = 2.5
 
 
+def _lunacek_constants(d: int) -> tuple[float, float]:
+    s = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
+    return s, -math.sqrt((_LUNACEK_MU0 * _LUNACEK_MU0 - 1.0) / s)
+
+
 def lunacek(y: np.ndarray) -> float:
     d = len(y)
-    s = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
-    mu1 = -math.sqrt((_LUNACEK_MU0 * _LUNACEK_MU0 - 1.0) / s)
+    s, mu1 = _lunacek_constants(d)
     a = y - _LUNACEK_MU0
     b = y - mu1
     return float(
@@ -110,11 +158,26 @@ def lunacek(y: np.ndarray) -> float:
     )
 
 
+def lunacek_rows(ys: np.ndarray) -> np.ndarray:
+    d = ys.shape[1]
+    s, mu1 = _lunacek_constants(d)
+    a = ys - _LUNACEK_MU0
+    b = ys - mu1
+    # min(x, y) keeps x unless y < x
+    near, far = np.vecdot(a, a), d + s * np.vecdot(b, b)
+    return np.where(far < near, far, near) + 10.0 * np.add.reduce(1.0 - np.cos(_TWO_PI * a), axis=-1)
+
+
 def deceptive_multimodal(y: np.ndarray) -> float:
     r = math.sqrt(np.dot(y, y))
     if r == 0.0:
         return 0.0
     return r * (1.0 + 0.9 * math.cos(_TWO_PI * math.log2(r)))
+
+
+def deceptive_multimodal_rows(ys: np.ndarray) -> np.ndarray:
+    radii = map(math.sqrt, np.vecdot(ys, ys).tolist())
+    return np.array([r * (1.0 + 0.9 * math.cos(_TWO_PI * math.log2(r))) if r else 0.0 for r in radii])
 
 
 def onemax(v: np.ndarray) -> float:
@@ -133,10 +196,12 @@ UNBOUNDED_CONTINUOUS = continuous()
 
 @dataclass(frozen=True)
 class BaseFunction:
-    """Catalog entry: callable, default domain builder, analytic minimum."""
+    """Catalog entry: callable, optional row kernel, default domain builder,
+    analytic minimum."""
 
     name: str
     fn: Callable[[np.ndarray], float]
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
     discrete: bool = False
     minimum_value: float = 0.0
     minimizer: float = 0.0  # the minimum sits at minimizer * ones(d)
@@ -152,15 +217,15 @@ class BaseFunction:
 CATALOG: dict[str, BaseFunction] = {
     f.name: f
     for f in (
-        BaseFunction("sphere", sphere),
-        BaseFunction("cigar", cigar),
-        BaseFunction("ellipsoid", ellipsoid),
-        BaseFunction("hm", hm),
-        BaseFunction("ackley", ackley),
-        BaseFunction("rosenbrock", rosenbrock, minimizer=1.0),
-        BaseFunction("griewank", griewank),
-        BaseFunction("lunacek", lunacek, minimizer=_LUNACEK_MU0, min_dimension=2),
-        BaseFunction("deceptive_multimodal", deceptive_multimodal),
+        BaseFunction("sphere", sphere, sphere_rows),
+        BaseFunction("cigar", cigar, cigar_rows),
+        BaseFunction("ellipsoid", ellipsoid, ellipsoid_rows),
+        BaseFunction("hm", hm, hm_rows),
+        BaseFunction("ackley", ackley, ackley_rows),
+        BaseFunction("rosenbrock", rosenbrock, rosenbrock_rows, minimizer=1.0),
+        BaseFunction("griewank", griewank, griewank_rows),
+        BaseFunction("lunacek", lunacek, lunacek_rows, minimizer=_LUNACEK_MU0, min_dimension=2),
+        BaseFunction("deceptive_multimodal", deceptive_multimodal, deceptive_multimodal_rows),
         BaseFunction("onemax", onemax, discrete=True, minimizer=1.0),
         BaseFunction("leadingones", leadingones, discrete=True, minimizer=1.0),
     )

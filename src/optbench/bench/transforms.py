@@ -114,8 +114,10 @@ class BenchmarkFunction:
     """Callable instance with a noise-free oracle and analytic minimum.
 
     Calling the object returns a (possibly noisy) loss; ``noise_free`` is
-    the oracle used only for scoring recommendations.  This is the plain
-    catalog kind; the others override ``check`` and the three hooks below.
+    the oracle used only for scoring recommendations; ``batch`` and
+    ``noise_free_batch`` evaluate a block of points at once.  This is the
+    plain catalog kind; the others override ``check`` and the three hooks
+    below, and their batches loop over the rows.
     """
 
     def __init__(self, spec: FunctionSpec, noise_seed: int | None = None):
@@ -149,11 +151,15 @@ class BenchmarkFunction:
         if spec.dimension < base.min_dimension:
             raise ConfigurationError(f"{spec.base!r} needs dimension >= {base.min_dimension}")
 
+    #: ``_inner`` of every row of an ``(n, d)`` block, or None to loop over the rows
+    _rows = None
+
     def _setup(self, spec: FunctionSpec) -> None:
         """Set ``domain``, ``known_minimum`` (None unless analytic) and the kind's state."""
         self._base = get_base(spec.base)
         self.domain = self._base.default_domain(spec.dimension)
         self.known_minimum = self._base.minimum_value
+        self._rows = self._base.rows
 
     def _inner(self, y: np.ndarray) -> float:
         """The objective in transformed coordinates."""
@@ -191,6 +197,33 @@ class BenchmarkFunction:
         if self.noise_std > 0:
             value += self.noise_std * self._noise_rng.standard_normal()
         return value
+
+    def noise_free_batch(self, points) -> np.ndarray:
+        """``noise_free`` of each row of ``points``, bit for bit.
+
+        ``np.matmul(M, ys[:, :, None])`` is one matrix-vector product per
+        row, as ``np.dot(M, y)`` is (``ys @ M.T`` can differ in the last
+        bit).  Kinds and bases without a row kernel evaluate row by row.
+        """
+        ys = np.ascontiguousarray(points, dtype=float)
+        if self._t is not None:
+            ys = ys - self._t
+        if self._M is not None:
+            ys = np.matmul(self._M, ys[:, :, None])[:, :, 0]
+        if self._S is not None:
+            ys = self._S * ys
+        rows = self._rows
+        return np.array([self._inner(y) for y in ys]) if rows is None else rows(ys)
+
+    def batch(self, points) -> np.ndarray:
+        """The losses of the rows of ``points``: row i equals ``self(points[i])``
+        bit for bit, and the noise stream moves on as after that many calls
+        (one ``standard_normal(n)`` draw equals n scalar draws).  The noise
+        is drawn last, so a batch that raises leaves the stream unchanged."""
+        values = self.noise_free_batch(points)
+        if self.noise_std > 0:
+            values += self.noise_std * self._noise_rng.standard_normal(len(values))
+        return values
 
 
 class _Composite(BenchmarkFunction):

@@ -41,10 +41,16 @@ def _master_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("OPTBENCH_MASTER_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise OptbenchError(f"bad OPTBENCH_MASTER_SEED {env!r}; expected an integer") from None
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise OptbenchError(f"bad --workers {args.workers}; expected at least 1")
+    master_seed = _master_seed(args.master_seed)
     suite = load_suite(args.suite)
     algorithms = [a.strip() for a in split_top_level(args.algs) if a.strip()]
     seeds = _parse_seeds(args.seeds)
@@ -52,7 +58,7 @@ def _cmd_run(args) -> int:
         suite,
         algorithms,
         seeds,
-        master_seed=_master_seed(args.master_seed),
+        master_seed=master_seed,
         jobs=args.workers,
     )
     paths = emit_reports(records, args.out)
@@ -88,6 +94,7 @@ _CTX_FIELDS = {
     "has_unbounded_discrete": ("has_unbounded_discrete", None),
 }
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_COUNTS = ("d", "b", "w")  # dimension, budget and workers are at least 1
 
 
 def _parse_ctx(text: str) -> SelectionContext:
@@ -109,6 +116,8 @@ def _parse_ctx(text: str) -> SelectionContext:
                 kwargs[field] = cast(value)
             except ValueError:
                 raise OptbenchError(f"bad context item {item!r}; {key} takes a number") from None
+            if key in _COUNTS and kwargs[field] < 1:
+                raise OptbenchError(f"bad context item {item!r}; {key} must be at least 1")
     if "dimension" not in kwargs or "budget" not in kwargs:
         raise OptbenchError("--ctx needs at least d=<n> and b=<n>")
     return SelectionContext(**kwargs)
@@ -122,13 +131,14 @@ def _cmd_explain(args) -> int:
 
 def _cmd_eval_server(args) -> int:
     spec = validate_spec(args.algs)  # before the child process starts
+    master_seed = _master_seed(args.master_seed)
     with external_evaluator_session(args.cmd, timeout=args.timeout) as function:
         context = RunContext(
             domain=function.domain,
             budget=args.budget,
             num_workers=args.num_workers,
             noisy=args.noisy,
-            master_seed=_master_seed(args.master_seed),
+            master_seed=master_seed,
         )
         recommendation, history = run_loop(spec, function, context)
         final = function(recommendation.point)  # score the recommendation

@@ -209,6 +209,16 @@ class BetAndRunOptimizer(RoutingOptimizer):
         child = self.children[idx]
         return self._wrap(child, child.ask())
 
+    def ask_many(self, n: int) -> list[Candidate]:
+        # phase 1 and the ask that picks the survivor go one at a time
+        cands = []
+        while len(cands) < n and self.survivor is None:
+            cands.append(self.ask())
+        if len(cands) < n:
+            child = self.children[self.survivor]
+            cands += self._issue([self._wrap(child, cc) for cc in child.ask_many(n - len(cands))])
+        return cands
+
     def _after_tell(self, candidate: Candidate, loss: float) -> None:
         idx = self.children.index(candidate.payload[0])
         if loss < self._best[idx]:

@@ -128,6 +128,7 @@ class Optimizer:
         self._candidates: dict[int, Candidate] = {}
         self._next_id = 0
         self._incumbent_loss = math.inf
+        self._incumbent_key: tuple[float, int, int] | None = None  # noisy mode
 
     # ------------------------------------------------------------------
     # subclass hooks
@@ -163,6 +164,33 @@ class Optimizer:
         self.num_asks += 1
         return cand
 
+    def ask_many(self, n: int) -> list[Candidate]:
+        """``n`` asks at once: the candidates, ids and state of ``n`` calls of
+        ``ask``.  A solver that draws a whole wave in one pass overrides it
+        and issues the points through ``_book`` (or its own candidates
+        through ``_issue``)."""
+        return [self.ask() for _ in range(n)]
+
+    def _book(self, points, payloads) -> list[Candidate]:
+        """Fresh candidates for ``points`` (float arrays) with the next ids and
+        ``payloads``, issued as asks; nothing is booked when they exceed the budget."""
+        ids = range(self._next_id, self._next_id + len(points))
+        cands = self._issue([Candidate(i, point, payload=payload) for i, point, payload in zip(ids, points, payloads)])
+        self._candidates.update(zip(ids, cands))
+        self._next_id = ids.stop
+        return cands
+
+    def _issue(self, cands: list[Candidate]) -> list[Candidate]:
+        """Issue candidates of this handle as asks, in order: the budget check,
+        pending set and ask count of ``len(cands)`` ``ask`` calls."""
+        if self.num_asks + len(cands) > self.budget:
+            raise BudgetExceededError(
+                f"budget of {self.budget} evaluations cannot cover {len(cands)} asks after {self.num_asks}"
+            )
+        self.pending.update((cand.id, cand) for cand in cands)
+        self.num_asks += len(cands)
+        return cands
+
     def tell(self, candidate: Candidate, loss: float) -> None:
         loss = float(loss)
         if not math.isfinite(loss):
@@ -197,15 +225,18 @@ class Optimizer:
                 self.incumbent = candidate
                 self._incumbent_loss = loss
             return
+        # only a tell changes a key, so the incumbent's is kept until it is told
         if self.incumbent is None:
             self.incumbent = candidate
-            return
-        if candidate is self.incumbent:
+        elif candidate is self.incumbent:
             # the incumbent's own mean moved; a full rescan keeps the rule exact
             self.incumbent = min(self.archive, key=self._noisy_key)
+        else:
+            key = self._noisy_key(candidate)
+            if key < self._incumbent_key:
+                self.incumbent, self._incumbent_key = candidate, key
             return
-        if self._noisy_key(candidate) < self._noisy_key(self.incumbent):
-            self.incumbent = candidate
+        self._incumbent_key = self._noisy_key(self.incumbent)
 
     @staticmethod
     def _noisy_key(cand: Candidate) -> tuple[float, int, int]:
@@ -227,7 +258,8 @@ class ScalarSolver(Optimizer):
 
     ``_z0`` is the standardized start point: the initial point, or the
     domain center.  ``_normal_row(width)`` hands out the rows of one
-    ``standard_normal((NORMAL_BLOCK_ROWS, width))`` block.  One ``(n, k)``
+    ``standard_normal((NORMAL_BLOCK_ROWS, width))`` block, and
+    ``_normal_rows(n, width)`` the next n of them at once.  One ``(n, k)``
     draw equals n sequential length-k draws bit for bit, so a solver that
     draws nothing else from ``self.rng`` and always asks for the same width
     sees the stream of per-ask draws.
@@ -253,6 +285,19 @@ class ScalarSolver(Optimizer):
         self._normals_used += 1
         return row
 
+    def _normal_rows(self, n: int, width: int) -> np.ndarray:
+        """The next ``n`` rows of ``_normal_row(width)`` as one ``(n, width)`` array."""
+        parts = []
+        while n:
+            if self._normals_used == len(self._normals):
+                self._normals = self.rng.standard_normal((NORMAL_BLOCK_ROWS, width))
+                self._normals_used = 0
+            start = self._normals_used
+            self._normals_used = min(start + n, len(self._normals))
+            parts.append(self._normals[start : self._normals_used])
+            n -= self._normals_used - start
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
 
 def run_loop(
     algorithm,
@@ -262,10 +307,17 @@ def run_loop(
 ) -> tuple[Candidate, list[tuple[int, float]]]:
     """Run ``algorithm`` on ``function`` for exactly ``context.budget`` tells.
 
-    Asks are issued in waves of ``min(num_workers, remaining)``.  Each run is
-    executed independently from scratch; results for budget T are not the
-    truncation of a longer run.  Returns ``(recommendation, history)`` where
-    history holds ``(evaluation_index, loss)`` pairs.
+    Asks are issued in waves of ``min(num_workers, remaining)``.  A wave of
+    more than one candidate is one ``ask_many``; when ``function`` has a
+    row-exact ``batch(points)`` (as ``BenchmarkFunction`` does), the wave is
+    evaluated by one call of it, else each candidate is evaluated and told
+    before the next.  The tells follow in ask order either way, so both
+    give the same history.  A batch that raises is evaluated again row by
+    row, so the error names the evaluation that fails and the history holds
+    the tells before it.  Each run is executed independently from scratch;
+    results for budget T are not the truncation of a longer run.  Returns
+    ``(recommendation, history)`` where history holds
+    ``(evaluation_index, loss)`` pairs.
 
     ``algorithm`` may be an :class:`Optimizer`, an algorithm spec tree, or a
     spec string such as ``"chain(cma,powell;0.5,0.5)"``.
@@ -280,14 +332,21 @@ def run_loop(
     if fdomain is not None and fdomain != context.domain:
         raise ContractError("function domain does not match the run context domain")
     ask, tell = handle.ask, handle.tell
+    batch = getattr(function, "batch", None)
     history: list[tuple[int, float]] = []
     done = 0
     while done < context.budget:
         wave = min(context.num_workers, context.budget - done)
-        cands = (ask(),) if wave == 1 else [ask() for _ in range(wave)]
-        for cand in cands:
+        cands = (ask(),) if wave == 1 else handle.ask_many(wave)
+        losses = None
+        if wave > 1 and batch is not None:
             try:
-                loss = float(function(cand.point))
+                losses = np.asarray(batch(np.array([cand.point for cand in cands])), dtype=float).tolist()
+            except Exception:
+                pass  # evaluated row by row below, which names the row that fails
+        for i, cand in enumerate(cands):
+            try:
+                loss = float(function(cand.point)) if losses is None else losses[i]
             except Exception as exc:
                 raise EvaluationError(
                     f"objective evaluation {done + 1} failed: {exc}", history=history

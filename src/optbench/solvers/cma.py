@@ -115,6 +115,19 @@ class CmaEs(ScalarSolver):
         x, y = self._sample_queue.pop()
         return self._new_candidate(x, payload=y)
 
+    def ask_many(self, n: int) -> list[Candidate]:
+        # the pops of n asks: from the end of the queue, a new batch when it runs dry
+        taken: list[tuple[np.ndarray, np.ndarray]] = []
+        while len(taken) < n:
+            if not self._sample_queue:
+                self._sample_batch()
+            queue = self._sample_queue
+            k = min(n - len(taken), len(queue))
+            taken += queue[: -k - 1 : -1]
+            del queue[-k:]
+        xs, ys = zip(*taken)
+        return self._book(xs, ys)
+
     def _tell(self, candidate: Candidate, loss: float) -> None:
         y, candidate.payload = candidate.payload, None
         if y is None:

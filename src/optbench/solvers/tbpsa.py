@@ -59,6 +59,15 @@ class Tbpsa(ScalarSolver):
         z = self.center + math.exp(log_sigma_i) * draw[1:]
         return self._new_candidate(self._view.decode(z), payload=(z, log_sigma_i))
 
+    def ask_many(self, n: int) -> list[Candidate]:
+        draws = self._normal_rows(n, self._view.dim + 1)
+        log_sigma = math.log(self.sigma)
+        log_sigmas = [log_sigma + self.tau * v for v in draws[:, 0].tolist()]
+        # math.exp per row: numpy's exp can differ from it in the last bit
+        steps = np.array([math.exp(v) for v in log_sigmas])
+        zs = self.center + steps[:, None] * draws[:, 1:]
+        return self._book(self._view.decode(zs), list(zip(zs, log_sigmas)))
+
     def _tell(self, candidate: Candidate, loss: float) -> None:
         if self._best_single is None or loss < self._best_single[0]:
             self._best_single = (loss, candidate.point)

@@ -110,6 +110,12 @@ def test_explain_rejects_bad_context(capsys):
     for value, rule in (("TRUE", 7), ("Yes", 7), ("1", 7), ("False", 18), ("no", 18), ("0", 18)):
         assert main(["explain", "--ctx", f"d=25,b=1000,noisy={value}"]) == 0
         assert capsys.readouterr().out.startswith(f"rule {rule}:")
+    # a dimension, budget or worker count below 1 picks no rule
+    for ctx, item in (("d=0,b=10", "d=0"), ("d=5,b=-3", "b=-3"), ("d=5,b=10,w=0", "w=0"), ("d=-1,b=10", "d=-1")):
+        assert main(["explain", "--ctx", ctx]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad context item '{item}'; {item[0]} must be at least 1\n"
 
 
 def test_master_seed_env_fallback(tmp_path, monkeypatch):
@@ -125,6 +131,24 @@ def test_master_seed_env_fallback(tmp_path, monkeypatch):
         ]
     )
     assert (out_a / "records.jsonl").read_bytes() == (out_b / "records.jsonl").read_bytes()
+
+
+def test_bad_master_seed_env_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("OPTBENCH_MASTER_SEED", "abc")
+    argv = ["run", "--suite", "discrete_lite", "--algs", "discrete-fixed", "--seeds", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad OPTBENCH_MASTER_SEED 'abc'; expected an integer\n"
+    assert not (tmp_path / "records.jsonl").exists()
+    assert main([*argv, "--master-seed", "4"]) == 0  # the flag wins over the variable
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_run_rejects_a_worker_count_below_one(tmp_path, capsys, workers):
+    argv = ["run", "--suite", "discrete_lite", "--algs", "discrete-fixed", "--seeds", "1",
+            "--workers", workers, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad --workers {workers}; expected at least 1\n"
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_eval_server_command(tmp_path, capsys):
