@@ -130,12 +130,15 @@ def griewank_rows(ys: np.ndarray) -> np.ndarray:
 
 
 def rosenbrock(y: np.ndarray) -> float:
-    return float(rosenbrock_rows(y))
+    a = y[:-1]
+    t = y[1:] - a * a
+    u = 1.0 - a
+    return float(np.add.reduce(100.0 * (t * t) + u * u))
 
 
 def rosenbrock_rows(ys: np.ndarray) -> np.ndarray:
-    a = ys[..., :-1]
-    t = ys[..., 1:] - a * a
+    a = ys[:, :-1]
+    t = ys[:, 1:] - a * a
     u = 1.0 - a
     return np.add.reduce(100.0 * (t * t) + u * u, axis=-1)
 

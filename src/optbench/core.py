@@ -341,12 +341,12 @@ def run_loop(
         losses = None
         if wave > 1 and batch is not None:
             try:
-                losses = np.asarray(batch(np.array([cand.point for cand in cands])), dtype=float).tolist()
+                losses = iter(np.asarray(batch(np.array([cand.point for cand in cands])), dtype=float).tolist())
             except Exception:
                 pass  # evaluated row by row below, which names the row that fails
-        for i, cand in enumerate(cands):
+        for cand in cands:
             try:
-                loss = float(function(cand.point)) if losses is None else losses[i]
+                loss = float(function(cand.point)) if losses is None else next(losses)
             except Exception as exc:
                 raise EvaluationError(
                     f"objective evaluation {done + 1} failed: {exc}", history=history

@@ -18,19 +18,16 @@ minimum of interleaved runs of the same cell drifts much less.
 
 from __future__ import annotations
 
+import argparse
+import importlib
+import importlib.util
 import os
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
-
-import argparse  # noqa: E402
-import importlib  # noqa: E402
-import importlib.util  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from collections import defaultdict  # noqa: E402
-from pathlib import Path  # noqa: E402
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_checkout(checkout: Path, name: str):
@@ -87,6 +84,8 @@ def main(argv=None) -> int:
     if args.repeats < 1 or args.seeds < 1:
         parser.error("--repeats and --seeds must be at least 1")
 
+    for name in THREAD_VARS:  # before either checkout imports numpy
+        os.environ.setdefault(name, "1")
     sides = [load_checkout(args.checkout_a, "optbench_a"), load_checkout(args.checkout_b, "optbench_b")]
     grids = [cells(side, args.suite, args.algs, range(args.seeds), args.master_seed, args.match) for side in sides]
     if not grids[0]:
