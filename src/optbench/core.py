@@ -175,7 +175,7 @@ class Optimizer:
         """Fresh candidates for ``points`` (float arrays) with the next ids and
         ``payloads``, issued as asks; nothing is booked when they exceed the budget."""
         ids = range(self._next_id, self._next_id + len(points))
-        cands = self._issue([Candidate(i, point, payload=payload) for i, point, payload in zip(ids, points, payloads)])
+        cands = self._issue([Candidate(i, x, payload=p) for i, x, p in zip(ids, points, payloads)])
         self._candidates.update(zip(ids, cands))
         self._next_id = ids.stop
         return cands
@@ -312,12 +312,12 @@ def run_loop(
     row-exact ``batch(points)`` (as ``BenchmarkFunction`` does), the wave is
     evaluated by one call of it, else each candidate is evaluated and told
     before the next.  The tells follow in ask order either way, so both
-    give the same history.  A batch that raises is evaluated again row by
-    row, so the error names the evaluation that fails and the history holds
-    the tells before it.  Each run is executed independently from scratch;
-    results for budget T are not the truncation of a longer run.  Returns
-    ``(recommendation, history)`` where history holds
-    ``(evaluation_index, loss)`` pairs.
+    give the same history.  A batch that raises, or returns other than one
+    loss per point, is evaluated again row by row, so an error names the
+    evaluation that fails and the history holds the tells before it.  Each
+    run is executed independently from scratch; results for budget T are
+    not the truncation of a longer run.  Returns ``(recommendation,
+    history)`` where history holds ``(evaluation_index, loss)`` pairs.
 
     ``algorithm`` may be an :class:`Optimizer`, an algorithm spec tree, or a
     spec string such as ``"chain(cma,powell;0.5,0.5)"``.
@@ -341,7 +341,8 @@ def run_loop(
         losses = None
         if wave > 1 and batch is not None:
             try:
-                losses = iter(np.asarray(batch(np.array([cand.point for cand in cands])), dtype=float).tolist())
+                values = batch(np.array([cand.point for cand in cands]))
+                losses = iter(np.asarray(values, dtype=float).reshape(wave).tolist())
             except Exception:
                 pass  # evaluated row by row below, which names the row that fails
         for cand in cands:

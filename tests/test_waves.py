@@ -188,6 +188,14 @@ def test_failing_batch_row_reports_that_evaluation(bad):
     assert errors[0][1] == [(i + 1, float(i)) for i in range(bad)]
 
 
+def test_batch_with_the_wrong_count_is_evaluated_row_by_row():
+    context = RunContext(DomainSpec([continuous(), continuous()]), budget=12, num_workers=5)
+    objective = FailsAt(bad=-1, with_batch=True)
+    objective.batch = lambda points: [0.0]  # one loss for a whole wave
+    _rec, history = run_loop(Counting(context), objective, context)
+    assert history == [(i + 1, float(i)) for i in range(12)]
+
+
 @pytest.mark.parametrize("spec", WAVE_SPECS)
 def test_run_loop_batch_and_per_row_give_the_same_history(spec):
     fspec = FunctionSpec("lunacek", 6, TransformSpec(translation_std=1.0, rotate=True, noise_std=0.3,
