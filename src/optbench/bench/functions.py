@@ -95,24 +95,18 @@ def hm_rows(ys: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.where(zero, 0.0, terms), axis=-1)
 
 
+def _ackley(squares: float, cosines: float, d: int) -> float:
+    return -20.0 * math.exp(-0.2 * math.sqrt(squares / d)) - math.exp(cosines / d) + 20.0 + math.e
+
+
 def ackley(y: np.ndarray) -> float:
-    d = len(y)
-    return float(
-        -20.0 * math.exp(-0.2 * math.sqrt(np.dot(y, y) / d))
-        - math.exp(np.add.reduce(np.cos(_TWO_PI * y)) / d)
-        + 20.0
-        + math.e
-    )
+    return _ackley(np.dot(y, y), np.add.reduce(np.cos(_TWO_PI * y)), len(y))
 
 
 def ackley_rows(ys: np.ndarray) -> np.ndarray:
-    d = ys.shape[1]
     squares = np.vecdot(ys, ys).tolist()
     cosines = np.add.reduce(np.cos(_TWO_PI * ys), axis=-1).tolist()
-    return np.array([
-        -20.0 * math.exp(-0.2 * math.sqrt(sq / d)) - math.exp(cs / d) + 20.0 + math.e
-        for sq, cs in zip(squares, cosines)
-    ])
+    return np.array([_ackley(sq, cs, ys.shape[1]) for sq, cs in zip(squares, cosines)])
 
 
 @lru_cache(maxsize=None)
@@ -171,16 +165,16 @@ def lunacek_rows(ys: np.ndarray) -> np.ndarray:
     return np.where(far < near, far, near) + 10.0 * np.add.reduce(1.0 - np.cos(_TWO_PI * a), axis=-1)
 
 
+def _deceptive(r: float) -> float:
+    return r * (1.0 + 0.9 * math.cos(_TWO_PI * math.log2(r))) if r else 0.0
+
+
 def deceptive_multimodal(y: np.ndarray) -> float:
-    r = math.sqrt(np.dot(y, y))
-    if r == 0.0:
-        return 0.0
-    return r * (1.0 + 0.9 * math.cos(_TWO_PI * math.log2(r)))
+    return _deceptive(math.sqrt(np.dot(y, y)))
 
 
 def deceptive_multimodal_rows(ys: np.ndarray) -> np.ndarray:
-    radii = map(math.sqrt, np.vecdot(ys, ys).tolist())
-    return np.array([r * (1.0 + 0.9 * math.cos(_TWO_PI * math.log2(r))) if r else 0.0 for r in radii])
+    return np.array([_deceptive(math.sqrt(sq)) for sq in np.vecdot(ys, ys).tolist()])
 
 
 def onemax(v: np.ndarray) -> float:
