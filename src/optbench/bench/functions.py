@@ -28,8 +28,10 @@ of an ``(n, d)`` block at once and equals ``fn`` on each row bit for bit:
 ``np.vecdot`` is ``np.dot`` per row, ``np.add.reduce(..., axis=-1)`` sums
 each row as the 1-D reduction does, elementwise ufuncs do not depend on the
 shape, and scalar transcendentals stay per-row ``math`` calls.  The
-discrete entries have none.  ``fn`` stays a 1-D kernel where the last-axis
-form would cost more per call.
+discrete entries have none.  Only ``hm`` calls its row kernel on one point:
+for every other entry the last-axis form costs more per call (sphere,
+ellipsoid and lunacek 1.1x to 1.8x at d 5 to 120), so ``fn`` stays a 1-D
+kernel beside it.
 """
 
 from __future__ import annotations

@@ -209,7 +209,7 @@ class BetAndRunOptimizer(RoutingOptimizer):
         child = self.children[idx]
         return self._wrap(child, child.ask())
 
-    def ask_many(self, n: int) -> list[Candidate]:
+    def _ask_many(self, n: int) -> list[Candidate]:
         # phase 1 and the ask that picks the survivor go one at a time
         cands = []
         while len(cands) < n and self.survivor is None:

@@ -166,14 +166,22 @@ class Optimizer:
 
     def ask_many(self, n: int) -> list[Candidate]:
         """``n`` asks at once: the candidates, ids and state of ``n`` calls of
-        ``ask``.  A solver that draws a whole wave in one pass overrides it
-        and issues the points through ``_book`` (or its own candidates
-        through ``_issue``)."""
+        ``ask``.  Asks beyond the budget raise before anything is drawn."""
+        if self.num_asks + n > self.budget:
+            raise BudgetExceededError(
+                f"budget of {self.budget} evaluations cannot cover {n} asks after {self.num_asks}"
+            )
+        return self._ask_many(n)
+
+    def _ask_many(self, n: int) -> list[Candidate]:
+        """A solver that draws a whole wave in one pass overrides this and
+        issues the points through ``_book`` (or its own candidates through
+        ``_issue``)."""
         return [self.ask() for _ in range(n)]
 
     def _book(self, points, payloads) -> list[Candidate]:
         """Fresh candidates for ``points`` (float arrays) with the next ids and
-        ``payloads``, issued as asks; nothing is booked when they exceed the budget."""
+        ``payloads``, issued as asks."""
         ids = range(self._next_id, self._next_id + len(points))
         cands = self._issue([Candidate(i, x, payload=p) for i, x, p in zip(ids, points, payloads)])
         self._candidates.update(zip(ids, cands))
@@ -181,12 +189,8 @@ class Optimizer:
         return cands
 
     def _issue(self, cands: list[Candidate]) -> list[Candidate]:
-        """Issue candidates of this handle as asks, in order: the budget check,
-        pending set and ask count of ``len(cands)`` ``ask`` calls."""
-        if self.num_asks + len(cands) > self.budget:
-            raise BudgetExceededError(
-                f"budget of {self.budget} evaluations cannot cover {len(cands)} asks after {self.num_asks}"
-            )
+        """Issue candidates of this handle as asks, in order: the pending set
+        and ask count of ``len(cands)`` ``ask`` calls."""
         self.pending.update((cand.id, cand) for cand in cands)
         self.num_asks += len(cands)
         return cands

@@ -115,7 +115,7 @@ class CmaEs(ScalarSolver):
         x, y = self._sample_queue.pop()
         return self._new_candidate(x, payload=y)
 
-    def ask_many(self, n: int) -> list[Candidate]:
+    def _ask_many(self, n: int) -> list[Candidate]:
         # the pops of n asks: from the end of the queue, a new batch when it runs dry
         taken: list[tuple[np.ndarray, np.ndarray]] = []
         while len(taken) < n:

@@ -59,7 +59,7 @@ class Tbpsa(ScalarSolver):
         z = self.center + math.exp(log_sigma_i) * draw[1:]
         return self._new_candidate(self._view.decode(z), payload=(z, log_sigma_i))
 
-    def ask_many(self, n: int) -> list[Candidate]:
+    def _ask_many(self, n: int) -> list[Candidate]:
         draws = self._normal_rows(n, self._view.dim + 1)
         log_sigma = math.log(self.sigma)
         log_sigmas = [log_sigma + self.tau * v for v in draws[:, 0].tolist()]

@@ -143,12 +143,16 @@ def test_ask_many_equals_asks(spec, n):
         assert len(many.archive) < many.num_tells  # re-asks were issued and told
 
 
-@pytest.mark.parametrize("spec", WAVE_SPECS)
-def test_ask_many_beyond_the_budget_raises(spec):
-    handle, _ = twins(spec, 8)
-    handle.ask_many(handle.budget - 3)
+@pytest.mark.parametrize("n", [1, 5, 70])
+@pytest.mark.parametrize("spec", [*WAVE_SPECS, "de"])
+def test_ask_many_beyond_the_budget_raises_and_changes_nothing(spec, n):
+    handle, _ = twins(spec, n)
+    handle.ask_many(handle.budget - 3 - n)  # leaves a part-used sample queue or normal block
+    before = snapshot(handle, {})
     with pytest.raises(BudgetExceededError):
-        handle.ask_many(4)
+        handle.ask_many(n + 4)
+    assert snapshot(handle, {}) == before
+    assert len(handle.ask_many(3 + n)) == 3 + n
 
 
 class Counting(Optimizer):
