@@ -7,7 +7,7 @@ all-2.5 vector.  Definitions used here:
     sphere(y)     = sum y_i^2
     cigar(y)      = y_1^2 + 1e6 * sum_{i>=2} y_i^2
     ellipsoid(y)  = sum 10^(6 (i-1)/(d-1)) y_i^2           (condition 1e6)
-    hm(y)         = sum y_i^2 (1.1 + cos(1/y_i)),  term 0 at y_i = 0
+    hm(y)         = sum y_i^2 (1.1 + cos(1/y_i)),  term 0 where y_i^2 is 0
     ackley(y)     = -20 exp(-0.2 sqrt(mean y^2)) - exp(mean cos 2 pi y) + 20 + e
     griewank(y)   = 1 + sum y^2/4000 - prod cos(y_i / sqrt(i))
     rosenbrock(y) = sum 100 (y_{i+1} - y_i^2)^2 + (1 - y_i)^2
@@ -92,8 +92,10 @@ def hm(y: np.ndarray) -> float:
 
 
 def hm_rows(ys: np.ndarray) -> np.ndarray:
-    zero = ys == 0.0
-    terms = ys * ys * (1.1 + np.cos(1.0 / np.where(zero, 1.0, ys)))
+    # the term is 0 wherever y_i^2 is, and there 1 / y_i may overflow
+    squares = ys * ys
+    zero = squares == 0.0
+    terms = squares * (1.1 + np.cos(1.0 / np.where(zero, 1.0, ys)))
     return np.add.reduce(np.where(zero, 0.0, terms), axis=-1)
 
 

@@ -151,6 +151,17 @@ class ChainOptimizer(RoutingOptimizer):
             self._advance()
         return self._wrap(self._active, self._active.ask())
 
+    def _ask_many(self, n: int) -> list[Candidate]:
+        active = self._active
+        if active.budget - active.num_asks < n:
+            return super()._ask_many(n)  # a hand-off inside the wave goes ask by ask
+        return self._issue([self._wrap(active, cc) for cc in active.ask_many(n)])
+
+    def free_asks(self) -> int:
+        # the next child starts from the incumbent, so a hand-off waits for the tells
+        active = self._active
+        return max(1, min(active.free_asks(), active.budget - active.num_asks))
+
     def _recommend(self):
         if self._active.num_tells == 0:
             return None
@@ -218,6 +229,9 @@ class BetAndRunOptimizer(RoutingOptimizer):
             child = self.children[self.survivor]
             cands += self._issue([self._wrap(child, cc) for cc in child.ask_many(n - len(cands))])
         return cands
+
+    def free_asks(self) -> int:
+        return 1 if self.survivor is None else self.children[self.survivor].free_asks()
 
     def _after_tell(self, candidate: Candidate, loss: float) -> None:
         idx = self.children.index(candidate.payload[0])

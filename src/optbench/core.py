@@ -164,6 +164,12 @@ class Optimizer:
         self.num_asks += 1
         return cand
 
+    def free_asks(self) -> int:
+        """How many asks this handle can issue now whose points no tell before
+        them would change (at least 1).  A solver that fixes a whole
+        generation before its first tell overrides it."""
+        return 1
+
     def ask_many(self, n: int) -> list[Candidate]:
         """``n`` asks at once: the candidates, ids and state of ``n`` calls of
         ``ask``.  Asks beyond the budget raise before anything is drawn."""
@@ -171,7 +177,7 @@ class Optimizer:
             raise BudgetExceededError(
                 f"budget of {self.budget} evaluations cannot cover {n} asks after {self.num_asks}"
             )
-        return self._ask_many(n)
+        return self._ask_many(n) if n else []
 
     def _ask_many(self, n: int) -> list[Candidate]:
         """A solver that draws a whole wave in one pass overrides this and
@@ -323,6 +329,14 @@ def run_loop(
     not the truncation of a longer run.  Returns ``(recommendation,
     history)`` where history holds ``(evaluation_index, loss)`` pairs.
 
+    A serial run (``num_workers == 1``) on a function with ``batch`` asks
+    ``min(handle.free_asks(), remaining)`` candidates per wave instead: the
+    rest of a CMA-ES or TBPSA generation, whose points no tell before them
+    changes, goes through the same one ``ask_many`` and one batch.  A serial
+    run calls ``checkpoint_callback`` after every tell, so it sees the
+    ``done`` values and recommendations of one-at-a-time ask and tell; a
+    parallel run calls it after each wave.
+
     ``algorithm`` may be an :class:`Optimizer`, an algorithm spec tree, or a
     spec string such as ``"chain(cma,powell;0.5,0.5)"``.
     """
@@ -337,10 +351,12 @@ def run_loop(
         raise ContractError("function domain does not match the run context domain")
     ask, tell = handle.ask, handle.tell
     batch = getattr(function, "batch", None)
+    serial = context.num_workers == 1
     history: list[tuple[int, float]] = []
     done = 0
     while done < context.budget:
-        wave = min(context.num_workers, context.budget - done)
+        width = handle.free_asks() if serial and batch is not None else context.num_workers
+        wave = min(width, context.budget - done)
         cands = (ask(),) if wave == 1 else handle.ask_many(wave)
         losses = None
         if wave > 1 and batch is not None:
@@ -362,6 +378,8 @@ def run_loop(
                 raise EvaluationError(str(exc), history=history) from exc
             done += 1
             history.append((done, loss))
-        if checkpoint_callback is not None:
+            if serial and checkpoint_callback is not None:
+                checkpoint_callback(done, handle)
+        if not serial and checkpoint_callback is not None:
             checkpoint_callback(done, handle)
     return handle.recommend(), history

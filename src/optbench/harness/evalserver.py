@@ -29,11 +29,14 @@ import time
 import numpy as np
 
 from ..domain import DomainSpec, VariableSpec, categorical, continuous, integer, unbounded_integer
-from ..errors import EvaluationError, OptbenchError, ProtocolError
+from ..errors import ConfigurationError, EvaluationError, OptbenchError, ProtocolError
 
 
 #: bytes of the child's stderr kept in an error message
 _STDERR_TAIL = 2048
+
+#: the longest reply wait in seconds; select() overflows not far above it
+_MAX_TIMEOUT = 1e9
 
 #: variable kind -> the domain factory of that name
 _FACTORIES = {f.__name__: f for f in (continuous, integer, categorical, unbounded_integer)}
@@ -54,13 +57,21 @@ class ExternalEvaluator:
     """Callable objective backed by a child process."""
 
     def __init__(self, command: str, timeout: float = 30.0):
+        try:
+            argv = shlex.split(command)
+        except ValueError as exc:  # an unclosed quote
+            raise ConfigurationError(f"bad evaluator command {command!r}: {exc}") from None
+        if not argv:
+            raise ConfigurationError("the evaluator command is empty")
+        if not 0.0 < timeout <= _MAX_TIMEOUT:  # also refuses NaN
+            raise ConfigurationError(f"bad timeout {timeout!r}; expected seconds in (0, {_MAX_TIMEOUT:g}]")
         self.command = command
         self.timeout = timeout
         # a file, not a pipe, so a chatty child never blocks on its stderr
         self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
-                shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self._stderr
             )
         except BaseException:
             self._stderr.close()

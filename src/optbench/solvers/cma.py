@@ -128,6 +128,10 @@ class CmaEs(ScalarSolver):
         xs, ys = zip(*taken)
         return self._book(xs, ys)
 
+    def free_asks(self) -> int:
+        # the generation's samples are fixed until its last tell
+        return max(1, self.lam - len(self._told_y) - len(self.pending))
+
     def _tell(self, candidate: Candidate, loss: float) -> None:
         y, candidate.payload = candidate.payload, None
         if y is None:

@@ -68,6 +68,10 @@ class Tbpsa(ScalarSolver):
         zs = self.center + steps[:, None] * draws[:, 1:]
         return self._book(self._view.decode(zs), list(zip(zs, log_sigmas)))
 
+    def free_asks(self) -> int:
+        # center and sigma are fixed until the generation's last tell
+        return max(1, self.lam - len(self._gen) - len(self.pending))
+
     def _tell(self, candidate: Candidate, loss: float) -> None:
         if self._best_single is None or loss < self._best_single[0]:
             self._best_single = (loss, candidate.point)

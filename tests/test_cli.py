@@ -214,6 +214,30 @@ def test_eval_server_validates_algs_before_spawning_the_child(tmp_path, capsys):
         assert not marker.exists()
 
 
+@pytest.mark.parametrize("cmd, message", [
+    ("", "error: the evaluator command is empty"),
+    ("   ", "error: the evaluator command is empty"),
+    ("'unclosed", "error: bad evaluator command \"'unclosed\": No closing quotation"),
+])
+def test_eval_server_rejects_an_empty_or_unparsable_command(cmd, message, capsys):
+    rc = main(["eval-server", "--cmd", cmd, "--algs", "one-plus-one-es"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e12"])
+def test_eval_server_rejects_a_bad_timeout_before_spawning_the_child(timeout, tmp_path, capsys):
+    marker = tmp_path / "spawned"
+    child = tmp_path / "child.py"
+    child.write_text(f"open({str(marker)!r}, 'w').close()\n")
+    rc = main(["eval-server", "--cmd", f"{sys.executable} {child}", "--algs", "one-plus-one-es",
+               "--timeout", timeout])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad timeout {float(timeout)!r}")
+    assert not marker.exists()
+
+
 def test_eval_server_rejects_a_hello_without_dimension(tmp_path, capsys):
     pid_file = tmp_path / "pid"
     child = tmp_path / "child.py"

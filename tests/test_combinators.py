@@ -7,6 +7,7 @@ from optbench import (
     ConfigurationError,
     DomainSpec,
     Leaf,
+    OptbenchError,
     RunContext,
     Wrap,
     canonical_text,
@@ -16,10 +17,12 @@ from optbench import (
     parse_algorithm,
     run_loop,
 )
+from optbench.bench import make_function
 from optbench.bench.suites import BenchmarkSuite, SuiteProblem
 from optbench.bench.transforms import BenchmarkFunction, FunctionSpec, TransformSpec
 from optbench.bench.tsp import simple_tsp
 from optbench.combinators import ProgressiveWidening, chain_allocations
+from optbench.errors import error_text
 from optbench.harness.experiment import run_cell, run_experiment
 from optbench.harness.records import record_to_line
 from optbench.solvers import MetamodelWrapper, SoftmaxBridge
@@ -400,6 +403,46 @@ def test_records_are_the_same_bytes_for_one_and_two_workers(spec_text, budget, m
         for jobs in (1, 2)
     )
     assert serial == pooled
+
+
+class Unbatched:
+    """``function`` without its ``batch``, so a serial run asks and tells one at a time."""
+
+    def __init__(self, function):
+        self.domain = function.domain
+        self._function = function
+
+    def __call__(self, point):
+        return self._function(point)
+
+
+def serial_run(spec_text, function, budget, noisy, seed):
+    """Everything a serial run shows: recommendation, history and what each checkpoint saw."""
+    context = RunContext(function.domain, budget=budget, noisy=noisy, master_seed=seed)
+    seen = []
+
+    def checkpoint(done, handle):
+        seen.append((done, handle.recommend().point.tobytes()))
+
+    try:
+        rec, history = run_loop(spec_text, function, context, checkpoint_callback=checkpoint)
+    except OptbenchError as exc:
+        return error_text(exc), seen
+    return rec.point.tobytes(), [(i, float.hex(v)) for i, v in history], seen
+
+
+@given(spec_trees(), st.sampled_from(sorted(RECORDS_SUITE_SPECS)), st.integers(10, 200), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_serial_generation_waves_change_nothing_over_random_trees(spec_text, problem, budget, seed):
+    # a batched objective lets a serial run ask the rest of a generation in one
+    # wave; the run must not tell the difference from one-at-a-time asks
+    fspec = RECORDS_SUITE_SPECS[problem]
+    noisy = fspec.transform.noise_std > 0
+    runs = [
+        serial_run(spec_text, wrap(make_function(fspec, noise_seed=seed)), budget, noisy, seed)
+        for wrap in (lambda f: f, Unbatched)
+    ]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from optbench.bench.functions import (
     get_base,
     griewank,
     hm,
+    hm_rows,
     leadingones,
     lunacek,
     onemax,
@@ -78,6 +80,15 @@ def test_ellipsoid_condition_number():
 
 def test_hm_zero_term_defined():
     assert hm(np.array([0.0, 1.0])) == pytest.approx(1.0 * (1.1 + math.cos(1.0)))
+
+
+def test_hm_is_finite_where_one_over_y_overflows():
+    # 1 / 1e-310 is inf and cos(inf) is NaN, but the term y^2 (...) is 0
+    points = np.array([[1e-310, 1.0], [-5e-324, 1.0], [1e-200, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hm(points[0]) == hm(points[3])
+        assert hm_rows(points).tolist() == [hm(points[3])] * 4
 
 
 def test_hm_nonnegative_and_multimodal_envelope():

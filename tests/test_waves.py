@@ -8,6 +8,7 @@ noise stream where n calls leave it, and ``ask_many(n)`` issues what n
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -90,14 +91,15 @@ def test_composite_and_tsp_batches_equal_calls():
             assert f.batch(points).tolist() == [g(p) for p in points]
 
 
-WAVE_SPECS = ["cma", "diagcma", "tbpsa", "naive-tbpsa", "bet(tbpsa,de;0.2)"]
+WAVE_SPECS = ["cma", "diagcma", "tbpsa", "naive-tbpsa", "bet(tbpsa,de;0.2)", "chain(cma,powell;0.5,0.5)"]
 # the survivor re-asks candidates, some of them twice in one wave
 REASKING_BET = "bet(discrete-optimistic,discrete-optimistic;0.2)"
 
 
 def snapshot(obj, memo):
-    """A comparable picture of ``obj``'s state; handles, candidates, arrays and
-    generators are opened up, shared objects (domain, view, spec) print alike."""
+    """A comparable picture of ``obj``'s state; handles, candidates, arrays,
+    random and Python generators are opened up, shared objects (domain, view,
+    spec) print alike."""
     if isinstance(obj, (Optimizer, Candidate)):
         key = (type(obj).__name__, id(obj))
         if key in memo:
@@ -110,6 +112,9 @@ def snapshot(obj, memo):
         return ("array", obj.shape, obj.tobytes())
     if isinstance(obj, np.random.Generator):
         return obj.bit_generator.state
+    if isinstance(obj, types.GeneratorType):  # a suspended generator: where it stopped, and its locals
+        frame = obj.gi_frame
+        return ("generator", obj.gi_code.co_qualname, frame and (frame.f_lasti, snapshot(frame.f_locals, memo)))
     if isinstance(obj, dict):
         return [(snapshot(k, memo), snapshot(v, memo)) for k, v in obj.items()]
     if isinstance(obj, (list, tuple)):
@@ -153,6 +158,46 @@ def test_ask_many_beyond_the_budget_raises_and_changes_nothing(spec, n):
         handle.ask_many(n + 4)
     assert snapshot(handle, {}) == before
     assert len(handle.ask_many(3 + n)) == 3 + n
+
+
+@pytest.mark.parametrize("spec", WAVE_SPECS)
+def test_ask_many_of_no_candidates_changes_nothing(spec):
+    handle, _ = twins(spec, 3)
+    before = snapshot(handle, {})
+    assert handle.ask_many(0) == []
+    assert snapshot(handle, {}) == before
+
+
+LOOKAHEAD_SPECS = ["cma", "diagcma", "tbpsa", "naive-tbpsa", "chain(cma,powell;0.5,0.5)", "bet(tbpsa,de;0.2)"]
+
+
+@pytest.mark.parametrize("spec", LOOKAHEAD_SPECS)
+def test_free_asks_then_tells_equal_interleaved_ask_and_tell(spec):
+    # free_asks() candidates asked at once, then told in order, as a serial wave
+    context = RunContext(DomainSpec([continuous()] * 6), budget=400, master_seed=3)  # tbpsa survives the bet
+    ahead, single = build_optimizer(spec, context), build_optimizer(spec, context)
+
+    def tell_both(got):
+        for cand in got:
+            want = single.ask()
+            assert (cand.id, cand.point.tobytes()) == (want.id, want.point.tobytes())
+            loss = float(np.dot(cand.point, cand.point))
+            ahead.tell(cand, loss)
+            single.tell(want, loss)
+
+    widths = []
+    while ahead.num_asks < ahead.budget:
+        free = ahead.free_asks()
+        width = min(free, ahead.budget - ahead.num_asks)
+        widths.append(width)
+        got = ahead.ask_many(width // 2)
+        assert ahead.free_asks() == max(1, free - width // 2)  # asks in flight are not free
+        tell_both(got + ahead.ask_many(width - width // 2))
+        assert snapshot(ahead, {}) == snapshot(single, {})
+        # one or two single asks now and then, so the next wave starts inside a generation
+        for _ in range(min(len(widths) % 3, ahead.budget - ahead.num_asks)):
+            tell_both([ahead.ask()])
+    assert max(widths) > 1
 
 
 class Counting(Optimizer):
