@@ -168,10 +168,7 @@ def test_ask_many_of_no_candidates_changes_nothing(spec):
     assert snapshot(handle, {}) == before
 
 
-LOOKAHEAD_SPECS = ["cma", "diagcma", "tbpsa", "naive-tbpsa", "chain(cma,powell;0.5,0.5)", "bet(tbpsa,de;0.2)"]
-
-
-@pytest.mark.parametrize("spec", LOOKAHEAD_SPECS)
+@pytest.mark.parametrize("spec", WAVE_SPECS)
 def test_free_asks_then_tells_equal_interleaved_ask_and_tell(spec):
     # free_asks() candidates asked at once, then told in order, as a serial wave
     context = RunContext(DomainSpec([continuous()] * 6), budget=400, master_seed=3)  # tbpsa survives the bet
