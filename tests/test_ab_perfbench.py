@@ -86,7 +86,7 @@ def test_a_second_workload_joins_the_file_only_for_the_same_commits(tmp_path):
     def run(first, second, workload):
         return subprocess.run(
             [sys.executable, str(TOOL), str(first), str(second), "--workload", workload, "--seed", "1",
-             "--pairs", "1", "--out", str(out), "--seconds", "5"],
+             "--pairs", "1", "--out", str(out)],
             capture_output=True, text=True, timeout=120,
         )
 

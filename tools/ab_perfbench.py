@@ -1,12 +1,13 @@
 """Alternating perfbench pairs of two optbench checkouts, written to one BENCH file.
 
     python3 tools/ab_perfbench.py <checkout-a> <checkout-b> --workload W --seed S --pairs N \
-        --out BENCH_<n>.json [--seconds 30]
+        --out BENCH_<n>.json
 
 Each pair runs each checkout's own, unmodified ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once, in a fresh process with the checkout
 as working directory: pair 0 runs a first, pair 1 runs b first, and so on.
-Checkout a is the baseline.  For every end-to-end metric of a's
+T is the ``run_seconds`` of a's ``BENCHMARK.json``; checkout a is the
+baseline.  For every end-to-end metric of a's
 ``BENCHMARK.json`` the file gets each side's runs, median and quartiles (as
 ``statistics.quantiles(runs, n=4)`` gives them), the pairs that b wins and
 the pairs that tie, and whether the medians differ by more than a's
@@ -85,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of a's BENCHMARK.json")
     args = parser.parse_args(argv)
     checkouts = {"a": args.checkout_a.resolve(), "b": args.checkout_b.resolve()}
     for checkout in checkouts.values():
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = json.loads((checkouts["a"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    seconds = declared["run_seconds"]
     commits = {side: commit_of(checkout) for side, checkout in checkouts.items()}
 
     bench = {
