@@ -51,65 +51,42 @@ def _suite_seed(suite: str, *labels) -> int:
     return derive_seed(0, ["suite", suite, *labels])
 
 
+def _translated(
+    suite, problem_id, base, d, budgets, *seed_labels, rotate=False, noise_std=0.0, workers=(1,)
+) -> SuiteProblem:
+    """Catalog function ``base`` at dimension ``d``, translated with standard
+    deviation 1 and seeded from the suite name and ``seed_labels``."""
+    seed = _suite_seed(suite, *seed_labels)
+    transform = TransformSpec(translation_std=1.0, rotate=rotate, noise_std=noise_std, transform_seed=seed)
+    return SuiteProblem(problem_id, FunctionSpec(base, d, transform), budgets, workers)
+
+
 def _yabbob_lite() -> BenchmarkSuite:
     # rotation on the non-separable half keeps both cases represented
     bases = ("sphere", "cigar", "ellipsoid", "hm", "ackley", "rosenbrock", "griewank", "lunacek")
     rotated = {"cigar", "ellipsoid", "rosenbrock", "lunacek"}
-    problems = []
-    for d in (5, 20):
-        for i, base in enumerate(bases):
-            spec = FunctionSpec(
-                base=base,
-                dimension=d,
-                transform=TransformSpec(
-                    translation_std=1.0,
-                    rotate=base in rotated,
-                    transform_seed=_suite_seed("yabbob_lite", base, d),
-                ),
-            )
-            problems.append(
-                SuiteProblem(f"{base}-d{d}", spec, budgets=(100, 1000, 10000))
-            )
-    return BenchmarkSuite("yabbob_lite", tuple(problems))
+    return BenchmarkSuite("yabbob_lite", tuple(
+        _translated("yabbob_lite", f"{base}-d{d}", base, d, (100, 1000, 10000), base, d, rotate=base in rotated)
+        for d in (5, 20)
+        for base in bases
+    ))
 
 
 def _parallel_multimodal_lite() -> BenchmarkSuite:
     bases = ("ackley", "rosenbrock", "deceptive_multimodal", "griewank", "lunacek", "hm")
-    problems = []
-    d = 10
-    for base in bases:
-        spec = FunctionSpec(
-            base=base,
-            dimension=d,
-            transform=TransformSpec(
-                translation_std=1.0,
-                transform_seed=_suite_seed("parallel_multimodal_lite", base, d),
-            ),
-        )
-        problems.append(
-            SuiteProblem(f"{base}-d{d}", spec, budgets=(1000, 10000), num_workers=(250,))
-        )
-    return BenchmarkSuite("parallel_multimodal_lite", tuple(problems))
+    return BenchmarkSuite("parallel_multimodal_lite", tuple(
+        _translated("parallel_multimodal_lite", f"{base}-d10", base, 10, (1000, 10000), base, 10, workers=(250,))
+        for base in bases
+    ))
 
 
 def _noisy_lite() -> BenchmarkSuite:
-    problems = []
-    for base in ("sphere", "hm"):
-        for d in (5, 25):
-            for noise_std in (0.1, 1.0, 10.0):
-                spec = FunctionSpec(
-                    base=base,
-                    dimension=d,
-                    transform=TransformSpec(
-                        translation_std=1.0,
-                        noise_std=noise_std,
-                        transform_seed=_suite_seed("noisy_lite", base, d, f"{noise_std:g}"),
-                    ),
-                )
-                problems.append(
-                    SuiteProblem(f"{base}-d{d}-n{noise_std:g}", spec, budgets=(1000, 5000))
-                )
-    return BenchmarkSuite("noisy_lite", tuple(problems))
+    return BenchmarkSuite("noisy_lite", tuple(
+        _translated("noisy_lite", f"{base}-d{d}-n{n:g}", base, d, (1000, 5000), base, d, f"{n:g}", noise_std=n)
+        for base in ("sphere", "hm")
+        for d in (5, 25)
+        for n in (0.1, 1.0, 10.0)
+    ))
 
 
 def _lsgo_lite() -> BenchmarkSuite:
@@ -141,17 +118,9 @@ def _discrete_lite() -> BenchmarkSuite:
 
 def _large_smoke() -> BenchmarkSuite:
     # optional large-scale smoke case; not part of the default experiments
-    problems = []
-    for base in ("sphere", "ellipsoid"):
-        spec = FunctionSpec(
-            base=base,
-            dimension=1000,
-            transform=TransformSpec(
-                translation_std=1.0, transform_seed=_suite_seed("large_smoke", base)
-            ),
-        )
-        problems.append(SuiteProblem(f"{base}-d1000", spec, budgets=(2000,)))
-    return BenchmarkSuite("large_smoke", tuple(problems))
+    return BenchmarkSuite("large_smoke", tuple(
+        _translated("large_smoke", f"{base}-d1000", base, 1000, (2000,), base) for base in ("sphere", "ellipsoid")
+    ))
 
 
 _BUILDERS = {

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import get_type_hints
 
 from .algospec import canonical_text, split_top_level
 from .bench.suites import load_suite, shipped_suites
@@ -76,25 +77,19 @@ def _cmd_report(args) -> int:
     tables = report_tables(load_records(args.indir))
     wanted = [name for name in ("curves", "heatmap", "ranking") if getattr(args, name)]
     wanted = wanted or ["curves", "heatmap", "ranking"]
+    note = "" if all(name in tables for name in wanted) else "pairwise tables need at least two algorithms"
+    if note and "curves" not in wanted:
+        raise OptbenchError(note)
     sys.stdout.write("".join(tables[name] for name in wanted if name in tables))
-    if not all(name in tables for name in wanted):
-        print("pairwise tables need at least two algorithms", file=sys.stderr)
-        return 0 if "curves" in wanted else 2
+    if note:
+        print(note, file=sys.stderr)
     return 0
 
 
-_CTX_FIELDS = {
-    "d": ("dimension", int),
-    "b": ("budget", int),
-    "w": ("num_workers", int),
-    "noisy": ("noisy", None),
-    "has_discrete": ("has_discrete", None),
-    "has_categorical": ("has_categorical", None),
-    "max_arity": ("max_arity", float),
-    "has_unbounded_discrete": ("has_unbounded_discrete", None),
-}
+_ALIASES = {"dimension": "d", "budget": "b", "num_workers": "w"}
+#: --ctx key -> (SelectionContext field, its type); int-typed fields are at least 1
+_CTX_FIELDS = {_ALIASES.get(name, name): (name, cast) for name, cast in get_type_hints(SelectionContext).items()}
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_COUNTS = ("d", "b", "w")  # dimension, budget and workers are at least 1
 
 
 def _parse_ctx(text: str) -> SelectionContext:
@@ -107,7 +102,7 @@ def _parse_ctx(text: str) -> SelectionContext:
                 f"bad context item {item!r}; known keys: {', '.join(_CTX_FIELDS)}"
             )
         field, cast = _CTX_FIELDS[key]
-        if cast is None:
+        if cast is bool:
             kwargs[field] = _BOOLEANS.get(value.strip().lower())
             if kwargs[field] is None:
                 raise OptbenchError(f"bad context item {item!r}; {key} takes one of {', '.join(_BOOLEANS)}")
@@ -116,7 +111,7 @@ def _parse_ctx(text: str) -> SelectionContext:
                 kwargs[field] = cast(value)
             except ValueError:
                 raise OptbenchError(f"bad context item {item!r}; {key} takes a number") from None
-            if key in _COUNTS and kwargs[field] < 1:
+            if cast is int and kwargs[field] < 1:
                 raise OptbenchError(f"bad context item {item!r}; {key} must be at least 1")
     if "dimension" not in kwargs or "budget" not in kwargs:
         raise OptbenchError("--ctx needs at least d=<n> and b=<n>")

@@ -116,7 +116,6 @@ class Optimizer:
         self.check_context(context)
         self.domain = context.domain
         self.budget = context.budget
-        self.num_workers = context.num_workers
         self.noisy = context.noisy
         self.rng = np.random.default_rng(seed)
         self.init_point = None if init_point is None else np.asarray(init_point, dtype=float)
@@ -320,22 +319,21 @@ def run_loop(
     Asks are issued in waves of ``min(num_workers, remaining)``.  A wave of
     more than one candidate is one ``ask_many``; when ``function`` has a
     row-exact ``batch(points)`` (as ``BenchmarkFunction`` does), the wave is
-    evaluated by one call of it, else each candidate is evaluated and told
-    before the next.  The tells follow in ask order either way, so both
-    give the same history.  A batch that raises, or returns other than one
-    loss per point, is evaluated again row by row, so an error names the
-    evaluation that fails and the history holds the tells before it.  Each
-    run is executed independently from scratch; results for budget T are
-    not the truncation of a longer run.  Returns ``(recommendation,
-    history)`` where history holds ``(evaluation_index, loss)`` pairs.
+    evaluated by one call of it, else row by row.  The tells follow in ask
+    order either way, so both give the same history.  A batch that raises,
+    or returns other than one loss per point, is evaluated again row by
+    row, so an error names the evaluation that fails and the history holds
+    the tells before it.  Each run is executed independently from scratch;
+    results for budget T are not the truncation of a longer run.  Returns
+    ``(recommendation, history)`` where history holds
+    ``(evaluation_index, loss)`` pairs.
 
-    A serial run (``num_workers == 1``) on a function with ``batch`` asks
-    ``min(handle.free_asks(), remaining)`` candidates per wave instead: the
-    rest of a CMA-ES or TBPSA generation, whose points no tell before them
-    changes, goes through the same one ``ask_many`` and one batch.  A serial
-    run calls ``checkpoint_callback`` after every tell, so it sees the
-    ``done`` values and recommendations of one-at-a-time ask and tell; a
-    parallel run calls it after each wave.
+    A serial run (``num_workers == 1``) asks ``min(handle.free_asks(),
+    remaining)`` candidates per wave instead: the rest of a CMA-ES or TBPSA
+    generation, whose points no tell before them changes, is one wave.  A
+    serial run calls ``checkpoint_callback`` after every tell, so it sees
+    the ``done`` values and recommendations of one-at-a-time ask and tell;
+    a parallel run calls it after each wave.
 
     ``algorithm`` may be an :class:`Optimizer`, an algorithm spec tree, or a
     spec string such as ``"chain(cma,powell;0.5,0.5)"``.
@@ -355,8 +353,7 @@ def run_loop(
     history: list[tuple[int, float]] = []
     done = 0
     while done < context.budget:
-        width = handle.free_asks() if serial and batch is not None else context.num_workers
-        wave = min(width, context.budget - done)
+        wave = min(handle.free_asks() if serial else context.num_workers, context.budget - done)
         cands = (ask(),) if wave == 1 else handle.ask_many(wave)
         losses = None
         if wave > 1 and batch is not None:
@@ -378,8 +375,6 @@ def run_loop(
                 raise EvaluationError(str(exc), history=history) from exc
             done += 1
             history.append((done, loss))
-            if serial and checkpoint_callback is not None:
+            if checkpoint_callback is not None and (serial or cand is cands[-1]):
                 checkpoint_callback(done, handle)
-        if not serial and checkpoint_callback is not None:
-            checkpoint_callback(done, handle)
     return handle.recommend(), history

@@ -47,6 +47,14 @@ def run_cell(
     master_seed: int,
 ) -> ExperimentRecord:
     """Run one cell; any exception is captured in a failed record, not raised."""
+    labels = dict(
+        suite=suite_name,
+        problem=problem.problem_id,
+        algorithm=algorithm_text,
+        seed=seed,
+        budget=budget,
+        num_workers=num_workers,
+    )
     cell_seed = derive_seed(
         master_seed, [suite_name, problem.problem_id, budget, num_workers, algorithm_text, seed]
     )
@@ -79,30 +87,10 @@ def run_cell(
 
         run_loop(algorithm_spec, function, context, checkpoint_callback=snapshot)
         wall = (time.perf_counter() - start) * 1000.0
-        return ExperimentRecord(
-            suite=suite_name,
-            problem=problem.problem_id,
-            algorithm=algorithm_text,
-            seed=seed,
-            budget=budget,
-            num_workers=num_workers,
-            checkpoints=tuple(checkpoints),
-            wall_time_ms=wall,
-        )
+        return ExperimentRecord(**labels, checkpoints=tuple(checkpoints), wall_time_ms=wall)
     except Exception as exc:  # a fault in one cell fails that cell, not the experiment
         wall = (time.perf_counter() - start) * 1000.0
-        return ExperimentRecord(
-            suite=suite_name,
-            problem=problem.problem_id,
-            algorithm=algorithm_text,
-            seed=seed,
-            budget=budget,
-            num_workers=num_workers,
-            checkpoints=(),
-            wall_time_ms=wall,
-            failed=True,
-            error=error_text(exc),
-        )
+        return ExperimentRecord(**labels, wall_time_ms=wall, failed=True, error=error_text(exc))
 
 
 def _run_cell_args(args) -> ExperimentRecord:

@@ -322,12 +322,20 @@ def test_faults_inside_a_cell_become_failed_records(tmp_path, capsys, workers):
     assert len(done) == 2 and all(r["algorithm"] == "one-plus-one-es" and r["checkpoints"] for r in done)
 
 
+ONE_ALGORITHM_NOTE = "pairwise tables need at least two algorithms\n"
+
+
 @pytest.mark.parametrize(
-    "flags, code, printed",
-    [(["--curves"], 0, True), (["--heatmap"], 2, False), (["--ranking"], 2, False), ([], 0, True)],
+    "flags, code, printed, err",
+    [
+        (["--curves"], 0, True, ""),
+        (["--heatmap"], 2, False, "error: " + ONE_ALGORITHM_NOTE),
+        (["--ranking"], 2, False, "error: " + ONE_ALGORITHM_NOTE),
+        ([], 0, True, ONE_ALGORITHM_NOTE),
+    ],
     ids=["curves", "heatmap", "ranking", "all"],
 )
-def test_report_with_one_algorithm(tmp_path, capsys, flags, code, printed):
+def test_report_with_one_algorithm(tmp_path, capsys, flags, code, printed, err):
     out = tmp_path / "r"
     manifest = _mini_manifest(tmp_path, lambda p: None)
     assert main(["run", "--suite", manifest, "--algs", "discrete-fixed", "--seeds", "1", "--out", str(out)]) == 0
@@ -336,7 +344,7 @@ def test_report_with_one_algorithm(tmp_path, capsys, flags, code, printed):
     assert main(["report", "--in", str(out), *flags]) == code
     captured = capsys.readouterr()
     assert captured.out == ((out / "curves.csv").read_text() if printed else "")
-    assert (captured.err == "pairwise tables need at least two algorithms\n") == (flags != ["--curves"])
+    assert captured.err == err
 
 
 _GOLDEN_LINE = (Path(__file__).parent / "golden" / "records.jsonl").read_text().splitlines()[0]

@@ -406,7 +406,7 @@ def test_records_are_the_same_bytes_for_one_and_two_workers(spec_text, budget, m
 
 
 class Unbatched:
-    """``function`` without its ``batch``, so a serial run asks and tells one at a time."""
+    """``function`` without its ``batch``, so a serial run evaluates row by row."""
 
     def __init__(self, function):
         self.domain = function.domain
@@ -416,7 +416,20 @@ class Unbatched:
         return self._function(point)
 
 
-def serial_run(spec_text, function, budget, noisy, seed):
+def one_at_a_time(spec_text, function, context, checkpoint_callback):
+    """The reference serial run: ask one candidate, evaluate it, tell it, checkpoint."""
+    handle = build_optimizer(spec_text, context)
+    history = []
+    for done in range(1, context.budget + 1):
+        cand = handle.ask()
+        loss = float(function(cand.point))
+        handle.tell(cand, loss)
+        history.append((done, loss))
+        checkpoint_callback(done, handle)
+    return handle.recommend(), history
+
+
+def serial_run(run, spec_text, function, budget, noisy, seed):
     """Everything a serial run shows: recommendation, history and what each checkpoint saw."""
     context = RunContext(function.domain, budget=budget, noisy=noisy, master_seed=seed)
     seen = []
@@ -425,7 +438,7 @@ def serial_run(spec_text, function, budget, noisy, seed):
         seen.append((done, handle.recommend().point.tobytes()))
 
     try:
-        rec, history = run_loop(spec_text, function, context, checkpoint_callback=checkpoint)
+        rec, history = run(spec_text, function, context, checkpoint_callback=checkpoint)
     except OptbenchError as exc:
         return error_text(exc), seen
     return rec.point.tobytes(), [(i, float.hex(v)) for i, v in history], seen
@@ -434,15 +447,14 @@ def serial_run(spec_text, function, budget, noisy, seed):
 @given(spec_trees(), st.sampled_from(sorted(RECORDS_SUITE_SPECS)), st.integers(10, 200), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_serial_generation_waves_change_nothing_over_random_trees(spec_text, problem, budget, seed):
-    # a batched objective lets a serial run ask the rest of a generation in one
-    # wave; the run must not tell the difference from one-at-a-time asks
+    # a serial run asks the rest of a generation in one wave, evaluated in one
+    # batch or row by row; neither may differ from one-at-a-time ask and tell
     fspec = RECORDS_SUITE_SPECS[problem]
     noisy = fspec.transform.noise_std > 0
-    runs = [
-        serial_run(spec_text, wrap(make_function(fspec, noise_seed=seed)), budget, noisy, seed)
-        for wrap in (lambda f: f, Unbatched)
-    ]
-    assert runs[0] == runs[1]
+    reference = serial_run(one_at_a_time, spec_text, make_function(fspec, noise_seed=seed), budget, noisy, seed)
+    for wrap in (lambda f: f, Unbatched):
+        function = wrap(make_function(fspec, noise_seed=seed))
+        assert serial_run(run_loop, spec_text, function, budget, noisy, seed) == reference
 
 
 @pytest.mark.parametrize(

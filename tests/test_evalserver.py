@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -268,3 +269,30 @@ def test_a_quiet_child_adds_nothing_to_the_error(tmp_path):
         with external_evaluator_session(child_command(tmp_path, BAD_ID_CHILD, "bad_id_child.py")) as external:
             external(np.zeros(2))
     assert "stderr" not in str(err.value)
+
+
+ELLIPSOID_CHILD = textwrap.dedent(
+    """
+    import json, sys
+    print(json.dumps({"type": "hello", "dimension": 8,
+                      "variables": [{"kind": "continuous"}] * 8}), flush=True)
+    for line in sys.stdin:
+        msg = json.loads(line)
+        value = 0.0
+        for i, v in enumerate(msg["point"]):
+            value += (i + 1) * (v - 0.25 * i) ** 2
+        print(json.dumps({"type": "loss", "id": msg["id"], "value": value}), flush=True)
+    """
+)
+
+
+def test_an_abbo_session_prints_the_pinned_result(tmp_path, capsys):
+    # d8 with budget 6500 runs chain(cma,powell): the serial path of an
+    # objective without ``batch``, CMA generations included.  The digest was
+    # recorded with one ask per evaluation and is never regenerated.
+    command = child_command(tmp_path, ELLIPSOID_CHILD, "ellipsoid_child.py")
+    argv = ["eval-server", "--cmd", command, "--algs", "abbo", "--budget", "6500", "--master-seed", "11"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["recommendation_loss"] < 1e-20
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "332e17fb7a4bd969"

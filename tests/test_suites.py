@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from optbench.bench import (
@@ -72,3 +75,27 @@ def test_suites_are_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigurationError):
         load_suite("nope_suite")
+
+
+# Digests of each shipped suite's manifest, recorded before the suite builders
+# were shared.  Like the stream digests of test_streams.py they are never
+# regenerated: a changed digest means a changed problem id, function instance,
+# budget grid or worker grid.
+MANIFEST_DIGESTS = {
+    "discrete_lite": "1f070d3c53ed1f82",
+    "large_smoke": "b20a0fd5f0c097ec",
+    "lsgo_lite": "02ee6d73e5e6ae99",
+    "noisy_lite": "2bc4a10d51fff9d9",
+    "parallel_multimodal_lite": "a735dda1758c7c88",
+    "yabbob_lite": "9c94dd133b12f358",
+}
+
+
+def test_every_shipped_suite_is_pinned():
+    assert sorted(MANIFEST_DIGESTS) == sorted(shipped_suites())
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_DIGESTS))
+def test_shipped_suite_manifest_is_unchanged(name):
+    text = json.dumps(suite_to_manifest(get_suite(name)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == MANIFEST_DIGESTS[name]
