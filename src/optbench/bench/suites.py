@@ -52,12 +52,14 @@ def _suite_seed(suite: str, *labels) -> int:
 
 
 def _translated(
-    suite, problem_id, base, d, budgets, *seed_labels, rotate=False, noise_std=0.0, workers=(1,)
+    suite, problem_id, base, d, budgets, *seed_labels, workers=SuiteProblem.num_workers, **transform
 ) -> SuiteProblem:
     """Catalog function ``base`` at dimension ``d``, translated with standard
-    deviation 1 and seeded from the suite name and ``seed_labels``."""
+    deviation 1 and seeded from the suite name and ``seed_labels``; the
+    keywords in ``transform`` (``rotate``, ``noise_std``) go to its
+    :class:`TransformSpec`."""
     seed = _suite_seed(suite, *seed_labels)
-    transform = TransformSpec(translation_std=1.0, rotate=rotate, noise_std=noise_std, transform_seed=seed)
+    transform = TransformSpec(translation_std=1.0, transform_seed=seed, **transform)
     return SuiteProblem(problem_id, FunctionSpec(base, d, transform), budgets, workers)
 
 
@@ -66,7 +68,10 @@ def _yabbob_lite() -> BenchmarkSuite:
     bases = ("sphere", "cigar", "ellipsoid", "hm", "ackley", "rosenbrock", "griewank", "lunacek")
     rotated = {"cigar", "ellipsoid", "rosenbrock", "lunacek"}
     return BenchmarkSuite("yabbob_lite", tuple(
-        _translated("yabbob_lite", f"{base}-d{d}", base, d, (100, 1000, 10000), base, d, rotate=base in rotated)
+        _translated(
+            "yabbob_lite", f"{base}-d{d}", base, d, (100, 1000, 10000), base, d,
+            rotate=base in rotated,
+        )
         for d in (5, 20)
         for base in bases
     ))
@@ -75,14 +80,20 @@ def _yabbob_lite() -> BenchmarkSuite:
 def _parallel_multimodal_lite() -> BenchmarkSuite:
     bases = ("ackley", "rosenbrock", "deceptive_multimodal", "griewank", "lunacek", "hm")
     return BenchmarkSuite("parallel_multimodal_lite", tuple(
-        _translated("parallel_multimodal_lite", f"{base}-d10", base, 10, (1000, 10000), base, 10, workers=(250,))
+        _translated(
+            "parallel_multimodal_lite", f"{base}-d10", base, 10, (1000, 10000), base, 10,
+            workers=(250,),
+        )
         for base in bases
     ))
 
 
 def _noisy_lite() -> BenchmarkSuite:
     return BenchmarkSuite("noisy_lite", tuple(
-        _translated("noisy_lite", f"{base}-d{d}-n{n:g}", base, d, (1000, 5000), base, d, f"{n:g}", noise_std=n)
+        _translated(
+            "noisy_lite", f"{base}-d{d}-n{n:g}", base, d, (1000, 5000), base, d, f"{n:g}",
+            noise_std=n,
+        )
         for base in ("sphere", "hm")
         for d in (5, 25)
         for n in (0.1, 1.0, 10.0)
@@ -119,7 +130,8 @@ def _discrete_lite() -> BenchmarkSuite:
 def _large_smoke() -> BenchmarkSuite:
     # optional large-scale smoke case; not part of the default experiments
     return BenchmarkSuite("large_smoke", tuple(
-        _translated("large_smoke", f"{base}-d1000", base, 1000, (2000,), base) for base in ("sphere", "ellipsoid")
+        _translated("large_smoke", f"{base}-d1000", base, 1000, (2000,), base)
+        for base in ("sphere", "ellipsoid")
     ))
 
 

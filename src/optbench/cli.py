@@ -77,18 +77,21 @@ def _cmd_report(args) -> int:
     tables = report_tables(load_records(args.indir))
     wanted = [name for name in ("curves", "heatmap", "ranking") if getattr(args, name)]
     wanted = wanted or ["curves", "heatmap", "ranking"]
-    note = "" if all(name in tables for name in wanted) else "pairwise tables need at least two algorithms"
-    if note and "curves" not in wanted:
+    missing = not all(name in tables for name in wanted)
+    note = "pairwise tables need at least two algorithms"
+    if missing and "curves" not in wanted:
         raise OptbenchError(note)
     sys.stdout.write("".join(tables[name] for name in wanted if name in tables))
-    if note:
+    if missing:
         print(note, file=sys.stderr)
     return 0
 
 
 _ALIASES = {"dimension": "d", "budget": "b", "num_workers": "w"}
 #: --ctx key -> (SelectionContext field, its type); int-typed fields are at least 1
-_CTX_FIELDS = {_ALIASES.get(name, name): (name, cast) for name, cast in get_type_hints(SelectionContext).items()}
+_CTX_FIELDS = {
+    _ALIASES.get(name, name): (name, cast) for name, cast in get_type_hints(SelectionContext).items()
+}
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 

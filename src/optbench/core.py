@@ -362,7 +362,7 @@ def run_loop(
                 losses = iter(np.asarray(values, dtype=float).reshape(wave).tolist())
             except Exception:
                 pass  # evaluated row by row below, which names the row that fails
-        for cand in cands:
+        for i, cand in enumerate(cands, 1):
             try:
                 loss = float(function(cand.point)) if losses is None else next(losses)
             except Exception as exc:
@@ -375,6 +375,6 @@ def run_loop(
                 raise EvaluationError(str(exc), history=history) from exc
             done += 1
             history.append((done, loss))
-            if checkpoint_callback is not None and (serial or cand is cands[-1]):
+            if checkpoint_callback is not None and (serial or i == wave):
                 checkpoint_callback(done, handle)
     return handle.recommend(), history

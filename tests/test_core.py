@@ -12,6 +12,7 @@ from optbench import (
     InvalidLossError,
     Optimizer,
     RunContext,
+    categorical,
     continuous,
     run_loop,
 )
@@ -227,3 +228,13 @@ def test_run_loop_checkpoint_callback_sees_wave_ends():
     seen = []
     run_loop(RandomProbe(ctx), lambda x: 0.0, ctx, checkpoint_callback=lambda done, h: seen.append(done))
     assert seen == [2, 4, 6]
+
+
+def test_run_loop_checkpoint_callback_sees_wave_ends_with_a_candidate_asked_twice():
+    # discrete-optimistic may resample its parent twice in one wave: the
+    # same Candidate object, so the wave end is found by position.
+    dom = DomainSpec([categorical(3)] * 4)
+    ctx = RunContext(dom, budget=100, num_workers=2, noisy=True)
+    seen = []
+    run_loop("discrete-optimistic", lambda x: 1.0, ctx, checkpoint_callback=lambda done, h: seen.append(done))
+    assert seen == list(range(2, 101, 2))
