@@ -58,12 +58,6 @@ class RoutingOptimizer(Optimizer):
         self._path = path
         self._outer: dict[Candidate, Candidate] = {}  # child candidate -> outer candidate
 
-    @classmethod
-    def child_contexts(cls, spec, context: RunContext):
-        """The run contexts of the children in build order; a wrapper's one
-        child runs on the wrapper's own context."""
-        return [context]
-
     def _build(self, index: int, spec, context: RunContext, init_point) -> Optimizer:
         return self._builder(spec, context, self._path + (index,), init_point)
 
@@ -201,13 +195,10 @@ class BetAndRunOptimizer(RoutingOptimizer):
         self._cursor = 0
         self.survivor: int | None = None
 
-    def _phase1_done(self) -> bool:
-        return all(
-            child.num_asks >= alloc for child, alloc in zip(self.children, self._phase_allocs)
-        )
-
     def _ask(self) -> Candidate:
-        if self.survivor is None and self._phase1_done():
+        if self.survivor is None and all(
+            child.num_asks >= alloc for child, alloc in zip(self.children, self._phase_allocs)
+        ):
             self._pick_survivor()
         if self.survivor is not None:
             idx = self.survivor

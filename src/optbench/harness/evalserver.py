@@ -176,6 +176,5 @@ class ExternalEvaluator:
         self.close()
 
 
-def external_evaluator_session(command: str, timeout: float = 30.0) -> ExternalEvaluator:
-    """Spawn the child and complete the handshake."""
-    return ExternalEvaluator(command, timeout=timeout)
+#: ``external_evaluator_session(command, timeout)`` spawns the child and completes the handshake
+external_evaluator_session = ExternalEvaluator

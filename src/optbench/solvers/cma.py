@@ -1,7 +1,7 @@
 """CMA-ES with cumulative step-size adaptation and rank-one/rank-mu
 covariance updates, in full and diagonal (separable) variants.
 
-Parameter defaults follow the canonical tutorial setting: population size
+The parameters are the tutorial's (Hansen 2016): population size
 ``lambda = 4 + floor(3 ln d)``, ``mu = lambda // 2`` parents, log-rank
 recombination weights normalized to sum to one.  The diagonal variant keeps
 only the diagonal of the covariance and scales the covariance learning rates
@@ -33,20 +33,12 @@ def recombination_weights(mu: int) -> np.ndarray:
 class CmaEs(ScalarSolver):
     """Covariance matrix adaptation evolution strategy."""
 
-    def __init__(
-        self,
-        context: RunContext,
-        seed: int = 0,
-        init_point=None,
-        diagonal: bool = False,
-        population_size: int | None = None,
-    ):
+    def __init__(self, context: RunContext, seed: int = 0, init_point=None, diagonal: bool = False):
         super().__init__(context, seed=seed, init_point=init_point)
         self.diagonal = diagonal
         d = self._view.dim
         self.dim = d
-        lam = population_size or (4 + int(3 * math.log(d)))
-        self.lam = max(4, lam)
+        self.lam = 4 + int(3 * math.log(d))
         self.generation_size = self.lam
         self.mu = self.lam // 2
         self.weights = recombination_weights(self.mu)

@@ -17,7 +17,7 @@ number of tells so far:
                           accepts by mean loss minus a sqrt(2 ln t / n) bonus
 
 ``fastga`` instead draws a mutation strength ``k`` from a power law
-``P(k) ~ k^-beta`` over ``{1..floor(d/2)}`` and changes exactly ``k``
+``P(k) ~ k^-1.5`` over ``{1..floor(d/2)}`` and changes exactly ``k``
 variables; unbounded integers move by ``+-2^j`` doubling steps.
 """
 
@@ -178,11 +178,9 @@ class FastGa(_ParentMutation):
         if len(context.domain.variables) < 2:
             raise ConfigurationError("FastGA needs at least 2 variables")
 
-    def __init__(self, context: RunContext, seed: int = 0, init_point=None, beta: float = 1.5):
+    def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        if beta <= 1.0:
-            raise ConfigurationError("the power-law exponent beta must exceed 1")
-        self._probs = strength_probabilities(self.d, beta)
+        self._probs = strength_probabilities(self.d, beta=1.5)
         self._support = np.arange(1, len(self._probs) + 1)
         self._mutable_indices = np.flatnonzero(self._mutable)
 

@@ -16,25 +16,17 @@ class OnePlusOneEs(ScalarSolver):
 
     Every ask mutates the current parent by ``sigma * N(0, I)`` in the
     standardized space; a strict improvement moves the parent and multiplies
-    sigma by ``c_up``, anything else multiplies it by ``c_down``.  The
-    defaults satisfy ``c_up * c_down**4 == 1`` so sigma is stationary at a
+    sigma by ``c_up``, anything else multiplies it by ``c_down``.  They
+    satisfy ``c_up * c_down**4 == 1`` so sigma is stationary at a
     one-fifth success rate.  Parallel asks are independent mutations of the
     same parent.
     """
 
-    def __init__(
-        self,
-        context: RunContext,
-        seed: int = 0,
-        init_point=None,
-        c_up: float = 2.0,
-        c_down: float = 2.0 ** -0.25,
-    ):
+    c_up = 2.0
+    c_down = 2.0 ** -0.25
+
+    def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        if c_up <= 0 or c_down <= 0:
-            raise ValueError("step multipliers must be positive")
-        self.c_up = c_up
-        self.c_down = c_down
         self.sigma = 1.0
         self._parent = self._z0
         self._parent_loss: float | None = None

@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from ..core import Candidate, RunContext, ScalarSolver
-from ..errors import ConfigurationError
 from .metamodel import quadratic_design, quadratic_feature_count, split_quadratic
 
 logger = logging.getLogger(__name__)
@@ -330,18 +329,11 @@ class TrustRegion(_ProbeDrivenSolver):
     """Linear or quadratic model trust region ("cobyla" / "sqp" slots)."""
 
     def __init__(
-        self,
-        context: RunContext,
-        seed: int = 0,
-        init_point=None,
-        quadratic: bool = False,
-        initial_radius: float = 1.0,
+        self, context: RunContext, seed: int = 0, init_point=None, quadratic: bool = False
     ):
         super().__init__(context, seed=seed, init_point=init_point)
-        if initial_radius <= 0:
-            raise ConfigurationError("trust radius must be positive")
         self.quadratic = quadratic
-        self.rho = initial_radius
+        self.rho = 1.0
 
     def _probes(self):
         d = self._view.dim

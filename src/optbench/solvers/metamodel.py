@@ -122,11 +122,14 @@ class MetamodelWrapper(RoutingOptimizer):
         super().__init__(context, spec, builder, path, seed, init_point)
         (child_context,) = self.child_contexts(spec, context)
         self.child = self._build(0, spec.child, child_context, init_point)
-        self.generation_size = self.child.generation_size
         self._view = self.domain.scalar_view
         self._points: list[np.ndarray] = []
         self._losses: list[float] = []
         self._tells_at_attempt = 0
+
+    @property
+    def generation_size(self) -> int | None:
+        return self.child.generation_size
 
     def _ask(self):
         gen = self.child.generation_size or max(8, self._view.dim)

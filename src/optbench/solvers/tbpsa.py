@@ -17,9 +17,14 @@ import math
 import numpy as np
 
 from ..core import Candidate, RunContext, ScalarSolver
+from ..errors import ConfigurationError
 
 SIGMA_MIN = 1e-18
 SIGMA_MAX = 1e6
+#: the recommendation averages the centers of this many last generations
+RECOMMENDATION_WINDOW = 5
+#: the population doubles after this many generations without a better elite mean
+STAGNATION_LIMIT = 2
 
 
 class Tbpsa(ScalarSolver):
@@ -32,18 +37,17 @@ class Tbpsa(ScalarSolver):
         init_point=None,
         naive: bool = False,
         elite_fraction: float = 0.25,
-        recommendation_window: int = 5,
-        stagnation_limit: int = 2,
         population_size: int | None = None,
     ):
         super().__init__(context, seed=seed, init_point=init_point)
+        d = self._view.dim
+        self.lam = 4 + int(3 * math.log(d)) if population_size is None else population_size
+        if not isinstance(self.lam, int) or self.lam < 4:
+            raise ConfigurationError("TBPSA needs a whole population of at least 4")
+        if not 0.0 < elite_fraction <= 1.0:  # also refuses NaN
+            raise ConfigurationError("the elite fraction must lie in (0, 1]")
         self.naive = naive
         self.elite_fraction = elite_fraction
-        self.recommendation_window = recommendation_window
-        self.stagnation_limit = stagnation_limit
-        d = self._view.dim
-        self.lam = max(4, population_size or (4 + int(3 * math.log(d))))
-        self.generation_size = self.lam
         self.tau = 1.0 / math.sqrt(2.0 * d)
         self.center = self._z0
         self.sigma = 1.0
@@ -52,6 +56,10 @@ class Tbpsa(ScalarSolver):
         self._best_elite_mean = math.inf
         self._stagnation = 0
         self._best_single: tuple[float, np.ndarray] | None = None
+
+    @property
+    def generation_size(self) -> int:
+        return self.lam
 
     def _ask(self) -> Candidate:
         draw = self._normal_row(self._view.dim + 1)  # the sigma draw, then the step
@@ -98,9 +106,8 @@ class Tbpsa(ScalarSolver):
             self._stagnation = 0
         else:
             self._stagnation += 1
-            if self._stagnation >= self.stagnation_limit:
+            if self._stagnation >= STAGNATION_LIMIT:
                 self.lam *= 2  # double the population to average more noise
-                self.generation_size = self.lam
                 self._stagnation = 0
 
     def _recommend(self):
@@ -110,5 +117,5 @@ class Tbpsa(ScalarSolver):
             return self._best_single[1]
         if not self.center_history:
             return None
-        window = self.center_history[-self.recommendation_window :]
+        window = self.center_history[-RECOMMENDATION_WINDOW:]
         return self._view.decode(np.mean(window, axis=0))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 from .algospec import AlgorithmSpec, BetAndRun, Chain, Leaf, Wrap, canonical_text, parse_algorithm
@@ -59,7 +58,7 @@ class SelectionContext:
             noisy=context.noisy,
             has_discrete=domain.has_discrete,
             has_categorical=domain.has_categorical,
-            max_arity=math.inf if domain.has_unbounded_discrete else domain.max_arity,
+            max_arity=domain.max_arity,
             has_unbounded_discrete=domain.has_unbounded_discrete,
         )
 
@@ -134,8 +133,8 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
 
     The factory is the registry constructor with the leaf's params and
     ``seed`` bound; a leaf ``seed`` param overrides the derived one.  Unknown
-    ids, unknown params and params the leaf repeats or its id already fixes
-    raise RegistryError.
+    ids, unknown params, params the leaf repeats or its id already fixes, and
+    a value other than true or false for a boolean param raise RegistryError.
     """
     params = dict(leaf.params)
     if len(params) < len(leaf.params):
@@ -151,8 +150,9 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
             f"{', '.join(sorted(REGISTRY) + [WIZARD_ID])}"
         )
     if params:
-        known = inspect.signature(variant).parameters.keys() - {"context", "init_point"}
-        for key in params:
+        signature = inspect.signature(variant).parameters
+        known = signature.keys() - {"context", "init_point"}
+        for key, value in params.items():
             if key in variant.keywords:
                 raise RegistryError(f"{leaf.name!r} fixes parameter {key!r}")
             if key not in known:
@@ -160,6 +160,9 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
                     f"unknown parameter {key!r} for {leaf.name!r}; "
                     f"known: {', '.join(sorted(known - variant.keywords.keys()))}"
                 )
+            if isinstance(signature[key].default, bool) and not isinstance(value, bool):
+                text = canonical_text(leaf)
+                raise RegistryError(f"bad parameter value in {text!r}: {key} takes true or false")
     return functools.partial(variant, **{"seed": seed, **params})
 
 
@@ -252,10 +255,5 @@ def build_optimizer(
             return factory(context, init_point=_init_point)
         resolved = select_algorithm(SelectionContext.from_problem(context.domain, context))
         return build_optimizer(resolved, context, _path + (WIZARD_ID,), _init_point)
-    return _composite(spec)(context, spec, _build_child, _path, seed, _init_point)
-
-
-def _build_child(spec, context: RunContext, path: tuple, init_point) -> Optimizer:
-    # looks build_optimizer up when called, so a wrapped module attribute
-    # also builds every child
-    return build_optimizer(spec, context, path, init_point)
+    # the module attribute, looked up now, so a wrapped builder also builds every child
+    return _composite(spec)(context, spec, build_optimizer, _path, seed, _init_point)

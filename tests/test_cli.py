@@ -98,6 +98,8 @@ def test_explain_rejects_bad_context(capsys):
     assert "known keys" in capsys.readouterr().err
     assert main(["explain", "--ctx", "d=x,b=10"]) == 2
     assert capsys.readouterr().err == "error: bad context item 'd=x'; d takes a number\n"
+    assert main(["explain", "--ctx", "w=2"]) == 2
+    assert capsys.readouterr().err == "error: --ctx needs at least d=<n> and b=<n>\n"
     # features no rule reads are not keys
     assert main(["explain", "--ctx", "d=20,b=500,fully_continuous=false"]) == 2
     assert capsys.readouterr().err.startswith("error: bad context item 'fully_continuous=false'; known keys")
@@ -199,13 +201,88 @@ def test_bad_leaf_params_fail_before_any_cell(tmp_path, capsys, algs):
     assert not out.exists()
 
 
+REMOVED_KEYWORDS = [
+    "cma[population_size=8]",
+    "one-plus-one-es[c_up=2]",
+    "one-plus-one-es[c_down=0.5]",
+    "linear-tr[initial_radius=1]",
+    "quadratic-tr[initial_radius=1]",
+    "fastga[beta=1.5]",
+    "tbpsa[recommendation_window=5]",
+    "naive-tbpsa[recommendation_window=5]",
+    "tbpsa[stagnation_limit=2]",
+    "naive-tbpsa[stagnation_limit=2]",
+]
+
+
+def assert_run_fails_before_any_cell(tmp_path, capsys, algs, message):
+    out = tmp_path / "x"
+    rc = main(["run", "--suite", "yabbob_lite", "--algs", f"de,{algs}", "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algs", REMOVED_KEYWORDS)
+def test_removed_solver_keywords_are_unknown_parameters(tmp_path, capsys, algs):
+    name, _, rest = algs.partition("[")
+    key = rest.partition("=")[0]
+    assert_run_fails_before_any_cell(tmp_path, capsys, algs, f"unknown parameter {key!r} for {name!r}; known: ")
+
+
+@pytest.mark.parametrize("algs, reason", [
+    # a boolean takes only true or false, and only an omitted keyword means the default
+    ("cma[diagonal=no]", "diagonal takes true or false"),
+    ("tbpsa[naive=no]", "naive takes true or false"),
+    ("de[lhs_init=1]", "lhs_init takes true or false"),
+    ("de[population_size=0]", "DE needs a population of at least 4"),
+    ("tbpsa[population_size=0]", "TBPSA needs a whole population of at least 4"),
+    ("naive-tbpsa[population_size=3]", "TBPSA needs a whole population of at least 4"),
+    ("tbpsa[population_size=4.5]", "TBPSA needs a whole population of at least 4"),
+    ("tbpsa[elite_fraction=-1]", "the elite fraction must lie in (0, 1]"),
+    ("tbpsa[elite_fraction=2]", "the elite fraction must lie in (0, 1]"),
+    ("tbpsa[elite_fraction=nan]", "the elite fraction must lie in (0, 1]"),
+])
+def test_misread_leaf_values_fail_before_any_cell(tmp_path, capsys, algs, reason):
+    assert_run_fails_before_any_cell(tmp_path, capsys, algs, f"bad parameter value in {algs!r}: {reason}")
+
+
+@pytest.mark.parametrize("suite, algs, message", [
+    ("discrete_lite", "chain(cma;)", "bad allocation ''"),
+    ("discrete_lite", "chain(cma;1b)", "bad allocation '1b'"),
+    ("discrete_lite", "chain(cma,de;0.5)", "chain has 2 children but 1 allocations"),
+    ("discrete_lite", "bet(cma;0.5)", "bet-and-run needs at least two children"),
+    ("discrete_lite", "bet(cma,de;x)", "bad phase fraction 'x'"),
+    ("discrete_lite", "cma[x]", "bad parameter 'x' in 'cma[x]'"),
+    ("discrete_lite", "cma;de", "bad leaf name 'cma;de'"),
+    ("discrete_lite", "a)b(", "unbalanced parentheses in 'a)b('"),
+    ("discrete_lite", "foo(cma)", "unknown combinator 'foo' in 'foo(cma)'"),
+    ("discrete_lite", "abbo[x=1]", "'abbo' takes no parameters"),
+    ("discrete_lite", "cma[seed=1,seed=2]", "repeated parameter in 'cma[seed=1,seed=2]'"),
+    ("not-json.json", "cma", "cannot read manifest 'not-json.json': "),
+    ("records.json", "cma", "not a manifest of schema 'optbench-suite-v1'"),
+])
+def test_bad_spec_or_manifest_is_one_error_line(tmp_path, monkeypatch, capsys, suite, algs, message):
+    monkeypatch.chdir(tmp_path)
+    Path("not-json.json").write_text("{not json")
+    Path("records.json").write_text(json.dumps({"schema": 1, "problem": "sphere-d2"}))
+    rc = main(["run", "--suite", suite, "--algs", algs, "--seeds", "1", "--out", "x"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not Path("x").exists()
+
+
 def test_eval_server_validates_algs_before_spawning_the_child(tmp_path, capsys):
     marker = tmp_path / "spawned"
     child = tmp_path / "child.py"
     child.write_text(f"open({str(marker)!r}, 'w').close()\n")
     for algs, message in [
         ("cma[bogus=1]", "error: unknown parameter 'bogus'"),
-        ("one-plus-one-es[c_up=-1]", "error: bad parameter value in 'one-plus-one-es[c_up=-1]': ValueError: "),
+        ("de[f_weight=3]", "error: bad parameter value in 'de[f_weight=3]': differential weight F must lie in"),
     ]:
         rc = main(["eval-server", "--cmd", f"{sys.executable} {child}", "--algs", algs])
         assert rc == 2
@@ -303,23 +380,28 @@ def test_bad_manifest_fails_at_load(tmp_path, capsys, edit, expected):
     assert not out.exists()  # no cell ran
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_faults_inside_a_cell_become_failed_records(tmp_path, capsys, workers):
-    manifest = _mini_manifest(tmp_path, lambda p: p.update(
-        spec={"base": "sphere", "dimension": 3, "transform": {"translation_std": 1.0, "transform_seed": 1}}
-    ))
+    sphere = {"base": "sphere", "dimension": 3, "transform": {"translation_std": 1.0, "transform_seed": 1}}
+    manifest = _mini_manifest(tmp_path, lambda p: p.update(spec=sphere))
+    obj = json.loads(Path(manifest).read_text())
+    # a valid problem whose first loss overflows to inf: no check before the run can see it
+    overflow = {**obj["problems"][0], "problem_id": "overflow"}
+    overflow["spec"] = {**sphere, "transform": {"translation_std": 1e200, "transform_seed": 1}}
+    obj["problems"].append(overflow)
+    Path(manifest).write_text(json.dumps(obj))
     out = tmp_path / "r"
-    # both parameters build fine and break only at tbpsa's first generation
-    algs = "tbpsa[elite_fraction=a],tbpsa[recommendation_window=x],one-plus-one-es"
+    algs = "tbpsa,one-plus-one-es"
     rc = main(["run", "--suite", manifest, "--algs", algs, "--seeds", "2", "--workers", workers, "--out", str(out)])
     assert rc == 1
     assert "4 cells failed" in capsys.readouterr().err
     records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
-    errors = {r["algorithm"]: r["error"] for r in records if r["failed"]}
-    assert errors["tbpsa[elite_fraction=a]"] == "TypeError: must be real number, not str"
-    assert errors["tbpsa[recommendation_window=x]"].startswith("TypeError: ")
+    failed = [r for r in records if r["failed"]]
+    assert len(failed) == 4 and all(r["problem"] == "overflow" for r in failed)
+    assert all(r["error"] == "loss must be finite, got inf" and not r["checkpoints"] for r in failed)
     done = [r for r in records if not r["failed"]]
-    assert len(done) == 2 and all(r["algorithm"] == "one-plus-one-es" and r["checkpoints"] for r in done)
+    assert len(done) == 4 and all(r["problem"] == "onemax-d20" and r["checkpoints"] for r in done)
 
 
 ONE_ALGORITHM_NOTE = "pairwise tables need at least two algorithms\n"

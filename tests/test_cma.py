@@ -3,7 +3,7 @@ from scipy.stats import ranksums
 
 from optbench import DomainSpec, RunContext, continuous, run_loop
 from optbench.bench import FunctionSpec, TransformSpec, make_function
-from optbench.solvers.cma import CmaEs, recombination_weights
+from optbench.solvers.cma import EIGEN_FLOOR, CmaEs, recombination_weights
 
 
 def test_recombination_weights_positive_decreasing_normalized():
@@ -76,3 +76,15 @@ def test_generation_buffer_supports_wide_parallelism():
     for c in cands:
         handle.tell(c, float(c.point @ c.point))
     assert handle.num_tells == 50
+
+
+def test_decompose_floors_small_eigenvalues_and_rebuilds_the_covariance():
+    handle = CmaEs(RunContext(DomainSpec([continuous() for _ in range(3)]), budget=50), seed=0)
+    handle.cov = np.diag([4.0, 0.0, 1.0])
+    handle._decompose()
+    assert sorted(handle._eig_scale ** 2) == [EIGEN_FLOOR, 1.0, 4.0]
+    assert np.array_equal(handle.cov, np.diag([4.0, EIGEN_FLOOR, 1.0]))
+    healthy = np.diag([4.0, 2.0, 1.0])
+    handle.cov = healthy
+    handle._decompose()
+    assert handle.cov is healthy  # rebuilt only when an eigenvalue was floored

@@ -99,3 +99,23 @@ def test_wrapper_marks_child_generation():
     handle = build_optimizer("meta(cma)", ctx)
     assert isinstance(handle, MetamodelWrapper)
     assert handle.generation_size == handle.child.generation_size
+
+
+def test_nested_wrappers_follow_a_growing_tbpsa_generation():
+    # a noisy constant makes tbpsa double its population; both wrappers must see each new size
+    ctx = RunContext(DomainSpec([continuous() for _ in range(3)]), budget=3000, noisy=True, master_seed=0)
+    outer = build_optimizer("meta(meta(tbpsa))", ctx)
+    tbpsa = outer.child.child
+    lam0 = tbpsa.lam
+    rng = np.random.default_rng(0)
+    attempts = []  # (tells at the attempt, the tbpsa generation size then)
+    for _ in range(1500):
+        before = outer._tells_at_attempt
+        cand = outer.ask()
+        if outer._tells_at_attempt != before:
+            attempts.append((outer.num_tells, tbpsa.lam))
+        outer.tell(cand, float(rng.normal()))
+    assert tbpsa.lam >= 8 * lam0  # it doubled at least three times
+    assert outer.generation_size == outer.child.generation_size == tbpsa.lam
+    assert len(attempts) > 3
+    assert all(later - earlier >= lam for (earlier, _), (later, lam) in zip(attempts, attempts[1:]))

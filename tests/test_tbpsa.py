@@ -35,7 +35,7 @@ def test_elite_center_is_mean_of_top_quarter():
 
 
 def test_population_doubles_on_stagnation():
-    t = make_tbpsa(d=2, seed=3, population_size=4, stagnation_limit=2)
+    t = make_tbpsa(d=2, seed=3, population_size=4)
     lam0 = t.lam
     # three generations with non-improving elite means
     for gen in range(3):

@@ -8,6 +8,7 @@ noise stream where n calls leave it, and ``ask_many(n)`` issues what n
 """
 
 import math
+import sys
 import types
 
 import numpy as np
@@ -29,6 +30,7 @@ from optbench import (
 )
 from optbench.bench import FunctionSpec, TransformSpec, make_function
 from optbench.bench.functions import CATALOG
+from optbench.solvers.cma import CmaEs
 
 CONTINUOUS_BASES = sorted(name for name, base in CATALOG.items() if not base.discrete)
 
@@ -129,10 +131,7 @@ def twins(spec, n):
     return build_optimizer(spec, context), build_optimizer(spec, context)
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 250])
-@pytest.mark.parametrize("spec", [*WAVE_SPECS, REASKING_BET])
-def test_ask_many_equals_asks(spec, n):
-    many, single = twins(spec, n)
+def assert_waves_equal_asks(many, single, n):
     while many.num_asks + n <= many.budget:
         got = many.ask_many(n)
         want = [single.ask() for _ in range(n)]
@@ -143,9 +142,42 @@ def test_ask_many_equals_asks(spec, n):
             many.tell(a, loss)
             single.tell(b, loss)
         assert snapshot(many, {}) == snapshot(single, {})
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 250])
+@pytest.mark.parametrize("spec", [*WAVE_SPECS, REASKING_BET])
+def test_ask_many_equals_asks(spec, n):
+    many, single = twins(spec, n)
+    assert_waves_equal_asks(many, single, n)
     if spec == REASKING_BET and n > 2:
         assert many.survivor is not None
         assert len(many.archive) < many.num_tells  # re-asks were issued and told
+
+
+@pytest.mark.parametrize("n", [1, 7, 19, 64])
+def test_ask_many_equals_asks_across_lazy_cma_decompositions(n, monkeypatch):
+    # at d=200 the update decomposes the covariance every _lazy_gap = 2 generations; in
+    # between, the basis is stale and the next sample batch decomposes it
+    decompositions = []
+    decompose = CmaEs._decompose
+
+    def logged(self):
+        caller = sys._getframe(1).f_code.co_name
+        decompositions.append((id(self), self._generations, caller == "_update_generation"))
+        decompose(self)
+
+    monkeypatch.setattr(CmaEs, "_decompose", logged)
+    context = RunContext(DomainSpec([continuous()] * 200), budget=120 + 4 * n, num_workers=n, master_seed=11)
+    many, single = build_optimizer("cma", context), build_optimizer("cma", context)
+    assert (many.lam, many._lazy_gap) == (19, 2)
+    assert_waves_equal_asks(many, single, n)
+    assert many._generations >= 6
+    gap = many._lazy_gap
+    for handle in (many, single):
+        logged_here = [(gen, in_update) for owner, gen, in_update in decompositions if owner == id(handle)]
+        assert [gen for gen, in_update in logged_here if in_update] == list(range(gap, handle._generations + 1, gap))
+        at_sampling = [gen for gen, in_update in logged_here if not in_update]
+        assert all(gen % gap for gen in at_sampling) and (at_sampling or n > handle.lam)
 
 
 @pytest.mark.parametrize("n", [1, 5, 70])
