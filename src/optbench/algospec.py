@@ -84,16 +84,11 @@ class Wrap:
 AlgorithmSpec = Leaf | Chain | BetAndRun | Wrap
 
 
-def _format_number(value: float) -> str:
-    text = f"{value:g}"
-    return text
-
-
 def _format_param(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _format_number(value)
+        return f"{value:g}"
     return str(value)
 
 
@@ -107,13 +102,13 @@ def canonical_text(spec: AlgorithmSpec) -> str:
     if isinstance(spec, Chain):
         children = ",".join(canonical_text(c) for c in spec.children)
         allocs = ",".join(
-            f"{cnt}a" if cnt is not None else _format_number(frac)
+            f"{cnt}a" if cnt is not None else f"{frac:g}"
             for frac, cnt in zip(spec.fractions, spec.asks)
         )
         return f"chain({children};{allocs})"
     if isinstance(spec, BetAndRun):
         children = ",".join(canonical_text(c) for c in spec.children)
-        return f"bet({children};{_format_number(spec.phase_fraction)})"
+        return f"bet({children};{spec.phase_fraction:g})"
     if isinstance(spec, Wrap):
         return f"{spec.kind}({canonical_text(spec.child)})"
     raise SpecParseError(f"not an algorithm spec: {spec!r}")

@@ -11,7 +11,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..errors import ConfigurationError
+from ..domain import _whole
+from ..errors import ConfigurationError, reject_json_constant
 from ..seeds import derive_seed
 from .composite import lsgo_composite
 from .transforms import CompositeBlock, FunctionSpec, TransformSpec
@@ -30,6 +31,9 @@ class SuiteProblem:
     def __post_init__(self):
         if not self.budgets:
             raise ConfigurationError("a suite problem needs at least one budget")
+        counts = (*self.budgets, *self.num_workers)
+        if min(_whole(n, "a budget or worker count") for n in counts) < 1:
+            raise ConfigurationError("budgets and num_workers must be at least 1")
         if min(self.budgets) < max(self.num_workers):
             raise ConfigurationError(
                 f"problem {self.problem_id!r}: every budget must be >= every num_workers"
@@ -225,7 +229,7 @@ def save_manifest(suite: BenchmarkSuite, path) -> None:
 
 def load_manifest(path) -> BenchmarkSuite:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), parse_constant=reject_json_constant)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read manifest {str(path)!r}: {exc}") from None
     return suite_from_manifest(obj)

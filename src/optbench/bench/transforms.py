@@ -14,13 +14,12 @@ and ``simple_tsp`` tour lengths.  Each kind checks a spec when it is built.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ..domain import DomainSpec
+from ..domain import DomainSpec, _finite, _whole
 from ..errors import ConfigurationError
 from ..seeds import derive_seed
 from .functions import UNBOUNDED_CONTINUOUS, get_base
@@ -43,8 +42,13 @@ class TransformSpec:
     transform_seed: int = 0
 
     def __post_init__(self):
-        if self.translation_std < 0 or self.noise_std < 0:
-            raise ConfigurationError("standard deviations must be non-negative")
+        for name in ("translation_std", "noise_std"):
+            if _finite(getattr(self, name), name) < 0:
+                raise ConfigurationError("standard deviations must be non-negative")
+        for name in ("far_optimum", "rotate", "symmetrize"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+        _whole(self.transform_seed, "transform_seed")
 
     @property
     def effective_translation_std(self) -> float:
@@ -69,10 +73,12 @@ class CompositeBlock:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.weight == 0:
+        if _finite(self.weight, "a block weight") == 0:
             raise ConfigurationError("composite block weights must be nonzero")
         if not self.indices:
             raise ConfigurationError("composite blocks need at least one variable")
+        for value in self.indices if self.seed is None else (*self.indices, self.seed):
+            _whole(value, "a block index or seed")
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class FunctionSpec:
     blocks: tuple[CompositeBlock, ...] | None = None
 
     def __post_init__(self):
-        if operator.index(self.dimension) < 1:
+        if _whole(self.dimension, "dimension") < 1:
             raise ConfigurationError("dimension must be positive")
         _KINDS.get(self.base, BenchmarkFunction).check(self)
 

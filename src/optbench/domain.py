@@ -59,11 +59,6 @@ class VariableSpec:
                 raise ConfigurationError("categorical variables require arity >= 2")
 
     @property
-    def encoded_size(self) -> int:
-        """Scalar dimensions contributed under the softmax logit encoding."""
-        return self.arity if self.kind == CATEGORICAL else 1
-
-    @property
     def is_discrete(self) -> bool:
         return self.kind != CONTINUOUS
 
@@ -121,6 +116,12 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
+def _finite(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def integer(low: int, high: int) -> VariableSpec:
     """An integer variable ranging over ``low..high`` inclusive."""
     return VariableSpec(INTEGER, low=_whole(low, "integer bound"), high=_whole(high, "integer bound"))
@@ -160,7 +161,7 @@ class DomainSpec:
     @cached_property
     def dimension(self) -> int:
         """Total scalar dimension under the softmax logit encoding."""
-        return sum(v.encoded_size for v in self.variables)
+        return sum(v.arity if v.kind == CATEGORICAL else 1 for v in self.variables)
 
     @cached_property
     def all_continuous(self) -> bool:
@@ -169,10 +170,6 @@ class DomainSpec:
     @cached_property
     def has_discrete(self) -> bool:
         return any(v.is_discrete for v in self.variables)
-
-    @cached_property
-    def all_discrete(self) -> bool:
-        return all(v.is_discrete for v in self.variables)
 
     @cached_property
     def has_categorical(self) -> bool:
@@ -251,9 +248,6 @@ class ScalarView:
         self.int_mask = int_mask
         self.any_int = bool(int_mask.any())
         self.bounded = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
-        # standardized bounds; +-inf where absent
-        self.z_lower = (lo - self.center) / scale
-        self.z_upper = (hi - self.center) / scale
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """The point of ``z``, or one point per row of an ``(n, dim)`` block."""
@@ -272,6 +266,5 @@ class ScalarView:
 
         Bounded sides use the true bound; unbounded sides use ``+-2``.
         """
-        lo = np.where(np.isfinite(self.z_lower), self.z_lower, -2.0)
-        hi = np.where(np.isfinite(self.z_upper), self.z_upper, 2.0)
-        return lo, hi
+        lo, hi = self.encode(self.lower), self.encode(self.upper)  # +-inf where absent
+        return np.where(np.isfinite(lo), lo, -2.0), np.where(np.isfinite(hi), hi, 2.0)

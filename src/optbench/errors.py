@@ -44,6 +44,11 @@ class ProtocolError(OptbenchError):
     """An external evaluator broke the wire protocol."""
 
 
+def reject_json_constant(name: str):
+    """``parse_constant`` for ``json.loads``: NaN and Infinity are not JSON numbers."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def error_text(exc: BaseException) -> str:
     """An optbench error's own message; any other exception as ``Type: message``."""
     return str(exc) if isinstance(exc, OptbenchError) else f"{type(exc).__name__}: {exc}"

@@ -12,7 +12,8 @@ import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..errors import ConfigurationError, OptbenchError
+from ..domain import _finite, _whole
+from ..errors import ConfigurationError, OptbenchError, reject_json_constant
 
 RECORD_SCHEMA = 1
 
@@ -69,8 +70,10 @@ class ExperimentRecord:
             if typing.get_origin(kind) is None and type(obj[name]) is not kind:
                 raise ConfigurationError(f"record field {name!r} must be {kind.__name__}, got {obj[name]!r}")
         try:
-            values["checkpoints"] = tuple((int(e), float(r)) for e, r in values["checkpoints"])
-        except (TypeError, ValueError):
+            values["checkpoints"] = tuple(
+                (_whole(e, "evaluation"), _finite(r, "regret")) for e, r in values["checkpoints"]
+            )
+        except (TypeError, ValueError, ConfigurationError):
             raise ConfigurationError("record checkpoints must be [evaluation, regret] pairs") from None
         return cls(**values, wall_time_ms=wall_time_ms)
 
@@ -114,7 +117,7 @@ def _parse_lines(path: Path, parse) -> list:
     out = []
     for number, line in enumerate(path.read_bytes().splitlines(), start=1):
         try:
-            out.append(parse(json.loads(line)))
+            out.append(parse(json.loads(line, parse_constant=reject_json_constant)))
         except (OptbenchError, TypeError, ValueError) as exc:  # ValueError: not UTF-8 JSON
             raise ConfigurationError(f"{path}, line {number}: {exc}") from None
     return out

@@ -32,15 +32,11 @@ def lower_median(values) -> float:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def _group_key(record: ExperimentRecord) -> tuple:
-    return (record.suite, record.problem, record.budget, record.num_workers)
-
-
 def group_records(records) -> dict[tuple, list[ExperimentRecord]]:
     groups: dict[tuple, list[ExperimentRecord]] = defaultdict(list)
     for record in records:
         if not record.failed:
-            groups[_group_key(record)].append(record)
+            groups[record.suite, record.problem, record.budget, record.num_workers].append(record)
     return dict(groups)
 
 

@@ -37,7 +37,6 @@ class CmaEs(ScalarSolver):
         super().__init__(context, seed=seed, init_point=init_point)
         self.diagonal = diagonal
         d = self._view.dim
-        self.dim = d
         self.lam = 4 + int(3 * math.log(d))
         self.generation_size = self.lam
         self.mu = self.lam // 2
@@ -72,8 +71,6 @@ class CmaEs(ScalarSolver):
             self.cov = np.eye(d)
             self._eig_basis = np.eye(d)
             self._eig_scale = np.ones(d)
-            self._eig_stale = False
-            self._lazy_gap = max(1, int(1.0 / ((self.c_1 + self.c_mu) * d * 10.0)))
         self._generations = 0
         self._sample_queue: list[tuple[np.ndarray, np.ndarray]] = []  # (x, y), popped from the end
         self._told_y: list[np.ndarray] = []
@@ -81,12 +78,10 @@ class CmaEs(ScalarSolver):
 
     # ------------------------------------------------------------------
     def _sample_batch(self) -> None:
-        n = self.rng.standard_normal((self.lam, self.dim))
+        n = self.rng.standard_normal((self.lam, self._view.dim))
         if self.diagonal:
             ys = n * np.sqrt(self.cov_diag)
         else:
-            if self._eig_stale:
-                self._decompose()
             ys = (n * self._eig_scale) @ self._eig_basis.T
         xs = self._view.decode(self.mean + self.sigma * ys)
         self._sample_queue = list(zip(xs, ys))
@@ -99,7 +94,6 @@ class CmaEs(ScalarSolver):
             self.cov = (basis * vals) @ basis.T
         self._eig_basis = basis
         self._eig_scale = np.sqrt(vals)
-        self._eig_stale = False
 
     def _ask(self) -> Candidate:
         if not self._sample_queue:
@@ -156,7 +150,7 @@ class CmaEs(ScalarSolver):
         expected = math.sqrt(
             1.0 - (1.0 - self.c_sigma) ** (2.0 * self._generations)
         ) * self.chi_n
-        h_sigma = 1.0 if norm_ps < (1.4 + 2.0 / (self.dim + 1.0)) * expected else 0.0
+        h_sigma = 1.0 if norm_ps < (1.4 + 2.0 / (self._view.dim + 1.0)) * expected else 0.0
         self.p_c = (1.0 - self.c_c) * self.p_c + h_sigma * math.sqrt(
             self.c_c * (2.0 - self.c_c) * self.mueff
         ) * y_w
@@ -178,10 +172,7 @@ class CmaEs(ScalarSolver):
                 + self.c_mu * rank_mu
             )
             self.cov = 0.5 * (self.cov + self.cov.T)
-            if self._generations % self._lazy_gap == 0:
-                self._decompose()
-            else:
-                self._eig_stale = True
+            self._decompose()
 
         arg = (self.c_sigma / self.d_sigma) * (norm_ps / self.chi_n - 1.0)
         self.sigma *= math.exp(min(1.0, arg))

@@ -161,11 +161,11 @@ class DiscreteOptimistic(DiscreteOnePlusOne):
         return cand.mean_loss - math.sqrt(2.0 * math.log(t) / cand.num_observations)
 
 
-def strength_probabilities(d: int, beta: float) -> np.ndarray:
-    """Exact FastGA strength distribution over ``{1..floor(d/2)}``."""
+def strength_probabilities(d: int) -> np.ndarray:
+    """Exact FastGA strength distribution over ``{1..floor(d/2)}``, ``P(k) ~ k^-1.5``."""
     top = max(1, d // 2)
     k = np.arange(1, top + 1, dtype=float)
-    weights = k**-beta
+    weights = k**-1.5
     return weights / weights.sum()
 
 
@@ -180,7 +180,7 @@ class FastGa(_ParentMutation):
 
     def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._probs = strength_probabilities(self.d, beta=1.5)
+        self._probs = strength_probabilities(self.d)
         self._support = np.arange(1, len(self._probs) + 1)
         self._mutable_indices = np.flatnonzero(self._mutable)
 

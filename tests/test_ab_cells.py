@@ -3,6 +3,7 @@
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from optbench.bench.suites import BenchmarkSuite, SuiteProblem, save_manifest
@@ -17,6 +18,7 @@ def _manifest(tmp_path) -> Path:
     suite = BenchmarkSuite("tiny", (
         SuiteProblem("wide-sphere-d3", spec, budgets=(40,), num_workers=(8,)),
         SuiteProblem("serial-sphere-d3", spec, budgets=(30,)),
+        SuiteProblem("serial-ellipsoid-d3", replace(spec, base="ellipsoid"), budgets=(30,)),
     ))
     path = tmp_path / "manifest.json"
     save_manifest(suite, path)
@@ -48,4 +50,9 @@ def test_a_checkout_that_writes_other_records_is_refused(tmp_path):
     functions.write_text(text.replace("return float(np.dot(y, y))", "return float(np.dot(y, y)) + 1.0", 1))
     done = _run(REPO, other, _manifest(tmp_path), "--match", "serial")
     assert done.returncode == 1
-    assert done.stderr.startswith("error: the checkouts differ on cell 0")
+    assert done.stdout.startswith("4 cells, records differ on 2, 0 failed")
+    assert done.stderr.splitlines() == [
+        "error: the checkouts differ on 2 of 4 cells:",
+        "tiny/serial-sphere-d3/b30/w1/cma/s0",
+        "tiny/serial-sphere-d3/b30/w1/tbpsa/s0",
+    ]

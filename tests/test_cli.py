@@ -358,24 +358,67 @@ def _mini_manifest(tmp_path, edit) -> str:
     return str(path)
 
 
+PROBLEM = "manifest problem 'onemax-d20': "
+UNREADABLE = "cannot read manifest "
+TRANSFORM = ("spec", "transform")
+NOT_WHOLE = "a budget or worker count must be an integer, got "
+NOT_INDEX = "a block index or seed must be an integer, got "
+
+
+def _set(*keys, **changes):
+    # an edit that updates the object at p[keys[0]][keys[1]]... of the manifest problem p
+    def edit(p):
+        for key in keys:
+            p = p[key]
+        p.update(changes)
+    return edit
+
+
+def _composite(**block_changes):
+    # replaces the problem's spec with a valid two-block composite, its first block edited
+    blocks = [{"base": "sphere", "indices": [0, 1], "weight": 1.0, "seed": 3},
+              {"base": "sphere", "indices": [2, 3], "weight": 2.0, "seed": None}]
+    blocks[0].update(block_changes)
+    return _set(spec={"base": "lsgo_composite", "dimension": 4, "transform": {}, "blocks": blocks})
+
+
 @pytest.mark.parametrize(
-    "edit, expected",
+    "edit, where, expected",
     [
-        (lambda p: p["spec"].update(base="onemx"), "unknown base function 'onemx'"),
-        (lambda p: p["spec"]["transform"].update(rotate=True), "do not apply to 'onemax'"),
-        (lambda p: p["spec"].pop("dimension"), "missing key 'dimension'"),
-        (lambda p: p["spec"].update(dimension="20"), "'str' object cannot be interpreted as an integer"),
-        (lambda p: p["spec"]["transform"].update(rotat=True), "unexpected keyword argument 'rotat'"),
-        (lambda p: p["spec"].update(base="lunacek", dimension=1), "'lunacek' needs dimension >= 2"),
+        (_set("spec", base="onemx"), PROBLEM, "unknown base function 'onemx'"),
+        (_set(*TRANSFORM, rotate=True), PROBLEM, "do not apply to 'onemax'"),
+        (lambda p: p["spec"].pop("dimension"), PROBLEM, "missing key 'dimension'"),
+        (_set("spec", dimension="20"), PROBLEM, "dimension must be an integer, got '20'"),
+        (_set(*TRANSFORM, rotat=True), PROBLEM, "unexpected keyword argument 'rotat'"),
+        (_set("spec", base="lunacek", dimension=1), PROBLEM, "'lunacek' needs dimension >= 2"),
+        (_set(budgets=[100.5]), PROBLEM, NOT_WHOLE + "100.5"),
+        (_set(num_workers=[1.5]), PROBLEM, NOT_WHOLE + "1.5"),
+        (_set(budgets=[float("nan")]), UNREADABLE, "NaN is not valid JSON"),
+        (_set(*TRANSFORM, rotate="no"), PROBLEM, "rotate must be true or false, got 'no'"),
+        (_set(budgets=[True]), PROBLEM, NOT_WHOLE + "True"),
+        (_composite(indices=[0.7, 1]), PROBLEM, NOT_INDEX + "0.7"),
+        (_set(*TRANSFORM, noise_std=float("nan")), UNREADABLE, "NaN is not valid JSON"),
+        (_set(num_workers=[0]), PROBLEM, "budgets and num_workers must be at least 1"),
+        (_set("spec", dimension=True), PROBLEM, "dimension must be an integer, got True"),
+        (_set(*TRANSFORM, transform_seed=1.5), PROBLEM,
+         "transform_seed must be an integer, got 1.5"),
+        (_composite(weight="2"), PROBLEM, "a block weight must be a finite number, got '2'"),
+        (_composite(seed=1.5), PROBLEM, NOT_INDEX + "1.5"),
+        (_set(*TRANSFORM, translation_std=float("inf")), UNREADABLE, "Infinity is not valid"),
     ],
-    ids=["unknown-base", "rotated-onemax", "no-dimension", "str-dimension", "unknown-transform-key", "lunacek-d1"],
+    ids=[
+        "unknown-base", "rotated-onemax", "no-dimension", "str-dimension", "unknown-transform-key",
+        "lunacek-d1", "float-budget", "float-workers", "nan-budget", "str-rotate", "bool-budget",
+        "float-block-index", "nan-noise", "zero-workers", "bool-dimension", "float-transform-seed",
+        "str-block-weight", "float-block-seed", "infinite-translation",
+    ],
 )
-def test_bad_manifest_fails_at_load(tmp_path, capsys, edit, expected):
+def test_bad_manifest_fails_at_load(tmp_path, capsys, edit, where, expected):
     out = tmp_path / "x"
     rc = main(["run", "--suite", _mini_manifest(tmp_path, edit), "--algs", "discrete-fixed", "--seeds", "1", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: manifest problem 'onemax-d20': ")
+    assert len(err) == 1 and err[0].startswith(f"error: {where}")
     assert expected in err[0]
     assert not out.exists()  # no cell ran
 
@@ -437,6 +480,15 @@ def _edited_line(**changes) -> str:
     return json.dumps({**_GOLDEN_CELL, **changes})
 
 
+def _with_checkpoint(index, pair) -> str:
+    checkpoints = list(_GOLDEN_CELL["checkpoints"])
+    checkpoints[index] = pair
+    return _edited_line(checkpoints=checkpoints)
+
+
+PAIRS = "checkpoints must be [evaluation, regret] pairs"
+
+
 @pytest.mark.parametrize(
     "file, line, expected",
     [
@@ -445,7 +497,12 @@ def _edited_line(**changes) -> str:
         ("records.jsonl", _edited_line(schema=2), "unsupported record schema 2"),
         ("records.jsonl", _edited_line(seed="0"), "record field 'seed' must be int, got '0'"),
         ("records.jsonl", _edited_line(failed=0), "record field 'failed' must be bool, got 0"),
-        ("records.jsonl", _edited_line(checkpoints=[[1]]), "checkpoints must be [evaluation, regret] pairs"),
+        ("records.jsonl", _edited_line(checkpoints=[[1]]), PAIRS),
+        ("records.jsonl", _with_checkpoint(-1, [100, float("nan")]), "NaN is not valid JSON"),
+        ("records.jsonl", _with_checkpoint(-1, [100, float("inf")]), "Infinity is not valid JSON"),
+        ("records.jsonl", _with_checkpoint(-1, ["100", "0.4"]), PAIRS),
+        ("records.jsonl", _with_checkpoint(-1, [100.7, 0.4]), PAIRS),
+        ("records.jsonl", _with_checkpoint(0, [True, 12.5]), PAIRS),
         ("records.jsonl", "[1, 2]", "a record must be a JSON object"),
         ("records.jsonl", "\udcff", "can't decode byte 0xff"),
         ("timings.jsonl", "not json", "Expecting value"),
@@ -454,7 +511,9 @@ def _edited_line(**changes) -> str:
     ],
     ids=[
         "records-not-json", "records-missing-key", "records-schema", "records-str-seed", "records-int-failed",
-        "records-short-checkpoint", "records-list", "records-not-utf8", "timings-not-json", "timings-missing-key", "timings-str-ms",
+        "records-short-checkpoint", "records-nan-regret", "records-infinite-regret",
+        "records-str-pair", "records-float-evaluation", "records-bool-evaluation", "records-list",
+        "records-not-utf8", "timings-not-json", "timings-missing-key", "timings-str-ms",
     ],
 )
 def test_report_on_a_malformed_line_is_an_input_error(tmp_path, capsys, file, line, expected):

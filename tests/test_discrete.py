@@ -177,12 +177,12 @@ def test_optimistic_reuses_candidates_for_revisited_points():
 
 
 def test_fastga_degenerate_support_d2():
-    probs = strength_probabilities(2, beta=1.5)
+    probs = strength_probabilities(2)
     assert probs.tolist() == [1.0]
 
 
 def test_fastga_power_law_ratio():
-    probs = strength_probabilities(10, beta=1.5)
+    probs = strength_probabilities(10)
     assert probs[0] / probs[4] == pytest.approx(5.0**1.5, rel=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_fastga_strength_histogram_matches_power_law():
     handle = FastGa(RunContext(dom, budget=10), seed=13)
     draws = np.array([handle.sample_strength() for _ in range(100_000)])
     observed = np.bincount(draws, minlength=6)[1:6]
-    expected = strength_probabilities(10, 1.5) * len(draws)
+    expected = strength_probabilities(10) * len(draws)
     _stat, p = chisquare(observed, expected)
     assert p > 0.01
 

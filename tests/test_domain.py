@@ -61,9 +61,18 @@ def test_derived_flags():
     assert dom.all_continuous
     assert dom.max_arity == 0
     dom = DomainSpec([integer(0, 1), unbounded_integer()])
-    assert dom.all_discrete and dom.has_unbounded_discrete
+    assert all(v.is_discrete for v in dom.variables) and dom.has_unbounded_discrete
     dom = DomainSpec([integer(0, 3), categorical(2)])
     assert dom.max_arity == 4  # integer range width counts as arity
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_init_box_uses_bounds_and_two_where_a_side_is_open_or_overflows():
+    dom = DomainSpec([continuous(-3.0, 5.0, scale=2.0), continuous(lower=1.0), integer(0, 12),
+                      unbounded_integer(), continuous(-1e308, 1e308, scale=1e-10)])
+    lo, hi = dom.scalar_view.init_box()
+    assert lo.tolist() == [-2.0, -1.0, -3.0, -2.0, -2.0]
+    assert hi.tolist() == [2.0, 2.0, 3.0, 2.0, 2.0]
 
 
 def test_center_rules():

@@ -134,4 +134,4 @@ def test_unknown_base_rejected():
 def test_default_domains():
     assert get_base("sphere").default_domain(3).all_continuous
     dom = get_base("onemax").default_domain(5)
-    assert dom.all_discrete and dom.max_arity == 2
+    assert all(v.is_discrete for v in dom.variables) and dom.max_arity == 2

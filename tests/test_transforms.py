@@ -111,7 +111,7 @@ def test_transforms_rejected_for_discrete_bases():
         make_function(FunctionSpec("onemax", 5, TransformSpec(translation_std=1.0)))
     # noise alone is fine
     f = make_function(FunctionSpec("onemax", 5, TransformSpec(noise_std=0.5)))
-    assert f.domain.all_discrete
+    assert all(v.is_discrete for v in f.domain.variables)
 
 
 def test_unknown_base_rejected():

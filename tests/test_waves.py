@@ -155,29 +155,27 @@ def test_ask_many_equals_asks(spec, n):
 
 
 @pytest.mark.parametrize("n", [1, 7, 19, 64])
-def test_ask_many_equals_asks_across_lazy_cma_decompositions(n, monkeypatch):
-    # at d=200 the update decomposes the covariance every _lazy_gap = 2 generations; in
-    # between, the basis is stale and the next sample batch decomposes it
+def test_ask_many_equals_asks_with_one_cma_decomposition_per_generation(n, monkeypatch):
+    # at d=200 too, each generation's update decomposes the covariance once, and no
+    # sample batch or wave wider than lambda decomposes it again
     decompositions = []
     decompose = CmaEs._decompose
 
     def logged(self):
         caller = sys._getframe(1).f_code.co_name
-        decompositions.append((id(self), self._generations, caller == "_update_generation"))
+        decompositions.append((id(self), self._generations, caller))
         decompose(self)
 
     monkeypatch.setattr(CmaEs, "_decompose", logged)
     context = RunContext(DomainSpec([continuous()] * 200), budget=120 + 4 * n, num_workers=n, master_seed=11)
     many, single = build_optimizer("cma", context), build_optimizer("cma", context)
-    assert (many.lam, many._lazy_gap) == (19, 2)
+    assert many.lam == 19
     assert_waves_equal_asks(many, single, n)
     assert many._generations >= 6
-    gap = many._lazy_gap
     for handle in (many, single):
-        logged_here = [(gen, in_update) for owner, gen, in_update in decompositions if owner == id(handle)]
-        assert [gen for gen, in_update in logged_here if in_update] == list(range(gap, handle._generations + 1, gap))
-        at_sampling = [gen for gen, in_update in logged_here if not in_update]
-        assert all(gen % gap for gen in at_sampling) and (at_sampling or n > handle.lam)
+        logged_here = [(gen, where) for owner, gen, where in decompositions if owner == id(handle)]
+        generations = range(1, handle._generations + 1)
+        assert logged_here == [(gen, "_update_generation") for gen in generations]
 
 
 @pytest.mark.parametrize("n", [1, 5, 70])

@@ -9,11 +9,12 @@ CPU, one BLAS thread.  Every cell of the grid (problem x budget x workers x
 algorithm x seed, as ``optbench run`` builds it; ``--match`` keeps the
 problems whose id contains the text) runs ``--repeats`` times on each side,
 the sides alternating and the first side alternating too, and keeps each
-side's fastest run.  The cell's ``records.jsonl`` line must be the same
-bytes on both sides, or the script stops.  It prints the summed fastest
-times and the speedup a/b per (algorithm, budget) and in total.  Whole-launch
-timings of a shared host drift too much to compare two checkouts; the
-minimum of interleaved runs of the same cell drifts much less.
+side's fastest run.  It prints the summed fastest times and the speedup a/b
+per (algorithm, budget) and in total.  Each cell whose ``records.jsonl`` line
+is not the same bytes on both sides is named at the end, after the whole
+grid has run, and the script exits 1.  Whole-launch timings of a shared host
+drift too much to compare two checkouts; the minimum of interleaved runs of
+the same cell drifts much less.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ def cells(side, suite_arg: str, algorithms, seeds, master_seed: int, match: str)
     ]
 
 
-def timed_line(side, cell) -> tuple[float, str]:
+def timed_line(side, cell) -> tuple[float, str, str]:
     start = time.perf_counter()
     record = side["harness.experiment"].run_cell(*cell)
     elapsed = time.perf_counter() - start
-    return elapsed, side["harness.records"].record_to_line(record)
+    return elapsed, side["harness.records"].record_to_line(record), record.cell_id
 
 
 def main(argv=None) -> int:
@@ -92,31 +93,38 @@ def main(argv=None) -> int:
         raise SystemExit("error: no cell matches")
     sums: dict[tuple[str, int], list[float]] = defaultdict(lambda: [0.0, 0.0])
     failed = 0
+    differing = []
     for index, (cell_a, cell_b) in enumerate(zip(*grids)):
         best = [float("inf"), float("inf")]
         lines = [None, None]
         for repeat in range(args.repeats):
             order = (0, 1) if (index + repeat) % 2 == 0 else (1, 0)
             for i in order:
-                elapsed, line = timed_line(sides[i], (cell_a, cell_b)[i])
+                elapsed, line, cell_id = timed_line(sides[i], (cell_a, cell_b)[i])
                 best[i] = min(best[i], elapsed)
                 if lines[i] is not None and line != lines[i]:
                     raise SystemExit(f"error: checkout {'ab'[i]} wrote two records for cell {index}")
                 lines[i] = line
         if lines[0] != lines[1]:
-            raise SystemExit(f"error: the checkouts differ on cell {index}:\n  a: {lines[0]}\n  b: {lines[1]}")
+            differing.append(cell_id)
         failed += '"failed":true' in lines[0]
         key = (cell_a[4], cell_a[2])
         sums[key][0] += best[0]
         sums[key][1] += best[1]
 
-    print(f"{len(grids[0])} cells, records identical, {failed} failed; fastest of {args.repeats} runs per side")
+    total = len(grids[0])
+    same = f"records differ on {len(differing)}" if differing else "records identical"
+    print(f"{total} cells, {same}, {failed} failed; fastest of {args.repeats} runs per side")
     print(f"{'algorithm':<28} {'budget':>7} {'a s':>9} {'b s':>9} {'a/b':>6}")
     for (text, budget), (a, b) in sorted(sums.items()):
         print(f"{text:<28} {budget:>7} {a:9.3f} {b:9.3f} {a / b:6.2f}")
     total_a = sum(a for a, _b in sums.values())
     total_b = sum(b for _a, b in sums.values())
     print(f"{'total':<28} {'':>7} {total_a:9.3f} {total_b:9.3f} {total_a / total_b:6.2f}")
+    if differing:
+        print(f"error: the checkouts differ on {len(differing)} of {total} cells:", *differing,
+              sep="\n", file=sys.stderr)
+        return 1
     return 0
 
 
