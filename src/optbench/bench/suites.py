@@ -29,8 +29,12 @@ class SuiteProblem:
     num_workers: tuple[int, ...] = (1,)
 
     def __post_init__(self):
+        if not isinstance(self.problem_id, str):
+            raise ConfigurationError(f"a problem id must be a string, got {self.problem_id!r}")
         if not self.budgets:
             raise ConfigurationError("a suite problem needs at least one budget")
+        if not self.num_workers:
+            raise ConfigurationError("a suite problem needs at least one worker count")
         counts = (*self.budgets, *self.num_workers)
         if min(_whole(n, "a budget or worker count") for n in counts) < 1:
             raise ConfigurationError("budgets and num_workers must be at least 1")
@@ -46,6 +50,8 @@ class BenchmarkSuite:
     problems: tuple[SuiteProblem, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"a suite name must be a string, got {self.name!r}")
         ids = [p.problem_id for p in self.problems]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate problem ids in suite")

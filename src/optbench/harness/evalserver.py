@@ -14,6 +14,14 @@ unknown or rejected field is a ProtocolError.  Malformed replies, id
 mismatches, timeouts, and child death raise; the harness marks the affected
 cell failed and moves on.  The child's stderr goes to an unnamed temporary
 file, and an optbench error that ends a session carries its last 2 KB.
+
+``batch(points)`` sends the requests of a whole wave before it reads the
+first reply, so the child must answer each request once and in order, as a
+``for line in sys.stdin`` loop does.  Requests are written without blocking
+while replies are read, so full pipes in both directions cannot deadlock.
+After a failed wave, calls replay its received losses and then raise its
+error without writing, so ``run_loop``'s row-by-row retry ends as one
+request at a time would have.
 """
 
 from __future__ import annotations
@@ -53,6 +61,11 @@ def _variable_from_obj(obj) -> VariableSpec:
         raise ProtocolError(f"bad {kind} variable in handshake {obj!r}: {exc}") from None
 
 
+def _request(msg_id: int, point: str) -> bytes:
+    """An eval request line; ``point`` is the ``json.dumps`` of a list of floats."""
+    return b'{"type": "eval", "id": %d, "point": %s}\n' % (msg_id, point.encode())
+
+
 class ExternalEvaluator:
     """Callable objective backed by a child process."""
 
@@ -79,7 +92,13 @@ class ExternalEvaluator:
         # every read goes through this one buffer, so a line the child wrote
         # together with an earlier one is never left waiting behind select()
         self._received = b""
+        # requests are written without blocking, so a child that blocks on
+        # its replies while the harness writes cannot deadlock the session
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._unsent = memoryview(b"")
         self._next_id = 0
+        #: (the points and losses answered, the error) of the first failed wave
+        self._failure: tuple[list[tuple[str, float]], Exception] | None = None
         try:
             hello = self._read_message()
             if hello.get("type") != "hello":
@@ -99,17 +118,32 @@ class ExternalEvaluator:
             raise
 
     # ------------------------------------------------------------------
-    def _read_message(self) -> dict:
-        fd = self._proc.stdout.fileno()
+    def _read_message(self, keep: int = 0) -> dict:
+        """The next message from the child.  While it waits, it writes the
+        unsent requests; the pipe closing before all but their last ``keep``
+        bytes are written is an error."""
         deadline = time.monotonic() + self.timeout
+        stdin = self._proc.stdin
         while b"\n" not in self._received:
-            ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
-            if not ready:
+            if self._unsent and not stdin.closed:
+                try:
+                    self._unsent = self._unsent[os.write(stdin.fileno(), self._unsent):]
+                except BlockingIOError:  # the child's stdin pipe is full until it reads
+                    pass
+                except BrokenPipeError:  # the child reads no more; its replies may still come
+                    stdin.close()
+            if len(self._unsent) > keep and stdin.closed:
+                raise EvaluationError("external evaluator pipe closed")
+            fd = self._proc.stdout.fileno()
+            sending = [stdin.fileno()] if self._unsent and not stdin.closed else []
+            ready, writable, _ = select.select([fd], sending, [], max(0.0, deadline - time.monotonic()))
+            if ready:
+                chunk = os.read(fd, 65536)
+                if not chunk:
+                    raise EvaluationError("external evaluator closed its output")
+                self._received += chunk
+            elif not writable:
                 raise EvaluationError(f"external evaluator timed out after {self.timeout}s")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise EvaluationError("external evaluator closed its output")
-            self._received += chunk
         line, _, self._received = self._received.partition(b"\n")
         try:
             message = json.loads(line)
@@ -120,26 +154,50 @@ class ExternalEvaluator:
         return message
 
     def __call__(self, point) -> float:
-        msg_id = self._next_id
-        self._next_id += 1
-        values = [float(v) for v in np.asarray(point, dtype=float)]
+        return self._evaluate((np.asarray(point, dtype=float),))[0]
+
+    def batch(self, points) -> list[float]:
+        """The losses of the rows of ``points``, as from one call per row.
+
+        Every request of the wave goes out before the first reply is
+        awaited.  A wave that fails ends the session: later calls get the
+        losses the child did send for the same points, then that error, and
+        the child gets no further request."""
+        return self._evaluate(np.asarray(points, dtype=float))
+
+    def _evaluate(self, rows) -> list[float]:
+        points = [json.dumps(row.tolist()) for row in rows]
+        if self._failure is not None:
+            return [self._replay(point) for point in points]
+        first = self._next_id
+        self._next_id += len(points)
+        requests = [_request(msg_id, point) for msg_id, point in enumerate(points, first)]
+        self._unsent = memoryview(b"".join(requests))
+        keep = len(self._unsent)
+        values: list[float] = []
         try:
-            self._proc.stdin.write(
-                (json.dumps({"type": "eval", "id": msg_id, "point": values}) + "\n").encode()
-            )
-            self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise EvaluationError("external evaluator pipe closed") from exc
-        reply = self._read_message()
-        if reply.get("type") != "loss":
-            raise ProtocolError(f"expected a loss reply, got {reply!r}")
-        if reply.get("id") != msg_id:
-            raise ProtocolError(
-                f"evaluator answered id {reply.get('id')!r} to request {msg_id}"
-            )
-        if not isinstance(reply.get("value"), (int, float)):
-            raise ProtocolError(f"loss reply to request {msg_id} has no numeric value: {reply!r}")
-        return float(reply["value"])
+            for msg_id, request in enumerate(requests, first):
+                keep -= len(request)
+                reply = self._read_message(keep)
+                if reply.get("type") != "loss":
+                    raise ProtocolError(f"expected a loss reply, got {reply!r}")
+                if reply.get("id") != msg_id:
+                    raise ProtocolError(
+                        f"evaluator answered id {reply.get('id')!r} to request {msg_id}"
+                    )
+                if not isinstance(reply.get("value"), (int, float)):
+                    raise ProtocolError(f"loss reply to request {msg_id} has no numeric value: {reply!r}")
+                values.append(float(reply["value"]))
+        except Exception as exc:
+            self._failure = (list(zip(points, values)), exc)
+            raise
+        return values
+
+    def _replay(self, point: str) -> float:
+        answered, error = self._failure
+        if not answered or answered[0][0] != point:
+            raise error
+        return answered.pop(0)[1]
 
     def _add_stderr(self, exc: BaseException) -> None:
         """Append the last bytes the child wrote to stderr to an optbench error's message."""

@@ -6,6 +6,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 TOOL = REPO / "tools" / "ab_perfbench.py"
 
@@ -73,8 +75,40 @@ def test_pairs_alternate_and_the_file_holds_runs_statistics_wins_and_commits(tmp
     assert (evals["b_wins"], evals["ties"]) == (3, 0)
     assert evals["a_quartile_distance"] == 25.0
     assert evals["medians_differ_by_more_than_a_quartile_distance"] is False
+    assert evals["gain_resolved"] is False
     setup = entry["metrics"]["setup_s"]
     assert (setup["b_wins"], setup["ties"], setup["median_change"]) == (0, 4, 0.0)
+    assert setup["gain_resolved"] is False
+
+
+A_EVALS = [10.0 + i for i in range(10)]  # quartiles 11.75 and 17.25, median 14.5
+
+
+@pytest.mark.parametrize(
+    "b_evals, wins, ties, resolved",
+    [
+        ([v + 7.0 if i != 3 else v for i, v in enumerate(A_EVALS)], 9, 1, True),
+        ([v + 7.0 if i > 1 else v - 1.0 for i, v in enumerate(A_EVALS)], 8, 0, False),
+        ([v + 1.0 for v in A_EVALS], 10, 0, False),
+        ([v - 7.0 for v in A_EVALS], 0, 0, False),
+    ],
+    ids=["nine-wins-and-a-tie", "eight-wins", "inside-the-quartiles", "worse"],
+)
+def test_a_gain_is_resolved_by_nine_in_ten_wins_and_a_median_beyond_the_quartiles(
+    tmp_path, b_evals, wins, ties, resolved
+):
+    log = tmp_path / "launches.log"
+    a = stub_checkout(tmp_path, "a", A_EVALS, 1.0, log)
+    b = stub_checkout(tmp_path, "b", b_evals, 1.0, log)
+    out = tmp_path / "BENCH_0.json"
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(a), str(b), "--workload", "w", "--seed", "4", "--pairs", "10",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    evals = json.loads(out.read_text())["workloads"]["w/seed4"]["metrics"]["evals_per_ref_s"]
+    assert (evals["b_wins"], evals["ties"], evals["gain_resolved"]) == (wins, ties, resolved)
 
 
 def test_a_second_workload_joins_the_file_only_for_the_same_commits(tmp_path):

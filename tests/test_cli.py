@@ -405,12 +405,14 @@ def _composite(**block_changes):
         (_composite(weight="2"), PROBLEM, "a block weight must be a finite number, got '2'"),
         (_composite(seed=1.5), PROBLEM, NOT_INDEX + "1.5"),
         (_set(*TRANSFORM, translation_std=float("inf")), UNREADABLE, "Infinity is not valid"),
+        (_set(num_workers=[]), PROBLEM, "a suite problem needs at least one worker count"),
+        (_set(problem_id=5), "manifest problem 5: ", "a problem id must be a string, got 5"),
     ],
     ids=[
         "unknown-base", "rotated-onemax", "no-dimension", "str-dimension", "unknown-transform-key",
         "lunacek-d1", "float-budget", "float-workers", "nan-budget", "str-rotate", "bool-budget",
         "float-block-index", "nan-noise", "zero-workers", "bool-dimension", "float-transform-seed",
-        "str-block-weight", "float-block-seed", "infinite-translation",
+        "str-block-weight", "float-block-seed", "infinite-translation", "no-workers", "int-problem-id",
     ],
 )
 def test_bad_manifest_fails_at_load(tmp_path, capsys, edit, where, expected):
@@ -421,6 +423,16 @@ def test_bad_manifest_fails_at_load(tmp_path, capsys, edit, where, expected):
     assert len(err) == 1 and err[0].startswith(f"error: {where}")
     assert expected in err[0]
     assert not out.exists()  # no cell ran
+
+
+def test_a_non_string_suite_name_fails_at_load(tmp_path, capsys):
+    # run would write records whose suite field report refuses
+    manifest = Path(_mini_manifest(tmp_path, lambda p: None))
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "name": 7}))
+    out = tmp_path / "x"
+    assert main(["run", "--suite", str(manifest), "--algs", "discrete-fixed", "--seeds", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: manifest: a suite name must be a string, got 7"]
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -287,12 +287,127 @@ ELLIPSOID_CHILD = textwrap.dedent(
 
 
 def test_an_abbo_session_prints_the_pinned_result(tmp_path, capsys):
-    # d8 with budget 6500 runs chain(cma,powell): the serial path of an
-    # objective without ``batch``, CMA generations included.  The digest was
-    # recorded with one ask per evaluation and is never regenerated.
+    # d8 with budget 6500 runs chain(cma,powell): the serial path, each CMA
+    # generation one ``batch`` and each Powell ask one call.  The digest was
+    # recorded with one request per evaluation and is never regenerated.
     command = child_command(tmp_path, ELLIPSOID_CHILD, "ellipsoid_child.py")
     argv = ["eval-server", "--cmd", command, "--algs", "abbo", "--budget", "6500", "--master-seed", "11"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["recommendation_loss"] < 1e-20
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "332e17fb7a4bd969"
+
+
+def test_a_parallel_session_prints_the_result_of_one_request_at_a_time(tmp_path, capsys):
+    # budget 2000 over 4 workers runs cma in waves of 4, each one ``batch``;
+    # the digest was recorded before the evaluator had a ``batch``
+    command = child_command(tmp_path, ELLIPSOID_CHILD, "ellipsoid_child.py")
+    argv = ["eval-server", "--cmd", command, "--algs", "abbo", "--budget", "2000", "--master-seed", "11",
+            "--num-workers", "4"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == "819003fcc2249b72"
+
+
+#: a d4 child that logs each request's id and at its fourth request does ``{fault}``
+#: a child that logs each request's id and at its fourth request does ``{fault}``
+FAULTY_CHILD = """
+import json, os, sys, time
+print(json.dumps({{"type": "hello", "dimension": {dimension}}}), flush=True)
+for n, line in enumerate(sys.stdin, 1):
+    msg = json.loads(line)
+    with open({log!r}, "a") as log:
+        log.write(f"{{msg['id']}}\\n")
+    if n == 4:
+        {fault}
+    print(json.dumps({{"type": "loss", "id": msg["id"], "value": sum(v * v for v in msg["point"])}}), flush=True)
+"""
+
+CLOSED = "external evaluator closed its output"
+
+#: fault -> (child action, error, --timeout, dimension, cma's first wave)
+FAULTS = {
+    "dies": ("sys.exit(1)", CLOSED, 20.0, 4, 8),
+    "wrong-id": ('msg["id"] += 999', "evaluator answered id 1002 to request 3", 20.0, 4, 8),
+    "sleeps": ("time.sleep(60)", "external evaluator timed out after 2.0s", 2.0, 4, 8),
+    # 22 requests of ~10 KB overfill the child's stdin pipe, so the harness
+    # is still writing when the child closes it, before its stdout
+    "stops-reading-in-a-wide-wave": ("os.close(0); time.sleep(0.5); sys.exit(1)", CLOSED, 20.0, 500, 22),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_failed_wave_ends_the_session_as_one_request_at_a_time_does(tmp_path, monkeypatch, capsys, fault):
+    # serial cma asks a generation as one wave; its fourth request fails
+    action, message, timeout, dimension, wave = FAULTS[fault]
+    children = _record_children(monkeypatch)
+
+    def faulty(name):
+        log = tmp_path / f"{name}.log"
+        source = FAULTY_CHILD.format(log=str(log), fault=action, dimension=dimension)
+        return child_command(tmp_path, source, f"{name}.py"), log
+
+    def session(name):
+        command, log = faulty(f"{name}-run-loop")
+        with pytest.raises(EvaluationError) as err:
+            with ExternalEvaluator(command, timeout=timeout) as external:
+                run_loop("cma", external, RunContext(external.domain, budget=50))
+        cli_command, cli_log = faulty(f"{name}-cli")
+        code = main(["eval-server", "--cmd", cli_command, "--algs", "cma", "--budget", "50",
+                     "--timeout", str(timeout)])
+        # each child got requests 0, 1, ... once each
+        for ids in ([int(i) for i in path.read_text().split()] for path in (log, cli_log)):
+            assert ids == list(range(len(ids)))
+        return str(err.value), len(err.value.history), code, capsys.readouterr().err
+
+    batch, waves_sent = ExternalEvaluator.batch, []
+    monkeypatch.setattr(ExternalEvaluator, "batch", lambda self, points: waves_sent.append(len(points)) or batch(self, points))
+    waves = session("waves")
+    assert waves_sent == [wave, wave]  # the first wave of each session, then the session ended
+    monkeypatch.delattr(ExternalEvaluator, "batch")
+    assert session("rows") == waves == (
+        f"objective evaluation 4 failed: {message}", 3, 2, f"error: objective evaluation 4 failed: {message}\n"
+    )
+    assert len(children) == 4 and all(child.returncode is not None for child in children)
+
+
+def test_a_wave_that_fills_both_pipes_does_not_deadlock(tmp_path):
+    # 64 requests of ~40 KB fill the child's stdin while its ~4 KB replies
+    # fill its stdout; writing them all before reading any would hang
+    source = textwrap.dedent(
+        """
+        import json, sys
+        print(json.dumps({"type": "hello", "dimension": 2000}), flush=True)
+        for line in sys.stdin:
+            msg = json.loads(line)
+            value = sum(v * v for v in msg["point"])
+            print(json.dumps({"type": "loss", "id": msg["id"], "value": value, "pad": "x" * 4000}), flush=True)
+        """
+    )
+    command = child_command(tmp_path, source, "wide_child.py")
+    argv = ["eval-server", "--cmd", command, "--algs", "de", "--budget", "128", "--num-workers", "64"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "optbench.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["budget"] == 128
+
+
+def test_requests_are_the_json_dumps_bytes_of_one_request_at_a_time(tmp_path):
+    log = tmp_path / "requests.log"
+    source = textwrap.dedent(
+        f"""
+        import json, sys
+        print(json.dumps({{"type": "hello", "dimension": 2}}), flush=True)
+        for line in sys.stdin:
+            open({str(log)!r}, "a").write(line)
+            print(json.dumps({{"type": "loss", "id": json.loads(line)["id"], "value": 0.0}}), flush=True)
+        """
+    )
+    rows = np.array([[-0.0, 5e-324], [1e308, 3.0]])
+    with ExternalEvaluator(child_command(tmp_path, source, "echo_child.py"), timeout=20.0) as external:
+        assert external.batch(rows) == [0.0, 0.0]
+        assert [external(row) for row in rows] == [0.0, 0.0]
+    expected = [json.dumps({"type": "eval", "id": i, "point": [float(v) for v in rows[i % 2]]}) + "\n"
+                for i in range(4)]
+    assert log.read_text() == "".join(expected)
+    assert "-0.0, 5e-324" in expected[0] and "1e+308, 3.0" in expected[1]

@@ -52,6 +52,22 @@ def test_budget_at_least_num_workers_enforced():
         SuiteProblem("bad", spec, budgets=(10,), num_workers=(20,))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda spec: SuiteProblem("p", spec, budgets=(10,), num_workers=()), "needs at least one worker count"),
+        (lambda spec: SuiteProblem(5, spec, budgets=(10,)), "a problem id must be a string, got 5"),
+        (lambda spec: BenchmarkSuite(7, (SuiteProblem("p", spec, budgets=(10,)),)),
+         "a suite name must be a string, got 7"),
+    ],
+    ids=["no-worker-counts", "int-problem-id", "int-suite-name"],
+)
+def test_suite_values_are_checked_at_construction(build, message):
+    # what run could not finish or report could not read fails here instead
+    with pytest.raises(ConfigurationError, match=message):
+        build(FunctionSpec("sphere", 3, TransformSpec()))
+
+
 def test_duplicate_problem_ids_rejected():
     spec = FunctionSpec("sphere", 3, TransformSpec())
     p = SuiteProblem("p", spec, budgets=(10,))

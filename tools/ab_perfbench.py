@@ -10,10 +10,13 @@ T is the ``run_seconds`` of a's ``BENCHMARK.json``; checkout a is the
 baseline.  For every end-to-end metric of a's
 ``BENCHMARK.json`` the file gets each side's runs, median and quartiles (as
 ``statistics.quantiles(runs, n=4)`` gives them), the pairs that b wins and
-the pairs that tie, and whether the medians differ by more than a's
-quartile distance.  The commits come from ``git -C <checkout> rev-parse
-HEAD``.  An existing ``--out`` file of the same two commits keeps its other
-workloads, so several invocations fill one file.
+the pairs that tie, whether the medians differ by more than a's quartile
+distance, and ``gain_resolved``: b wins at least 9 in 10 of the pairs (a
+tie is a win for neither) and its median moved in the metric's better
+direction by more than a's quartile distance.  The commits come from
+``git -C <checkout> rev-parse HEAD``.  An existing ``--out`` file of the
+same two commits keeps its other workloads, so several invocations fill
+one file.
 """
 
 from __future__ import annotations
@@ -64,17 +67,19 @@ def compare(metric: dict, runs: dict[str, list[float]]) -> dict:
     sign = 1.0 if metric["better"] == "higher" else -1.0
     pairs = list(zip(runs["a"], runs["b"]))
     distance = a["q3"] - a["q1"]
+    b_wins = sum(sign * (vb - va) > 0 for va, vb in pairs)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
         "bound": metric["bound"],
         "a": a,
         "b": b,
-        "b_wins": sum(sign * (vb - va) > 0 for va, vb in pairs),
+        "b_wins": b_wins,
         "ties": sum(va == vb for va, vb in pairs),
         "median_change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
         "a_quartile_distance": distance,
         "medians_differ_by_more_than_a_quartile_distance": abs(b["median"] - a["median"]) > distance,
+        "gain_resolved": 10 * b_wins >= 9 * len(pairs) and sign * (b["median"] - a["median"]) > distance,
     }
 
 
@@ -137,7 +142,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     for name, stats in metrics.items():
         print(f"{name:<26} a {stats['a']['median']:<14.6g} b {stats['b']['median']:<14.6g} "
-              f"b wins {stats['b_wins']}/{args.pairs}, ties {stats['ties']}")
+              f"b wins {stats['b_wins']}/{args.pairs}, ties {stats['ties']}, gain resolved {stats['gain_resolved']}")
     return 0
 
 
