@@ -123,7 +123,8 @@ class BenchmarkFunction:
     the oracle used only for scoring recommendations; ``batch`` and
     ``noise_free_batch`` evaluate a block of points at once.  This is the
     plain catalog kind; the others override ``check`` and the three hooks
-    below, and their batches loop over the rows.
+    below.  A composite's batch has a row kernel; a TSP batch loops over
+    the rows.
     """
 
     def __init__(self, spec: FunctionSpec, noise_seed: int | None = None):
@@ -260,16 +261,30 @@ class _Composite(BenchmarkFunction):
         z = y[self._gather]
         z -= self._shift
         total = 0.0
-        for fn, start, stop, weight, rotation in self._entries:
+        for fn, start, stop, weight, rotation, _rows in self._entries:
             sub = z[start:stop]
             if rotation is not None:
                 sub = np.dot(rotation, sub)
             total += weight * fn(sub)
         return total
 
+    def _rows(self, ys: np.ndarray) -> np.ndarray:
+        # ``_inner`` of each row: one gemv per row, as ``np.dot`` is, and each
+        # base's row kernel on contiguous rows, as ``fn`` sees them
+        z = ys[:, self._gather]
+        z -= self._shift
+        total = np.zeros(len(ys))
+        for _fn, start, stop, weight, rotation, rows in self._entries:
+            if rotation is not None:
+                sub = np.matmul(rotation, z[:, start:stop, None])[:, :, 0]
+            else:
+                sub = np.ascontiguousarray(z[:, start:stop])
+            total += weight * rows(sub)
+        return total
+
     def _inner_minimum(self) -> np.ndarray:
         inner = np.zeros(self.spec.dimension)
-        for block, (_fn, start, stop, _weight, rotation) in zip(self.spec.blocks, self._entries):
+        for block, (_fn, start, stop, _weight, rotation, _rows) in zip(self.spec.blocks, self._entries):
             m = get_base(block.base).minimum_point(stop - start)
             if rotation is not None:
                 m = self._shift[start:stop] + rotation.T @ m
@@ -280,7 +295,8 @@ class _Composite(BenchmarkFunction):
 @lru_cache(maxsize=8)
 def _block_plan(blocks: tuple[CompositeBlock, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
     """A composite's concatenated block indices and shifts, and one
-    ``(fn, start, stop, weight, rotation)`` entry per block in spec order.
+    ``(fn, start, stop, weight, rotation, rows)`` entry per block in spec
+    order.
 
     A block without a seed has a zero shift and no rotation.  Instances with
     equal blocks share the result, so its arrays are read-only.
@@ -295,7 +311,8 @@ def _block_plan(blocks: tuple[CompositeBlock, ...]) -> tuple[np.ndarray, np.ndar
             rotation = _haar_orthogonal(brng, size)
             rotation.flags.writeable = False
         shifts.append(shift)
-        entries.append((get_base(block.base).fn, start, start + size, block.weight, rotation))
+        base = get_base(block.base)
+        entries.append((base.fn, start, start + size, block.weight, rotation, base.rows))
         start += size
     gather = np.array([i for block in blocks for i in block.indices], dtype=np.intp)
     shift = np.concatenate(shifts)

@@ -22,6 +22,11 @@ class DifferentialEvolution(ScalarSolver):
     are evaluated and differ from it, a crossover mask ``random < CR`` per
     slot, and one forced mutant coordinate per slot.  An ask then does only
     the arithmetic.
+
+    A tell replaces only its own slot's row, so a trial is fixed once its
+    plan is drawn and its slot and three donors have no tell to come.
+    ``free_asks`` counts the run of such slots from the cursor to the
+    generation's end, and ``_ask_many`` builds a run of trials in one pass.
     """
 
     def __init__(
@@ -79,6 +84,33 @@ class DifferentialEvolution(ScalarSolver):
         else:
             z = self._trial(generation, slot)
         return self._new_candidate(self._view.decode(z), payload=(slot, z))
+
+    def free_asks(self) -> int:
+        # an initial sample is fixed while its slot has no tell to come; the
+        # next plan reads ``_initialized``, so a run ends with the generation
+        generation, start = divmod(self._cursor, self.np_size)
+        busy = {cand.payload[0] for cand in self.pending.values()}
+        drawn = self._plan_generation == generation
+        free = 0
+        for slot in range(start, self.np_size):
+            if slot in busy or (self._initialized[slot] and not (drawn and busy.isdisjoint(self._donors[slot]))):
+                break
+            busy.add(slot)
+            free += 1
+        return max(1, free)
+
+    def _ask_many(self, n: int) -> list[Candidate]:
+        generation, start = divmod(self._cursor, self.np_size)
+        stop = start + n
+        if stop > self.np_size or self._plan_generation != generation or not self._initialized[start:stop].all():
+            return super()._ask_many(n)
+        # the trials of n asks, with no tell between them: row by row the
+        # arithmetic of ``_trial``
+        self._cursor += n
+        a, b, c = np.array(self._donors[start:stop]).T
+        p = self.positions
+        zs = np.where(self._masks[start:stop], p[a] + self.f_weight * (p[b] - p[c]), p[start:stop])
+        return self._book(self._view.decode(zs), list(zip(range(start, stop), zs)))
 
     def _trial(self, generation: int, slot: int) -> np.ndarray:
         if self._num_ready < 4:

@@ -17,6 +17,7 @@ def _manifest(tmp_path) -> Path:
     spec = FunctionSpec("sphere", 3, TransformSpec(translation_std=1.0, transform_seed=5))
     suite = BenchmarkSuite("tiny", (
         SuiteProblem("wide-sphere-d3", spec, budgets=(40,), num_workers=(8,)),
+        SuiteProblem("wide-sphere-d5", replace(spec, dimension=5), budgets=(40,), num_workers=(8,)),
         SuiteProblem("serial-sphere-d3", spec, budgets=(30,)),
         SuiteProblem("serial-ellipsoid-d3", replace(spec, base="ellipsoid"), budgets=(30,)),
     ))
@@ -36,9 +37,12 @@ def test_same_checkout_twice_gives_identical_records(tmp_path):
     done = _run(REPO, REPO, _manifest(tmp_path), "--match", "wide")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0].startswith("2 cells, records identical, 0 failed")
-    assert [line.split()[:2] for line in lines[2:4]] == [["cma", "40"], ["tbpsa", "40"]]
-    assert lines[4].startswith("total")
+    assert lines[0].startswith("4 cells, records identical, 0 failed")
+    # one row per algorithm, dimension and budget
+    assert [line.split()[:3] for line in lines[2:6]] == [
+        ["cma", "3", "40"], ["cma", "5", "40"], ["tbpsa", "3", "40"], ["tbpsa", "5", "40"],
+    ]
+    assert lines[6].startswith("total")
 
 
 def test_a_checkout_that_writes_other_records_is_refused(tmp_path):

@@ -308,6 +308,15 @@ def test_a_parallel_session_prints_the_result_of_one_request_at_a_time(tmp_path,
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == "819003fcc2249b72"
 
 
+def test_a_serial_de_session_prints_the_result_of_one_request_at_a_time(tmp_path, capsys):
+    # serial DE asks the trials no pending tell can change as one wave, each
+    # one ``batch``; the digest was recorded while DE asked one point at a time
+    command = child_command(tmp_path, ELLIPSOID_CHILD, "ellipsoid_child.py")
+    argv = ["eval-server", "--cmd", command, "--algs", "de", "--budget", "300", "--master-seed", "11"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == "b842788f3b113899"
+
+
 #: a d4 child that logs each request's id and at its fourth request does ``{fault}``
 #: a child that logs each request's id and at its fourth request does ``{fault}``
 FAULTY_CHILD = """

@@ -14,6 +14,10 @@ domain (bounded and unbounded integers, a categorical, a continuous and a
 single-valued variable), noise-free and with seeded noise, at one and three
 workers.  Those digests were recorded before the solvers became one class
 per registry id and must not be regenerated either.
+
+The ``de`` and ``lhsde`` digests, and those of ``LSGO_DIGESTS`` (a d50
+overlapping composite, serial), were recorded while DE asked one candidate
+per wave; a serial DE run that asks in waves must give the same history.
 """
 
 import hashlib
@@ -30,7 +34,7 @@ from optbench import (
     run_loop,
     unbounded_integer,
 )
-from optbench.bench import FunctionSpec, TransformSpec, make_function
+from optbench.bench import FunctionSpec, TransformSpec, get_suite, make_function
 
 SPEC = FunctionSpec("ellipsoid", 7, TransformSpec(translation_std=1.0, rotate=True, transform_seed=5))
 
@@ -47,6 +51,10 @@ DIGESTS = {
     ("cma", 5): "c10563fb460eb6fa",
     ("diagcma", 1): "2bad9fce0cf2b876",
     ("diagcma", 5): "d9b3d8a103af0fd6",
+    ("de", 1): "a6f40e1a482fd2b2",
+    ("de", 5): "cfbc8f2129c10500",
+    ("lhsde", 1): "40eb1f23ff677270",
+    ("lhsde", 5): "4a33be2b40a6b45b",
 }
 
 
@@ -66,6 +74,16 @@ def history_digest(spec: str, workers: int) -> str:
 def test_history_is_bit_identical_to_per_ask_draws(spec, workers):
     assert history_digest(spec, workers) == DIGESTS[spec, workers]
 
+
+LSGO_DIGESTS = {"de": "5cd2e9c1704ed90c", "one-plus-one-es": "0ca52c245b888daa"}
+
+
+@pytest.mark.parametrize("spec", sorted(LSGO_DIGESTS))
+def test_serial_lsgo_history_is_pinned(spec):
+    problem = next(p for p in get_suite("lsgo_lite").problems if p.problem_id == "lsgo-d50-ov")
+    f = make_function(problem.spec)
+    ctx = RunContext(f.domain, budget=400, master_seed=11)
+    assert _digest(*run_loop(spec, f, ctx)) == LSGO_DIGESTS[spec]
 
 
 MIXED = DomainSpec(

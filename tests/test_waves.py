@@ -28,7 +28,7 @@ from optbench import (
     integer,
     run_loop,
 )
-from optbench.bench import FunctionSpec, TransformSpec, make_function
+from optbench.bench import CompositeBlock, FunctionSpec, TransformSpec, get_suite, make_function
 from optbench.bench.functions import CATALOG
 from optbench.solvers.cma import CmaEs
 
@@ -61,7 +61,10 @@ def instances(draw, base):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_batch_rows_equal_calls_bit_for_bit(base, data):
-    spec, points = data.draw(instances(base))
+    assert_batches_equal_calls(*data.draw(instances(base)))
+
+
+def assert_batches_equal_calls(spec, points):
     batched, called = make_function(spec, noise_seed=7), make_function(spec, noise_seed=7)
     with np.errstate(all="ignore"):  # huge points overflow alike on both paths
         free = batched.noise_free_batch(points)
@@ -84,16 +87,50 @@ def test_batch_without_a_row_kernel_loops_over_the_rows(spec):
 
 
 def test_composite_and_tsp_batches_equal_calls():
-    from optbench.bench import get_suite
-
     for suite in ("lsgo_lite", "discrete_lite"):
         for problem in get_suite(suite).problems:
             f, g = make_function(problem.spec), make_function(problem.spec)
             points = f.domain.scalar_view.decode(np.random.default_rng(1).standard_normal((4, problem.spec.dimension)))
-            assert f.batch(points).tolist() == [g(p) for p in points]
+            assert [float.hex(float(v)) for v in f.batch(points)] == [float.hex(g(p)) for p in points]
+
+
+@st.composite
+def composites(draw, base):
+    """A composite whose first block is ``base`` at its fewest variables;
+    further blocks may share variables with it and with each other."""
+    d = draw(st.integers(CATALOG[base].min_dimension, 24))
+
+    def block(base, size):
+        indices = draw(st.lists(st.integers(0, d - 1), min_size=size, max_size=size, unique=True))
+        weight = draw(st.sampled_from([1.0, -2.5, 1e-3, 1e3]))
+        return CompositeBlock(base, tuple(indices), weight, draw(st.none() | st.integers(0, 2**32)))
+
+    blocks = [block(base, CATALOG[base].min_dimension)]
+    for _ in range(draw(st.integers(0, 4))):
+        other = draw(st.sampled_from([b for b in CONTINUOUS_BASES if CATALOG[b].min_dimension <= d]))
+        blocks.append(block(other, draw(st.integers(CATALOG[other].min_dimension, d))))
+    transform = TransformSpec(
+        translation_std=draw(st.sampled_from([0.0, 1.0])),
+        rotate=draw(st.booleans()),
+        noise_std=draw(st.sampled_from([0.0, 0.5])),
+        transform_seed=draw(st.integers(0, 2**32)),
+    )
+    # rows of VALUES: a drawn pool, laid out by a drawn seed so that 200 rows fit the draw
+    pool = draw(st.lists(VALUES, min_size=1, max_size=32))
+    n = draw(st.sampled_from([1, 7, 200]))
+    points = np.random.default_rng(draw(st.integers(0, 2**32))).choice(pool, size=(n, d))
+    return FunctionSpec("lsgo_composite", d, transform, tuple(blocks)), points
+
+
+@pytest.mark.parametrize("base", CONTINUOUS_BASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_composite_batch_rows_equal_calls_bit_for_bit(base, data):
+    assert_batches_equal_calls(*data.draw(composites(base)))
 
 
 WAVE_SPECS = ["cma", "diagcma", "tbpsa", "naive-tbpsa", "bet(tbpsa,de;0.2)", "chain(cma,powell;0.5,0.5)"]
+DE_SPECS = ["de", "lhsde"]
 # the survivor re-asks candidates, some of them twice in one wave
 REASKING_BET = "bet(discrete-optimistic,discrete-optimistic;0.2)"
 
@@ -145,7 +182,7 @@ def assert_waves_equal_asks(many, single, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 250])
-@pytest.mark.parametrize("spec", [*WAVE_SPECS, REASKING_BET])
+@pytest.mark.parametrize("spec", [*WAVE_SPECS, *DE_SPECS, REASKING_BET])
 def test_ask_many_equals_asks(spec, n):
     many, single = twins(spec, n)
     assert_waves_equal_asks(many, single, n)
@@ -198,7 +235,7 @@ def test_ask_many_of_no_candidates_changes_nothing(spec):
     assert snapshot(handle, {}) == before
 
 
-@pytest.mark.parametrize("spec", WAVE_SPECS)
+@pytest.mark.parametrize("spec", [*WAVE_SPECS, *DE_SPECS, "chain(de,cma;0.5,0.5)", "bet(de,tbpsa;0.2)"])
 def test_free_asks_then_tells_equal_interleaved_ask_and_tell(spec):
     # free_asks() candidates asked at once, then told in order, as a serial wave
     context = RunContext(DomainSpec([continuous()] * 6), budget=400, master_seed=3)  # tbpsa survives the bet
@@ -225,6 +262,30 @@ def test_free_asks_then_tells_equal_interleaved_ask_and_tell(spec):
         for _ in range(min(len(widths) % 3, ahead.budget - ahead.num_asks)):
             tell_both([ahead.ask()])
     assert max(widths) > 1
+
+
+class CountsCalls:
+    """An objective that counts its calls, a ``batch`` of many points being one."""
+
+    def __init__(self, function):
+        self.function, self.domain, self.calls = function, function.domain, 0
+
+    def __call__(self, point):
+        self.calls += 1
+        return self.function(point)
+
+    def batch(self, points):
+        self.calls += 1
+        return self.function.batch(points)
+
+
+def test_serial_de_evaluates_its_free_trials_together():
+    # NP = 50: one call for the initial samples, then about 11 per generation
+    problem = next(p for p in get_suite("lsgo_lite").problems if p.problem_id == "lsgo-d50-ov")
+    objective = CountsCalls(make_function(problem.spec))
+    _rec, history = run_loop("de", objective, RunContext(objective.domain, budget=1000, master_seed=5))
+    assert len(history) == 1000
+    assert objective.calls <= 250
 
 
 class Counting(Optimizer):

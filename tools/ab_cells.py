@@ -10,7 +10,7 @@ algorithm x seed, as ``optbench run`` builds it; ``--match`` keeps the
 problems whose id contains the text) runs ``--repeats`` times on each side,
 the sides alternating and the first side alternating too, and keeps each
 side's fastest run.  It prints the summed fastest times and the speedup a/b
-per (algorithm, budget) and in total.  Each cell whose ``records.jsonl`` line
+per (algorithm, dimension, budget) and in total.  Each cell whose ``records.jsonl`` line
 is not the same bytes on both sides is named at the end, after the whole
 grid has run, and the script exits 1.  Whole-launch timings of a shared host
 drift too much to compare two checkouts; the minimum of interleaved runs of
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     grids = [cells(side, args.suite, args.algs, range(args.seeds), args.master_seed, args.match) for side in sides]
     if not grids[0]:
         raise SystemExit("error: no cell matches")
-    sums: dict[tuple[str, int], list[float]] = defaultdict(lambda: [0.0, 0.0])
+    sums: dict[tuple[str, int, int], list[float]] = defaultdict(lambda: [0.0, 0.0])
     failed = 0
     differing = []
     for index, (cell_a, cell_b) in enumerate(zip(*grids)):
@@ -108,19 +108,19 @@ def main(argv=None) -> int:
         if lines[0] != lines[1]:
             differing.append(cell_id)
         failed += '"failed":true' in lines[0]
-        key = (cell_a[4], cell_a[2])
+        key = (cell_a[4], cell_a[1].spec.dimension, cell_a[2])
         sums[key][0] += best[0]
         sums[key][1] += best[1]
 
     total = len(grids[0])
     same = f"records differ on {len(differing)}" if differing else "records identical"
     print(f"{total} cells, {same}, {failed} failed; fastest of {args.repeats} runs per side")
-    print(f"{'algorithm':<28} {'budget':>7} {'a s':>9} {'b s':>9} {'a/b':>6}")
-    for (text, budget), (a, b) in sorted(sums.items()):
-        print(f"{text:<28} {budget:>7} {a:9.3f} {b:9.3f} {a / b:6.2f}")
+    print(f"{'algorithm':<28} {'dim':>5} {'budget':>7} {'a s':>9} {'b s':>9} {'a/b':>6}")
+    for (text, dimension, budget), (a, b) in sorted(sums.items()):
+        print(f"{text:<28} {dimension:>5} {budget:>7} {a:9.3f} {b:9.3f} {a / b:6.2f}")
     total_a = sum(a for a, _b in sums.values())
     total_b = sum(b for _a, b in sums.values())
-    print(f"{'total':<28} {'':>7} {total_a:9.3f} {total_b:9.3f} {total_a / total_b:6.2f}")
+    print(f"{'total':<28} {'':>5} {'':>7} {total_a:9.3f} {total_b:9.3f} {total_a / total_b:6.2f}")
     if differing:
         print(f"error: the checkouts differ on {len(differing)} of {total} cells:", *differing,
               sep="\n", file=sys.stderr)
