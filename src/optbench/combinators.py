@@ -21,8 +21,9 @@ the context cannot cover them.  The constructor reads only that method, and
 ``wizard.validate_spec`` walks a whole tree through it before the root is
 built, so a lazily built child cannot fail in the middle of a run.
 
-Ids stay local to each handle, budgets are conserved exactly, and the
-parallelism contract forwards to the active child.
+Ids stay local to each handle and budgets are conserved exactly.  A wave
+goes to the child ``_wave_child`` names (chain: the active child; bet-and-run:
+the survivor) when that child has room for all of it, else ask by ask.
 """
 
 from __future__ import annotations
@@ -70,6 +71,21 @@ class RoutingOptimizer(Optimizer):
             cand = self._new_candidate(point, payload=(child, child_cand))
             self._outer[child_cand] = cand
         return cand
+
+    def _wave_child(self) -> Optimizer | None:
+        """The child that takes the next wave, or None to ask it ask by ask."""
+        return None
+
+    def _ask_many(self, n: int) -> list[Candidate]:
+        child = self._wave_child()
+        if child is None or child.budget - child.num_asks < n:
+            return super()._ask_many(n)  # e.g. a hand-off inside the wave
+        return [self._wrap(child, cc) for cc in child.ask_many(n)]
+
+    def free_asks(self) -> int:
+        # capped by its room: a chain's next child starts from the incumbent, after the tells
+        child = self._wave_child()
+        return 1 if child is None else max(1, min(child.free_asks(), child.budget - child.num_asks))
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
         if candidate.payload is not None:
@@ -145,16 +161,8 @@ class ChainOptimizer(RoutingOptimizer):
             self._advance()
         return self._wrap(self._active, self._active.ask())
 
-    def _ask_many(self, n: int) -> list[Candidate]:
-        active = self._active
-        if active.budget - active.num_asks < n:
-            return super()._ask_many(n)  # a hand-off inside the wave goes ask by ask
-        return self._issue([self._wrap(active, cc) for cc in active.ask_many(n)])
-
-    def free_asks(self) -> int:
-        # the next child starts from the incumbent, so a hand-off waits for the tells
-        active = self._active
-        return max(1, min(active.free_asks(), active.budget - active.num_asks))
+    def _wave_child(self) -> Optimizer:
+        return self._active
 
     def _recommend(self):
         if self._active.num_tells == 0:
@@ -211,18 +219,8 @@ class BetAndRunOptimizer(RoutingOptimizer):
         child = self.children[idx]
         return self._wrap(child, child.ask())
 
-    def _ask_many(self, n: int) -> list[Candidate]:
-        # phase 1 and the ask that picks the survivor go one at a time
-        cands = []
-        while len(cands) < n and self.survivor is None:
-            cands.append(self.ask())
-        if len(cands) < n:
-            child = self.children[self.survivor]
-            cands += self._issue([self._wrap(child, cc) for cc in child.ask_many(n - len(cands))])
-        return cands
-
-    def free_asks(self) -> int:
-        return 1 if self.survivor is None else self.children[self.survivor].free_asks()
+    def _wave_child(self) -> Optimizer | None:
+        return None if self.survivor is None else self.children[self.survivor]
 
     def _after_tell(self, candidate: Candidate, loss: float) -> None:
         idx = self.children.index(candidate.payload[0])

@@ -90,10 +90,11 @@ class Candidate:
 class Optimizer:
     """Base class for all solvers and combinators.
 
-    Subclasses implement ``_ask`` (return a point, a fresh candidate from
-    ``_new_candidate(point, payload)``, or an already-issued Candidate to
-    request a re-tell), ``_tell``, and optionally ``_recommend``.  The base
-    class owns budget accounting, the pending set, the archive, and
+    Subclasses implement ``_ask`` (a point, a fresh ``_new_candidate(point,
+    payload)``, or an issued Candidate to request a re-tell), ``_tell``, and
+    optionally ``_ask_many`` (a wave in one pass) and ``_recommend``.  The
+    hooks only make candidates; ``ask`` and ``ask_many`` alone issue them.
+    The base class owns budget accounting, the pending set, the archive and
     incumbent tracking: strict-improvement replacement in noise-free mode,
     lowest mean loss (ties: more observations, then lower id) in noisy mode.
     Composites derive from ``combinators.RoutingOptimizer``, which routes
@@ -141,6 +142,15 @@ class Optimizer:
         return None
 
     # ------------------------------------------------------------------
+    def _register(self, out: "np.ndarray | Candidate") -> Candidate:
+        """The candidate of this handle for an ``_ask`` result: a fresh one for
+        a point, or a re-asked candidate once it is checked to be ours."""
+        if type(out) is not Candidate:
+            return self._new_candidate(out)
+        if self._candidates.get(out.id) is not out:
+            raise ContractError("solver re-asked a candidate it does not own")
+        return out
+
     def _new_candidate(self, point, payload=None) -> Candidate:
         cand = Candidate(self._next_id, np.asarray(point, dtype=float), payload=payload)
         self._candidates[self._next_id] = cand
@@ -152,13 +162,7 @@ class Optimizer:
             raise BudgetExceededError(
                 f"budget of {self.budget} evaluations exhausted after {self.num_asks} asks"
             )
-        out = self._ask()
-        if type(out) is Candidate:
-            cand = out
-            if self._candidates.get(cand.id) is not cand:
-                raise ContractError("solver re-asked a candidate it does not own")
-        else:
-            cand = self._new_candidate(out)
+        cand = self._register(self._ask())
         self.pending[cand.id] = cand
         self.num_asks += 1
         return cand
@@ -176,28 +180,23 @@ class Optimizer:
             raise BudgetExceededError(
                 f"budget of {self.budget} evaluations cannot cover {n} asks after {self.num_asks}"
             )
-        return self._ask_many(n) if n else []
-
-    def _ask_many(self, n: int) -> list[Candidate]:
-        """A solver that draws a whole wave in one pass overrides this and
-        issues the points through ``_book`` (or its own candidates through
-        ``_issue``)."""
-        return [self.ask() for _ in range(n)]
-
-    def _book(self, points, payloads) -> list[Candidate]:
-        """Fresh candidates for ``points`` (float arrays) with the next ids and
-        ``payloads``, issued as asks."""
-        ids = range(self._next_id, self._next_id + len(points))
-        cands = self._issue([Candidate(i, x, payload=p) for i, x, p in zip(ids, points, payloads)])
-        self._candidates.update(zip(ids, cands))
-        self._next_id = ids.stop
+        cands = self._ask_many(n) if n else []
+        self.pending.update((cand.id, cand) for cand in cands)
+        self.num_asks += n
         return cands
 
-    def _issue(self, cands: list[Candidate]) -> list[Candidate]:
-        """Issue candidates of this handle as asks, in order: the pending set
-        and ask count of ``len(cands)`` ``ask`` calls."""
-        self.pending.update((cand.id, cand) for cand in cands)
-        self.num_asks += len(cands)
+    def _ask_many(self, n: int) -> list[Candidate]:
+        """The ``n`` candidates of a wave, made but not issued: ``ask_many``
+        issues them.  A solver that draws a whole wave in one pass overrides
+        this and makes its points into candidates through ``_book``."""
+        return [self._register(self._ask()) for _ in range(n)]
+
+    def _book(self, points, payloads) -> list[Candidate]:
+        """Fresh candidates for ``points`` (float arrays), the next ids and ``payloads``."""
+        ids = range(self._next_id, self._next_id + len(points))
+        cands = [Candidate(i, x, payload=p) for i, x, p in zip(ids, points, payloads)]
+        self._candidates.update(zip(ids, cands))
+        self._next_id = ids.stop
         return cands
 
     def tell(self, candidate: Candidate, loss: float) -> None:

@@ -186,7 +186,7 @@ class _ProbeDrivenSolver(ScalarSolver):
             self._gen = self._probes()
         # the probe generators never end, so a send always yields a probe
         z = None if self._awaiting is not None else self._gen.send(self._last_loss)
-        if self.num_asks + 1 == self.budget:
+        if self._next_id + 1 == self.budget:  # no re-asks, so ids count the asks, a wave's too
             # The generator's frame refers back to this solver.  Ending it at
             # the last ask breaks that cycle, so the solver and its model state
             # are freed with the run instead of at the next full collection.

@@ -91,7 +91,5 @@ class SoftmaxBridge(RoutingOptimizer):
         )
 
     def _recommend(self):
-        if self.inner.num_tells == 0:
-            return None
         inner_rec = self.inner.recommend()
         return self.decode(inner_rec.point, stochastic=False)

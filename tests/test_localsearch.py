@@ -50,8 +50,8 @@ def test_degenerate_fit_returns_none():
     assert fit_quadratic(points, losses) is None
 
 
-def run_solver(solver_cls, f, dom, budget, seed=0, init=None, **kwargs):
-    ctx = RunContext(dom, budget=budget, master_seed=seed)
+def run_solver(solver_cls, f, dom, budget, seed=0, init=None, workers=1, **kwargs):
+    ctx = RunContext(dom, budget=budget, num_workers=workers, master_seed=seed)
     handle = solver_cls(ctx, seed=seed, init_point=init, **kwargs)
     rec, history = run_loop(handle, f, ctx)
     return handle, rec, history
@@ -236,9 +236,11 @@ def test_finished_probe_solver_is_freed_without_a_collection(solver, kwargs):
     dom = DomainSpec([continuous() for _ in range(3)])
     gc.disable()
     try:
-        handle, _rec, _history = run_solver(solver, lambda x: float(x @ x), dom, budget=60, **kwargs)
-        alive = weakref.ref(handle)
-        del handle
-        assert alive() is None
+        for workers in (1, 4):  # at 4 workers the last ask is inside a wave
+            handle, _rec, _history = run_solver(solver, lambda x: float(x @ x), dom, budget=60, workers=workers,
+                                                **kwargs)
+            alive = weakref.ref(handle)
+            del handle
+            assert alive() is None, f"not freed at {workers} workers"
     finally:
         gc.enable()
