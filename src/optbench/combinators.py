@@ -14,6 +14,17 @@ routes candidates to them:
   candidate to its child, then calls ``_after_tell``.  Candidates a
   composite makes itself (surrogate proposals) carry no route.
 
+What a composite keeps: the payload holds its child candidate strongly, so
+a re-tell always reaches the child, but the child candidate's ``outer``
+link back to the outer candidate is weak.  A route lives exactly as long
+as its outer candidate: while it is pending, the incumbent, in a noisy
+handle's ``archive`` or held by the caller.  A re-ask whose outer
+candidate nobody holds any more gets a fresh outer candidate, with the
+next id, the outer point the child candidate was first lifted to (the lift
+does not run again, so a bridge's rng does not move) and the child
+candidate's observations, so a noise-free composite keeps no told
+candidates and its ``num_told`` still counts each child candidate once.
+
 Each composite's classmethod ``child_contexts(spec, context)`` is the one
 place that decides what its children get: their run contexts in build
 order, None for a child that is never built, or a ConfigurationError when
@@ -29,6 +40,7 @@ the survivor) when that child has room for all of it, else ask by ask.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -57,19 +69,23 @@ class RoutingOptimizer(Optimizer):
         self.spec = spec
         self._builder = builder
         self._path = path
-        self._outer: dict[Candidate, Candidate] = {}  # child candidate -> outer candidate
 
     def _build(self, index: int, spec, context: RunContext, init_point) -> Optimizer:
         return self._builder(spec, context, self._path + (index,), init_point)
 
     def _wrap(self, child: Optimizer, child_cand: Candidate, lift=None) -> Candidate:
         """The outer candidate for ``child_cand``; ``lift`` maps a child point
-        to an outer point and runs only when the candidate is new."""
-        cand = self._outer.get(child_cand)
-        if cand is None:
+        to an outer point and runs only the first time ``child_cand`` is routed."""
+        if child_cand.outer is None:
+            cand = None
             point = child_cand.point if lift is None else lift(child_cand.point)
+        else:
+            link, point = child_cand.outer
+            cand = link()
+        if cand is None:
             cand = self._new_candidate(point, payload=(child, child_cand))
-            self._outer[child_cand] = cand
+            cand.observations.extend(child_cand.observations)  # a re-ask after its outer candidate was freed
+            child_cand.outer = (weakref.ref(cand), cand.point)
         return cand
 
     def _wave_child(self) -> Optimizer | None:
@@ -228,7 +244,7 @@ class BetAndRunOptimizer(RoutingOptimizer):
             self._best[idx] = loss
         # distinct candidates, so a re-tell cannot end phase 1 before every
         # child has had its phase-1 asks
-        if self.survivor is None and len(self.archive) >= sum(self._phase_allocs):
+        if self.survivor is None and sum(child.num_told for child in self.children) >= sum(self._phase_allocs):
             self._pick_survivor()
 
     def _pick_survivor(self) -> None:

@@ -54,8 +54,14 @@ class RunContext:
         )
 
 
+class _WeakReferable:
+    """A ``__weakref__`` slot for a slotted dataclass; ``dataclass(weakref_slot=True)`` needs Python 3.11."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(eq=False, slots=True)
-class Candidate:
+class Candidate(_WeakReferable):
     """One proposed point and the losses observed for it.
 
     Observations are only appended through ``tell``; re-tells of the same
@@ -64,9 +70,18 @@ class Candidate:
     ``payload`` belongs to the optimizer that created the candidate.  A
     solver stores what its update needs from the ask (a sample direction, a
     population slot) and reads and clears it at the first tell, so a re-tell
-    finds ``None`` and the archive keeps no extra vectors.  A composite
-    stores the ``(child, child_candidate)`` route and keeps it, so every
-    re-tell reaches the child.
+    finds ``None`` and holds no extra vectors.  A composite stores the
+    ``(child, child_candidate)`` route and keeps it, so every re-tell
+    reaches the child.
+
+    ``owner`` is the token of the handle that made the candidate, which
+    ``tell`` and a re-ask check.  It is a plain object, not the handle, so a
+    candidate refers to no handle and a told candidate that nobody holds is
+    freed at once, without a cycle collection.  ``outer`` is set by the
+    composite that routes the candidate: a weak reference to the
+    composite's candidate for it, which a re-ask finds while anyone holds
+    that candidate, and that candidate's point, from which a re-ask after
+    it was freed makes the fresh one.
     """
 
     id: int
@@ -74,6 +89,8 @@ class Candidate:
     observations: list[float] = field(default_factory=list)
     is_default_center: bool = False
     payload: object = None
+    owner: object = None
+    outer: object = None
 
     @property
     def num_observations(self) -> int:
@@ -94,11 +111,19 @@ class Optimizer:
     payload)``, or an issued Candidate to request a re-tell), ``_tell``, and
     optionally ``_ask_many`` (a wave in one pass) and ``_recommend``.  The
     hooks only make candidates; ``ask`` and ``ask_many`` alone issue them.
-    The base class owns budget accounting, the pending set, the archive and
-    incumbent tracking: strict-improvement replacement in noise-free mode,
-    lowest mean loss (ties: more observations, then lower id) in noisy mode.
+    The base class owns budget accounting, the pending set and incumbent
+    tracking: strict-improvement replacement in noise-free mode, lowest mean
+    loss (ties: more observations, then lower id) in noisy mode.
     Composites derive from ``combinators.RoutingOptimizer``, which routes
     candidates to their children through the payload.
+
+    A handle holds its pending candidates and its incumbent, not every
+    candidate it was told: ``num_told`` counts the distinct told candidates.
+    Only a noisy handle keeps them all, in ``archive`` (in order of first
+    tell, for as long as the handle lives), because a re-tell of the noisy
+    incumbent can move its mean above another candidate's and the rule then
+    rescans them.  A noise-free handle's ``archive`` stays empty: read
+    ``num_told`` for a count and ``incumbent`` for the best candidate.
 
     ``check_context`` raises the ConfigurationError of a context the solver
     cannot run on.  The constructor calls it first, and
@@ -120,12 +145,13 @@ class Optimizer:
         self.noisy = context.noisy
         self.rng = np.random.default_rng(seed)
         self.init_point = None if init_point is None else np.asarray(init_point, dtype=float)
-        self.archive: list[Candidate] = []
+        self.archive: list[Candidate] = []  # noisy mode only: empty when noise-free, count with num_told
         self.pending: dict[int, Candidate] = {}
         self.incumbent: Candidate | None = None
         self.num_asks = 0
         self.num_tells = 0
-        self._candidates: dict[int, Candidate] = {}
+        self.num_told = 0
+        self._owner = object()  # the token of this handle's candidates
         self._next_id = 0
         self._incumbent_loss = math.inf
         self._incumbent_key: tuple[float, int, int] | None = None  # noisy mode
@@ -147,13 +173,12 @@ class Optimizer:
         a point, or a re-asked candidate once it is checked to be ours."""
         if type(out) is not Candidate:
             return self._new_candidate(out)
-        if self._candidates.get(out.id) is not out:
+        if out.owner is not self._owner:
             raise ContractError("solver re-asked a candidate it does not own")
         return out
 
     def _new_candidate(self, point, payload=None) -> Candidate:
-        cand = Candidate(self._next_id, np.asarray(point, dtype=float), payload=payload)
-        self._candidates[self._next_id] = cand
+        cand = Candidate(self._next_id, np.asarray(point, dtype=float), payload=payload, owner=self._owner)
         self._next_id += 1
         return cand
 
@@ -194,8 +219,7 @@ class Optimizer:
     def _book(self, points, payloads) -> list[Candidate]:
         """Fresh candidates for ``points`` (float arrays), the next ids and ``payloads``."""
         ids = range(self._next_id, self._next_id + len(points))
-        cands = [Candidate(i, x, payload=p) for i, x, p in zip(ids, points, payloads)]
-        self._candidates.update(zip(ids, cands))
+        cands = [Candidate(i, x, payload=p, owner=self._owner) for i, x, p in zip(ids, points, payloads)]
         self._next_id = ids.stop
         return cands
 
@@ -203,14 +227,15 @@ class Optimizer:
         loss = float(loss)
         if not math.isfinite(loss):
             raise InvalidLossError(f"loss must be finite, got {loss!r}")
-        if self._candidates.get(candidate.id) is not candidate:
+        if candidate.owner is not self._owner:
             raise ContractError(f"candidate id {candidate.id} unknown to this optimizer")
         observations = candidate.observations
-        first = not observations
+        if not observations:
+            self.num_told += 1
+            if self.noisy:
+                self.archive.append(candidate)
         observations.append(loss)
         self.pending.pop(candidate.id, None)
-        if first:
-            self.archive.append(candidate)
         self.num_tells += 1
         self._update_incumbent(candidate, loss)
         self._tell(candidate, loss)

@@ -1,13 +1,15 @@
 """Quadratic surrogate fitting and the meta-model wrapper.
 
 ``metamodel_propose`` fits a full quadratic by least squares on the most
-recent archive points and returns its minimizer when the quadratic part is
+recent told points and returns its minimizer when the quadratic part is
 positive-definite and the minimizer stays inside the sampled region's
 bounding box inflated by a factor of two.  Absence of a proposal is a valid
 outcome and the caller falls back to plain sampling.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -22,6 +24,11 @@ def quadratic_feature_count(dim: int) -> int:
 def metamodel_min_points(dim: int) -> int:
     """Archive size needed before a surrogate fit is attempted."""
     return quadratic_feature_count(dim) + dim + 1
+
+
+def metamodel_window(dim: int) -> int:
+    """How many of the most recent told points a surrogate fit uses."""
+    return 2 * metamodel_min_points(dim)
 
 
 def quadratic_design(u: np.ndarray) -> np.ndarray:
@@ -83,7 +90,7 @@ def metamodel_propose(points, losses) -> np.ndarray | None:
     needed = metamodel_min_points(pts.shape[1])
     if len(pts) < needed:
         return None
-    window = min(len(pts), 2 * needed)
+    window = min(len(pts), metamodel_window(pts.shape[1]))
     pts = pts[-window:]
     losses = losses[-window:]
     fit = fit_quadratic(pts, losses)
@@ -108,9 +115,11 @@ class MetamodelWrapper(RoutingOptimizer):
     """Injects quadratic-surrogate minimizers into a sampling child.
 
     Once per child generation, the wrapper fits a quadratic on its own told
-    archive and, when a trustworthy minimizer exists, serves it as the next
+    points and, when a trustworthy minimizer exists, serves it as the next
     ask instead of the child's sample.  Surrogate candidates update the
     incumbent but are not fed back into the child's distribution update.
+    It keeps only the last ``metamodel_window(d)`` told points and losses,
+    the ones ``metamodel_propose`` fits.
     """
 
     @classmethod
@@ -123,8 +132,9 @@ class MetamodelWrapper(RoutingOptimizer):
         (child_context,) = self.child_contexts(spec, context)
         self.child = self._build(0, spec.child, child_context, init_point)
         self._view = self.domain.scalar_view
-        self._points: list[np.ndarray] = []
-        self._losses: list[float] = []
+        window = metamodel_window(self._view.dim)
+        self._points: deque[np.ndarray] = deque(maxlen=window)
+        self._losses: deque[float] = deque(maxlen=window)
         self._tells_at_attempt = 0
 
     @property

@@ -100,6 +100,7 @@ class Tbpsa(ScalarSolver):
         log_sigma = float(np.mean([e[1] for e in elite]))
         self.sigma = min(max(math.exp(log_sigma), SIGMA_MIN), SIGMA_MAX)
         self.center_history.append(self.center)
+        del self.center_history[:-RECOMMENDATION_WINDOW]  # the centers _recommend averages
         elite_mean = float(np.mean([e[2] for e in elite]))
         if elite_mean < self._best_elite_mean:
             self._best_elite_mean = elite_mean
@@ -117,5 +118,4 @@ class Tbpsa(ScalarSolver):
             return self._best_single[1]
         if not self.center_history:
             return None
-        window = self.center_history[-RECOMMENDATION_WINDOW:]
-        return self._view.decode(np.mean(window, axis=0))
+        return self._view.decode(np.mean(self.center_history, axis=0))

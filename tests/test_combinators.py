@@ -295,8 +295,8 @@ def test_wrapper_routes_child_reasks_and_retells(composite, kind, domain):
             # a child re-ask comes back as the outer candidate it already has
             assert outer_of.setdefault(child_cand, cand) is cand
         handle.tell(cand, float(np.sum(cand.point**2)))
-    outer_retells = handle.num_tells - len(handle.archive)
-    child_retells = sum(child.num_tells - len(child.archive) for child in built)
+    outer_retells = handle.num_tells - handle.num_told
+    child_retells = sum(child.num_tells - child.num_told for child in built)
     assert outer_retells > 0
     assert child_retells == outer_retells  # every re-tell reached the child
 

@@ -6,6 +6,7 @@ from optbench.solvers.metamodel import (
     MetamodelWrapper,
     metamodel_min_points,
     metamodel_propose,
+    metamodel_window,
 )
 from optbench.wizard import build_optimizer
 
@@ -119,3 +120,27 @@ def test_nested_wrappers_follow_a_growing_tbpsa_generation():
     assert outer.generation_size == outer.child.generation_size == tbpsa.lam
     assert len(attempts) > 3
     assert all(later - earlier >= lam for (earlier, _), (later, lam) in zip(attempts, attempts[1:]))
+
+
+def test_a_proposal_depends_only_on_the_last_window_of_points():
+    rng = np.random.default_rng(7)
+    d = 3
+    A, b, c, _minimizer = random_pd_quadratic(rng, d)
+    window = metamodel_window(d)
+    pts = rng.standard_normal((3 * window + 4, d))
+    losses = np.array([x @ A @ x + b @ x + c for x in pts])
+    full = metamodel_propose(pts, losses)
+    assert full is not None
+    assert metamodel_propose(pts[-window:], losses[-window:]).tobytes() == full.tobytes()
+
+
+def test_wrapper_keeps_only_the_window_it_fits():
+    dom = DomainSpec([continuous() for _ in range(3)])
+    handle = build_optimizer("meta(cma)", RunContext(dom, budget=300, master_seed=4))
+    told = []
+    for _ in range(handle.budget):
+        cand = handle.ask()
+        handle.tell(cand, float(cand.point @ cand.point))
+        told.append((cand.point.tobytes(), float(cand.point @ cand.point)))
+    window = metamodel_window(3)
+    assert [(p.tobytes(), loss) for p, loss in zip(handle._points, handle._losses)] == told[-window:]

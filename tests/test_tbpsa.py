@@ -2,7 +2,7 @@ import numpy as np
 
 from optbench import DomainSpec, RunContext, continuous, run_loop
 from optbench.bench import FunctionSpec, TransformSpec, make_function
-from optbench.solvers.tbpsa import Tbpsa
+from optbench.solvers.tbpsa import RECOMMENDATION_WINDOW, Tbpsa
 
 
 def make_tbpsa(d=2, budget=400, seed=0, noisy=False, **kwargs):
@@ -65,6 +65,21 @@ def test_recommendation_buffer_nonempty_after_first_generation():
     for _ in range(4):
         t.tell(t.ask(), 1.0)
     assert len(t.center_history) == 1
+
+
+def test_center_history_keeps_the_window_the_recommendation_averages():
+    t = make_tbpsa(d=3, budget=2000, seed=6)
+    centers = [t.center]  # every center, the start included
+    rng = np.random.default_rng(1)
+    for _ in range(t.budget):
+        cand = t.ask()
+        t.tell(cand, float(cand.point @ cand.point + rng.normal()))
+        if t.center is not centers[-1]:
+            centers.append(t.center)
+            assert len(t.center_history) <= RECOMMENDATION_WINDOW
+            want = t._view.decode(np.mean(centers[1:][-RECOMMENDATION_WINDOW:], axis=0))
+            assert t.recommend().point.tobytes() == want.tobytes()
+    assert len(centers) > 2 * RECOMMENDATION_WINDOW
 
 
 def test_ask_differs_from_recommend_under_noise():
