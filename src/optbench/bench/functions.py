@@ -25,13 +25,15 @@ counts positions after the first non-one entry.
 
 Some entries also have a row kernel, ``rows(ys)``, which evaluates every row
 of an ``(n, d)`` block at once and equals ``fn`` on each row bit for bit:
-``np.vecdot`` is ``np.dot`` per row, ``np.add.reduce(..., axis=-1)`` sums
+``np.vecdot`` is ``ndarray.dot`` per row, ``np.add.reduce(..., axis=-1)`` sums
 each row as the 1-D reduction does, elementwise ufuncs do not depend on the
 shape, and scalar transcendentals stay per-row ``math`` calls.  The
 discrete entries have none.  Only ``hm`` calls its row kernel on one point:
 for every other entry the last-axis form costs more per call (sphere,
 ellipsoid and lunacek 1.1x to 1.8x at d 5 to 120), so ``fn`` stays a 1-D
-kernel beside it.
+kernel beside it.  The 1-D kernels take their dot products as
+``ndarray.dot``, the routine of ``np.dot`` without its dispatch step, so
+``ndarray.dot`` is the per-row reference the row kernels match.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 def sphere(y: np.ndarray) -> float:
-    return float(np.dot(y, y))
+    return float(y.dot(y))
 
 
 def sphere_rows(ys: np.ndarray) -> np.ndarray:
@@ -59,7 +61,7 @@ def sphere_rows(ys: np.ndarray) -> np.ndarray:
 
 def cigar(y: np.ndarray) -> float:
     tail = y[1:]
-    return float(y[0] * y[0] + 1e6 * np.dot(tail, tail))
+    return float(y[0] * y[0] + 1e6 * tail.dot(tail))
 
 
 def cigar_rows(ys: np.ndarray) -> np.ndarray:
@@ -80,7 +82,7 @@ def _ellipsoid_weights(d: int) -> np.ndarray:
 
 
 def ellipsoid(y: np.ndarray) -> float:
-    return float(np.dot(_ellipsoid_weights(len(y)), y * y))
+    return float(_ellipsoid_weights(len(y)).dot(y * y))
 
 
 def ellipsoid_rows(ys: np.ndarray) -> np.ndarray:
@@ -104,7 +106,7 @@ def _ackley(squares: float, cosines: float, d: int) -> float:
 
 
 def ackley(y: np.ndarray) -> float:
-    return _ackley(np.dot(y, y), np.add.reduce(np.cos(_TWO_PI * y)), len(y))
+    return _ackley(y.dot(y), np.add.reduce(np.cos(_TWO_PI * y)), len(y))
 
 
 def ackley_rows(ys: np.ndarray) -> np.ndarray:
@@ -119,7 +121,7 @@ def _griewank_scales(d: int) -> np.ndarray:
 
 
 def griewank(y: np.ndarray) -> float:
-    return float(1.0 + np.dot(y, y) / 4000.0 - np.multiply.reduce(np.cos(y / _griewank_scales(len(y)))))
+    return float(1.0 + y.dot(y) / 4000.0 - np.multiply.reduce(np.cos(y / _griewank_scales(len(y)))))
 
 
 def griewank_rows(ys: np.ndarray) -> np.ndarray:
@@ -155,7 +157,7 @@ def lunacek(y: np.ndarray) -> float:
     a = y - _LUNACEK_MU0
     b = y - mu1
     return float(
-        min(np.dot(a, a), d + s * np.dot(b, b)) + 10.0 * np.add.reduce(1.0 - np.cos(_TWO_PI * a))
+        min(a.dot(a), d + s * b.dot(b)) + 10.0 * np.add.reduce(1.0 - np.cos(_TWO_PI * a))
     )
 
 
@@ -174,7 +176,7 @@ def _deceptive(r: float) -> float:
 
 
 def deceptive_multimodal(y: np.ndarray) -> float:
-    return _deceptive(math.sqrt(np.dot(y, y)))
+    return _deceptive(math.sqrt(y.dot(y)))
 
 
 def deceptive_multimodal_rows(ys: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -161,16 +162,17 @@ class BenchmarkFunction:
     #: ``_inner`` of every row of an ``(n, d)`` block, or None to loop over the rows
     _rows = None
 
+    #: the objective in transformed coordinates: the base function itself for
+    #: this kind, set by ``_setup``; the other kinds define a method
+    _inner: Callable[[np.ndarray], float]
+
     def _setup(self, spec: FunctionSpec) -> None:
         """Set ``domain``, ``known_minimum`` (None unless analytic) and the kind's state."""
         self._base = get_base(spec.base)
         self.domain = self._base.default_domain(spec.dimension)
         self.known_minimum = self._base.minimum_value
         self._rows = self._base.rows
-
-    def _inner(self, y: np.ndarray) -> float:
-        """The objective in transformed coordinates."""
-        return self._base.fn(y)
+        self._inner = self._base.fn
 
     def _inner_minimum(self) -> np.ndarray:
         """The minimizer in transformed coordinates, read when ``known_minimum`` is set."""
@@ -194,7 +196,7 @@ class BenchmarkFunction:
         if self._t is not None:
             y = y - self._t
         if self._M is not None:
-            y = np.dot(self._M, y)
+            y = self._M.dot(y)
         if self._S is not None:
             y = self._S * y
         return self._inner(y)
@@ -209,7 +211,7 @@ class BenchmarkFunction:
         """``noise_free`` of each row of ``points``, bit for bit.
 
         ``np.matmul(M, ys[:, :, None])`` is one matrix-vector product per
-        row, as ``np.dot(M, y)`` is (``ys @ M.T`` can differ in the last
+        row, as ``M.dot(y)`` is (``ys @ M.T`` can differ in the last
         bit).  Kinds and bases without a row kernel evaluate row by row.
         """
         ys = np.ascontiguousarray(points, dtype=float)
@@ -264,12 +266,12 @@ class _Composite(BenchmarkFunction):
         for fn, start, stop, weight, rotation, _rows in self._entries:
             sub = z[start:stop]
             if rotation is not None:
-                sub = np.dot(rotation, sub)
+                sub = rotation.dot(sub)
             total += weight * fn(sub)
         return total
 
     def _rows(self, ys: np.ndarray) -> np.ndarray:
-        # ``_inner`` of each row: one gemv per row, as ``np.dot`` is, and each
+        # ``_inner`` of each row: one gemv per row, as ``ndarray.dot`` is, and each
         # base's row kernel on contiguous rows, as ``fn`` sees them
         z = ys[:, self._gather]
         z -= self._shift

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from itertools import count
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +29,9 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
+
+#: the dtype of every point; a float64 ndarray is taken as it is
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -54,18 +60,12 @@ class RunContext:
         )
 
 
-class _WeakReferable:
-    """A ``__weakref__`` slot for a slotted dataclass; ``dataclass(weakref_slot=True)`` needs Python 3.11."""
-
-    __slots__ = ("__weakref__",)
-
-
-@dataclass(eq=False, slots=True)
-class Candidate(_WeakReferable):
+class Candidate:
     """One proposed point and the losses observed for it.
 
     Observations are only appended through ``tell``; re-tells of the same
     candidate are legal and used by resampling solvers under noise.
+    Candidates compare by identity.
 
     ``payload`` belongs to the optimizer that created the candidate.  A
     solver stores what its update needs from the ask (a sample direction, a
@@ -84,13 +84,18 @@ class Candidate(_WeakReferable):
     it was freed makes the fresh one.
     """
 
-    id: int
-    point: np.ndarray
-    observations: list[float] = field(default_factory=list)
-    is_default_center: bool = False
-    payload: object = None
-    owner: object = None
-    outer: object = None
+    __slots__ = ("id", "point", "observations", "is_default_center", "payload", "owner", "outer", "__weakref__")
+
+    def __init__(self, id: int, point: np.ndarray, observations: list[float] | None = None,
+                 is_default_center: bool = False, payload: object = None, owner: object = None,
+                 outer: object = None):
+        self.id = id
+        self.point = point
+        self.observations = [] if observations is None else observations
+        self.is_default_center = is_default_center
+        self.payload = payload
+        self.owner = owner
+        self.outer = outer
 
     @property
     def num_observations(self) -> int:
@@ -178,7 +183,9 @@ class Optimizer:
         return out
 
     def _new_candidate(self, point, payload=None) -> Candidate:
-        cand = Candidate(self._next_id, np.asarray(point, dtype=float), payload=payload, owner=self._owner)
+        if type(point) is not np.ndarray or point.dtype is not _FLOAT64:
+            point = np.asarray(point, dtype=float)
+        cand = Candidate(self._next_id, point, None, False, payload, self._owner)
         self._next_id += 1
         return cand
 
@@ -187,7 +194,9 @@ class Optimizer:
             raise BudgetExceededError(
                 f"budget of {self.budget} evaluations exhausted after {self.num_asks} asks"
             )
-        cand = self._register(self._ask())
+        cand = self._ask()
+        if type(cand) is not Candidate or cand.owner is not self._owner:
+            cand = self._register(cand)
         self.pending[cand.id] = cand
         self.num_asks += 1
         return cand
@@ -206,7 +215,9 @@ class Optimizer:
                 f"budget of {self.budget} evaluations cannot cover {n} asks after {self.num_asks}"
             )
         cands = self._ask_many(n) if n else []
-        self.pending.update((cand.id, cand) for cand in cands)
+        pending = self.pending
+        for cand in cands:
+            pending[cand.id] = cand
         self.num_asks += n
         return cands
 
@@ -219,7 +230,8 @@ class Optimizer:
     def _book(self, points, payloads) -> list[Candidate]:
         """Fresh candidates for ``points`` (float arrays), the next ids and ``payloads``."""
         ids = range(self._next_id, self._next_id + len(points))
-        cands = [Candidate(i, x, payload=p, owner=self._owner) for i, x, p in zip(ids, points, payloads)]
+        owner = self._owner
+        cands = [Candidate(i, x, None, False, p, owner) for i, x, p in zip(ids, points, payloads)]
         self._next_id = ids.stop
         return cands
 
@@ -237,7 +249,11 @@ class Optimizer:
         observations.append(loss)
         self.pending.pop(candidate.id, None)
         self.num_tells += 1
-        self._update_incumbent(candidate, loss)
+        if self.noisy:
+            self._update_noisy_incumbent(candidate)
+        elif loss < self._incumbent_loss:
+            self.incumbent = candidate
+            self._incumbent_loss = loss
         self._tell(candidate, loss)
 
     def recommend(self) -> Candidate:
@@ -252,12 +268,7 @@ class Optimizer:
         return Candidate(-2, np.asarray(out, dtype=float))
 
     # ------------------------------------------------------------------
-    def _update_incumbent(self, candidate: Candidate, loss: float) -> None:
-        if not self.noisy:
-            if loss < self._incumbent_loss:
-                self.incumbent = candidate
-                self._incumbent_loss = loss
-            return
+    def _update_noisy_incumbent(self, candidate: Candidate) -> None:
         # only a tell changes a key, so the incumbent's is kept until it is told
         if self.incumbent is None:
             self.incumbent = candidate
@@ -332,12 +343,50 @@ class ScalarSolver(Optimizer):
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+class History(Sequence):
+    """A run's ``(evaluation, loss)`` pairs, the evaluations counted from 1.
+
+    The losses are kept in one ``array('d')``, 8 bytes per evaluation; a
+    pair is made only when it is read.  A history equals a list or tuple of
+    the same pairs.
+    """
+
+    __slots__ = ("losses",)
+
+    def __init__(self):
+        self.losses = array("d")
+
+    def __len__(self) -> int:
+        return len(self.losses)
+
+    def __iter__(self):
+        return zip(count(1), self.losses)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [(i + 1, self.losses[i]) for i in range(len(self.losses))[index]]
+        i = range(len(self.losses))[index]
+        return i + 1, self.losses[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (History, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"History({list(self)!r})"
+
+
+def _evaluation_failed(done: int, exc: Exception, history: History) -> EvaluationError:
+    return EvaluationError(f"objective evaluation {done + 1} failed: {exc}", history=history)
+
+
 def run_loop(
     algorithm,
     function: Callable[[np.ndarray], float],
     context: RunContext,
     checkpoint_callback: Callable[[int, Optimizer], None] | None = None,
-) -> tuple[Candidate, list[tuple[int, float]]]:
+) -> tuple[Candidate, History]:
     """Run ``algorithm`` on ``function`` for exactly ``context.budget`` tells.
 
     Asks are issued in waves of ``min(num_workers, remaining)``.  A wave of
@@ -349,7 +398,7 @@ def run_loop(
     row, so an error names the evaluation that fails and the history holds
     the tells before it.  Each run is executed independently from scratch;
     results for budget T are not the truncation of a longer run.  Returns
-    ``(recommendation, history)`` where history holds
+    ``(recommendation, history)`` where history is a :class:`History` of
     ``(evaluation_index, loss)`` pairs.
 
     A serial run (``num_workers == 1``) asks ``min(handle.free_asks(),
@@ -371,16 +420,33 @@ def run_loop(
     fdomain = getattr(function, "domain", None)
     if fdomain is not None and fdomain != context.domain:
         raise ContractError("function domain does not match the run context domain")
-    ask, tell = handle.ask, handle.tell
+    ask, tell, free_asks, ask_many = handle.ask, handle.tell, handle.free_asks, handle.ask_many
     batch = getattr(function, "batch", None)
-    serial = context.num_workers == 1
-    history: list[tuple[int, float]] = []
+    budget, workers = context.budget, context.num_workers
+    serial = workers == 1
+    history = History()
+    record = history.losses.append
     done = 0
-    while done < context.budget:
-        wave = min(handle.free_asks() if serial else context.num_workers, context.budget - done)
-        cands = (ask(),) if wave == 1 else handle.ask_many(wave)
+    while done < budget:
+        wave = min(free_asks() if serial else workers, budget - done)
+        if wave == 1:
+            cand = ask()
+            try:
+                loss = float(function(cand.point))
+            except Exception as exc:
+                raise _evaluation_failed(done, exc, history) from exc
+            try:
+                tell(cand, loss)
+            except InvalidLossError as exc:
+                raise EvaluationError(str(exc), history=history) from exc
+            done += 1
+            record(loss)
+            if checkpoint_callback is not None:
+                checkpoint_callback(done, handle)
+            continue
+        cands = ask_many(wave)
         losses = None
-        if wave > 1 and batch is not None:
+        if batch is not None:
             try:
                 values = batch(np.array([cand.point for cand in cands]))
                 losses = iter(np.asarray(values, dtype=float).reshape(wave).tolist())
@@ -390,15 +456,13 @@ def run_loop(
             try:
                 loss = float(function(cand.point)) if losses is None else next(losses)
             except Exception as exc:
-                raise EvaluationError(
-                    f"objective evaluation {done + 1} failed: {exc}", history=history
-                ) from exc
+                raise _evaluation_failed(done, exc, history) from exc
             try:
                 tell(cand, loss)
             except InvalidLossError as exc:
                 raise EvaluationError(str(exc), history=history) from exc
             done += 1
-            history.append((done, loss))
+            record(loss)
             if checkpoint_callback is not None and (serial or i == wave):
                 checkpoint_callback(done, handle)
     return handle.recommend(), history

@@ -216,6 +216,12 @@ class ScalarView:
     clipped to bounds, with integer variables rounded to the nearest value.
     Integer variables get scale ``max(1, width / 6)`` so that one z-unit is
     a meaningful move.
+
+    When every variable is unbounded continuous with center +0.0 and scale 1
+    (every yabbob and lsgo domain), the view is the identity: ``decode`` is
+    ``z + 0.0`` and ``encode`` is ``x - 0.0``, which equal the general
+    formulas bit for bit (``1 * z`` is ``z``, and ``-0.0 + 0.0`` is +0.0
+    either way) with one ufunc fewer.
     """
 
     def __init__(self, domain: DomainSpec):
@@ -248,9 +254,13 @@ class ScalarView:
         self.int_mask = int_mask
         self.any_int = bool(int_mask.any())
         self.bounded = bool(np.isfinite(lo).any() or np.isfinite(hi).any())
+        self.identity = not (self.bounded or self.any_int or (scale != 1.0).any() or self.center.any()
+                             or np.signbit(self.center).any())
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """The point of ``z``, or one point per row of an ``(n, dim)`` block."""
+        if self.identity:
+            return z + 0.0
         x = self.center + self.scale * z
         if self.bounded:
             np.clip(x, self.lower, self.upper, out=x)
@@ -259,6 +269,8 @@ class ScalarView:
         return x
 
     def encode(self, x: Sequence[float]) -> np.ndarray:
+        if self.identity:
+            return np.asarray(x, dtype=float) - 0.0
         return (np.asarray(x, dtype=float) - self.center) / self.scale
 
     def init_box(self) -> tuple[np.ndarray, np.ndarray]:

@@ -68,16 +68,14 @@ def run_cell(
             noisy=problem.spec.transform.noise_std > 0,
             master_seed=cell_seed,
         )
-        grid = checkpoint_grid(budget)
+        upcoming = checkpoint_grid(budget)[::-1]  # the next checkpoint last
         known_min = function.known_minimum
         checkpoints: list[tuple[int, float]] = []
-        next_idx = 0
 
         def snapshot(done: int, handle) -> None:
-            nonlocal next_idx
-            if next_idx < len(grid) and done >= grid[next_idx]:
-                while next_idx < len(grid) and grid[next_idx] <= done:
-                    next_idx += 1
+            if upcoming and done >= upcoming[-1]:
+                while upcoming and upcoming[-1] <= done:
+                    upcoming.pop()
                 regret = function.noise_free(handle.recommend().point)
                 if known_min is not None:
                     regret -= known_min

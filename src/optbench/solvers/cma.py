@@ -59,6 +59,14 @@ class CmaEs(ScalarSolver):
             self.c_1 = min(1.0, self.c_1 * boost)
             self.c_mu = min(1.0 - self.c_1, self.c_mu * boost)
         self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
+        # per-run terms of the update, each computed as the update writes it
+        self._ps_decay = 1.0 - self.c_sigma
+        self._ps_gain = math.sqrt(self.c_sigma * (2.0 - self.c_sigma) * self.mueff)
+        self._pc_decay = 1.0 - self.c_c
+        self._pc_gain = math.sqrt(self.c_c * (2.0 - self.c_c) * self.mueff)
+        self._h_sigma_factor = 1.4 + 2.0 / (d + 1.0)
+        self._cov_decay = 1.0 - self.c_1 - self.c_mu
+        self._sigma_rate = self.c_sigma / self.d_sigma
 
         self.mean = self._z0
         self.sigma = 1.0
@@ -72,7 +80,10 @@ class CmaEs(ScalarSolver):
             self._eig_basis = np.eye(d)
             self._eig_scale = np.ones(d)
         self._generations = 0
-        self._sample_queue: list[tuple[np.ndarray, np.ndarray]] = []  # (x, y), popped from the end
+        # the sample batch: points xs, steps ys; rows [0, _queued) are not
+        # asked yet and are taken from the last one down
+        self._xs = self._ys = np.empty((0, d))
+        self._queued = 0
         self._told_y: list[np.ndarray] = []
         self._told_losses: list[float] = []
 
@@ -83,8 +94,9 @@ class CmaEs(ScalarSolver):
             ys = n * np.sqrt(self.cov_diag)
         else:
             ys = (n * self._eig_scale) @ self._eig_basis.T
-        xs = self._view.decode(self.mean + self.sigma * ys)
-        self._sample_queue = list(zip(xs, ys))
+        self._xs = self._view.decode(self.mean + self.sigma * ys)
+        self._ys = ys
+        self._queued = self.lam
 
     def _decompose(self) -> None:
         vals, basis = np.linalg.eigh(self.cov)
@@ -96,23 +108,22 @@ class CmaEs(ScalarSolver):
         self._eig_scale = np.sqrt(vals)
 
     def _ask(self) -> Candidate:
-        if not self._sample_queue:
+        if not self._queued:
             self._sample_batch()
-        x, y = self._sample_queue.pop()
-        return self._new_candidate(x, payload=y)
+        self._queued -= 1
+        return self._new_candidate(self._xs[self._queued], payload=self._ys[self._queued])
 
     def _ask_many(self, n: int) -> list[Candidate]:
-        # the pops of n asks: from the end of the queue, a new batch when it runs dry
-        taken: list[tuple[np.ndarray, np.ndarray]] = []
-        while len(taken) < n:
-            if not self._sample_queue:
+        # the rows of n asks: from the last queued one down, a new batch when it runs dry
+        cands: list[Candidate] = []
+        while n:
+            if not self._queued:
                 self._sample_batch()
-            queue = self._sample_queue
-            k = min(n - len(taken), len(queue))
-            taken += queue[: -k - 1 : -1]
-            del queue[-k:]
-        xs, ys = zip(*taken)
-        return self._book(xs, ys)
+            stop = self._queued
+            self._queued = start = max(0, stop - n)
+            cands += self._book(self._xs[start:stop][::-1], self._ys[start:stop][::-1])
+            n -= stop - start
+        return cands
 
     def free_asks(self) -> int:
         # the generation's samples are fixed until its last tell
@@ -129,11 +140,12 @@ class CmaEs(ScalarSolver):
 
     # ------------------------------------------------------------------
     def _update_generation(self) -> None:
-        order = np.argsort(self._told_losses, kind="stable")[: self.mu]
-        ys = np.asarray(self._told_y)[order]
+        # a stable sort of finite losses, as ``np.argsort(kind="stable")`` is
+        order = sorted(range(len(self._told_losses)), key=self._told_losses.__getitem__)[: self.mu]
+        ys = np.array([self._told_y[i] for i in order])
         self._told_y.clear()
         self._told_losses.clear()
-        self._sample_queue.clear()  # stale distribution samples are discarded
+        self._queued = 0  # stale distribution samples are discarded
         self._generations += 1
 
         y_w = self.weights @ ys
@@ -143,23 +155,17 @@ class CmaEs(ScalarSolver):
             c_inv_half_yw = y_w / np.sqrt(self.cov_diag)
         else:
             c_inv_half_yw = self._eig_basis @ ((self._eig_basis.T @ y_w) / self._eig_scale)
-        self.p_sigma = (1.0 - self.c_sigma) * self.p_sigma + math.sqrt(
-            self.c_sigma * (2.0 - self.c_sigma) * self.mueff
-        ) * c_inv_half_yw
-        norm_ps = float(np.linalg.norm(self.p_sigma))
-        expected = math.sqrt(
-            1.0 - (1.0 - self.c_sigma) ** (2.0 * self._generations)
-        ) * self.chi_n
-        h_sigma = 1.0 if norm_ps < (1.4 + 2.0 / (self._view.dim + 1.0)) * expected else 0.0
-        self.p_c = (1.0 - self.c_c) * self.p_c + h_sigma * math.sqrt(
-            self.c_c * (2.0 - self.c_c) * self.mueff
-        ) * y_w
+        self.p_sigma = self._ps_decay * self.p_sigma + self._ps_gain * c_inv_half_yw
+        norm_ps = math.sqrt(self.p_sigma.dot(self.p_sigma))
+        expected = math.sqrt(1.0 - self._ps_decay ** (2.0 * self._generations)) * self.chi_n
+        h_sigma = 1.0 if norm_ps < self._h_sigma_factor * expected else 0.0
+        self.p_c = self._pc_decay * self.p_c + h_sigma * self._pc_gain * y_w
         delta_h = (1.0 - h_sigma) * self.c_c * (2.0 - self.c_c)
 
         if self.diagonal:
             rank_mu = self.weights @ (ys * ys)
             self.cov_diag = (
-                (1.0 - self.c_1 - self.c_mu + self.c_1 * delta_h) * self.cov_diag
+                (self._cov_decay + self.c_1 * delta_h) * self.cov_diag
                 + self.c_1 * self.p_c * self.p_c
                 + self.c_mu * rank_mu
             )
@@ -167,14 +173,14 @@ class CmaEs(ScalarSolver):
         else:
             rank_mu = (ys.T * self.weights) @ ys
             self.cov = (
-                (1.0 - self.c_1 - self.c_mu + self.c_1 * delta_h) * self.cov
-                + self.c_1 * np.outer(self.p_c, self.p_c)
+                (self._cov_decay + self.c_1 * delta_h) * self.cov
+                + self.c_1 * np.multiply.outer(self.p_c, self.p_c)
                 + self.c_mu * rank_mu
             )
             self.cov = 0.5 * (self.cov + self.cov.T)
             self._decompose()
 
-        arg = (self.c_sigma / self.d_sigma) * (norm_ps / self.chi_n - 1.0)
+        arg = self._sigma_rate * (norm_ps / self.chi_n - 1.0)
         self.sigma *= math.exp(min(1.0, arg))
         # keep sampling non-degenerate; matches the eigenvalue floor scale
         if self.sigma < SIGMA_FLOOR:

@@ -58,11 +58,13 @@ class DifferentialEvolution(ScalarSolver):
         self._num_ready = 0
         self._plan_generation = -1
         self._donors: list[list[int]] = []  # plan: slot -> [a, b, c]
+        self._donor_rows = np.empty((0, 3), dtype=np.intp)  # the same as one array
         self._masks = np.empty((0, 0), dtype=bool)  # plan: slot -> crossover mask
         self._init_samples = self._draw_init(lhs_init)
         if self.init_point is not None:
             self._init_samples[0] = self._view.encode(self.init_point)
         self._cursor = 0
+        self._busy = [0] * np_size  # slot -> its asks with no tell yet
 
     def _draw_init(self, lhs_init: bool) -> np.ndarray:
         lo, hi = self._view.init_box()
@@ -83,33 +85,42 @@ class DifferentialEvolution(ScalarSolver):
             z = self._init_samples[slot].copy()
         else:
             z = self._trial(generation, slot)
+        self._busy[slot] += 1
         return self._new_candidate(self._view.decode(z), payload=(slot, z))
 
     def free_asks(self) -> int:
         # an initial sample is fixed while its slot has no tell to come; the
         # next plan reads ``_initialized``, so a run ends with the generation
         generation, start = divmod(self._cursor, self.np_size)
-        busy = {cand.payload[0] for cand in self.pending.values()}
+        busy, donors = self._busy, self._donors
         drawn = self._plan_generation == generation
-        free = 0
-        for slot in range(start, self.np_size):
-            if slot in busy or (self._initialized[slot] and not (drawn and busy.isdisjoint(self._donors[slot]))):
-                break
-            busy.add(slot)
-            free += 1
-        return max(1, free)
+        stop = start  # the slots [start, stop) are free, and busy once asked
+        while stop < self.np_size and not busy[stop]:
+            if self._initialized[stop]:
+                if not drawn:
+                    break
+                a, b, c = donors[stop]
+                if busy[a] or busy[b] or busy[c] or start <= a < stop or start <= b < stop or start <= c < stop:
+                    break
+            stop += 1
+        return max(1, stop - start)
 
     def _ask_many(self, n: int) -> list[Candidate]:
         generation, start = divmod(self._cursor, self.np_size)
         stop = start + n
-        if stop > self.np_size or self._plan_generation != generation or not self._initialized[start:stop].all():
+        if stop > self.np_size or self._plan_generation != generation or not (
+            self._num_ready == self.np_size or self._initialized[start:stop].all()
+        ):
             return super()._ask_many(n)
         # the trials of n asks, with no tell between them: row by row the
         # arithmetic of ``_trial``
         self._cursor += n
-        a, b, c = np.array(self._donors[start:stop]).T
+        for slot in range(start, stop):
+            self._busy[slot] += 1
         p = self.positions
-        zs = np.where(self._masks[start:stop], p[a] + self.f_weight * (p[b] - p[c]), p[start:stop])
+        donors = p[self._donor_rows[start:stop]]  # (n, 3, d): rows a, b, c
+        mutants = donors[:, 0] + self.f_weight * (donors[:, 1] - donors[:, 2])
+        zs = np.where(self._masks[start:stop], mutants, p[start:stop])
         return self._book(self._view.decode(zs), list(zip(range(start, stop), zs)))
 
     def _trial(self, generation: int, slot: int) -> np.ndarray:
@@ -146,7 +157,8 @@ class DifferentialEvolution(ScalarSolver):
         k[:, 2] += k[:, 2] >= low
         k[:, 2] += k[:, 2] >= high
         k += k >= position[:, None]
-        self._donors = ready[k].tolist()
+        self._donor_rows = ready[k]
+        self._donors = self._donor_rows.tolist()
         self._masks = masks
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
@@ -154,6 +166,7 @@ class DifferentialEvolution(ScalarSolver):
         if entry is None:
             return  # re-tell of an old candidate: population already settled
         slot, z = entry
+        self._busy[slot] -= 1
         if loss <= self.losses[slot]:
             self.positions[slot] = z
             self.losses[slot] = loss

@@ -31,6 +31,10 @@ from ..core import Candidate, Optimizer, RunContext
 from ..domain import CATEGORICAL, INTEGER, UNBOUNDED_INTEGER
 from ..errors import ConfigurationError
 
+#: up to this many mutated variables ``_mutate`` draws one by one; one array
+#: draw costs about four scalar ones
+SCALAR_DRAWS = 4
+
 
 class _ParentMutation(Optimizer):
     """Base of the solvers that mutate one parent, starting at the initial
@@ -43,14 +47,35 @@ class _ParentMutation(Optimizer):
 
     def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._mutable = np.array([v.num_values != 1 for v in self.domain.variables])
-        self.d = len(self.domain.variables)
+        variables = self.domain.variables
+        self._mutable = np.array([v.num_values != 1 for v in variables])
+        self.d = len(variables)
+        # the ``integers(low, high)`` bounds of each integer and categorical variable
+        self._finite = np.array([v.kind in (INTEGER, CATEGORICAL) for v in variables])
+        self._lows = np.array([v.low if v.kind == INTEGER else 0 for v in variables], dtype=np.int64)
+        self._highs = np.array([v.high if v.kind == INTEGER else max(v.arity - 1, 0) for v in variables],
+                               dtype=np.int64)
         self.parent = self.init_point if self.init_point is not None else self.domain.center()
         self.parent_loss: float | None = None
 
     def _mutate(self, indices) -> np.ndarray:
-        """A copy of the parent with each listed variable changed."""
+        """A copy of the parent with each listed variable changed.
+
+        The draws go in index order.  When more than ``SCALAR_DRAWS``
+        variables change and all are integer or categorical, one
+        ``integers(lows, highs)`` draw gives the values and rng state of the
+        scalar draws; a variable of two values has the draw ``low`` and
+        takes no state, so it flips without one.
+        """
         child = self.parent.copy()
+        if len(indices) > SCALAR_DRAWS and self._finite[indices].all():
+            lows, highs = self._lows[indices], self._highs[indices]
+            draws = lows.copy()
+            wide = highs - lows > 1
+            if wide.any():
+                draws[wide] = self.rng.integers(lows[wide], highs[wide])
+            child[indices] = np.where(draws < child[indices], draws, draws + 1)
+            return child
         for i in indices:
             v = self.domain.variables[i]
             if v.kind in (INTEGER, CATEGORICAL):  # a uniformly drawn different value

@@ -51,13 +51,13 @@ def quadratic_fit_step(fit, origin, rho: float) -> np.ndarray | None:
             u_star = np.linalg.solve(quad, -0.5 * b)
             x_star = mean + scale * u_star
             offset = x_star - origin
-            dist = float(np.linalg.norm(offset))
+            dist = math.sqrt(offset.dot(offset))
             if dist > rho:
                 x_star = origin + offset * (rho / dist)
             return x_star
     grad = b + 2.0 * quad @ u0  # model gradient at the origin (centered coords)
-    norm = float(np.linalg.norm(grad))
-    if not np.isfinite(norm) or norm < 1e-300:
+    norm = math.sqrt(grad.dot(grad))
+    if not math.isfinite(norm) or norm < 1e-300:
         return None
     return origin - rho * (grad / norm)
 
@@ -139,7 +139,7 @@ class SlidingModel:
         col = self._inv[:, k] / denom
         for start in range(0, self.size, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            self._inv[rows] -= np.outer(col[rows], w)
+            self._inv[rows] -= np.multiply.outer(col[rows], w)
         self._updates += 1
 
     def _features(self, point) -> np.ndarray:
@@ -248,12 +248,13 @@ class Powell(_ProbeDrivenSolver):
                 )
                 if t < 0.0:
                     new_dir = x - x_start
-                    norm = float(np.linalg.norm(new_dir))
+                    norm = math.sqrt(new_dir.dot(new_dir))
                     if norm > 0.0:
                         new_dir = new_dir / norm
                         x, fx, _ = yield from self._line_search(x, fx, new_dir, scale)
                         self.directions[ibig] = new_dir
-            moved = float(np.linalg.norm(x - x_start))
+            step = x - x_start
+            moved = math.sqrt(step.dot(step))
             scale = min(max(moved, 1e-12), 1e3)
             self._fallback_scale = scale
 
@@ -371,7 +372,7 @@ class TrustRegion(_ProbeDrivenSolver):
 
     def _random_direction(self, d: int) -> np.ndarray:
         g = self.rng.standard_normal(d)
-        norm = float(np.linalg.norm(g))
+        norm = math.sqrt(g.dot(g))
         return g / norm if norm > 0 else _unit(d, 0)
 
 

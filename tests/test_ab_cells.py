@@ -51,7 +51,7 @@ def test_a_checkout_that_writes_other_records_is_refused(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     functions = other / "src" / "optbench" / "bench" / "functions.py"
     text = functions.read_text()
-    functions.write_text(text.replace("return float(np.dot(y, y))", "return float(np.dot(y, y)) + 1.0", 1))
+    functions.write_text(text.replace("return float(y.dot(y))", "return float(y.dot(y)) + 1.0", 1))
     done = _run(REPO, other, _manifest(tmp_path), "--match", "serial")
     assert done.returncode == 1
     assert done.stdout.startswith("4 cells, records differ on 2, 0 failed")
@@ -60,3 +60,18 @@ def test_a_checkout_that_writes_other_records_is_refused(tmp_path):
         "tiny/serial-sphere-d3/b30/w1/cma/s0",
         "tiny/serial-sphere-d3/b30/w1/tbpsa/s0",
     ]
+
+
+def test_a_perfbench_workload_gives_its_cells_and_algorithms(tmp_path):
+    command = [sys.executable, str(TOOL), str(REPO), str(REPO), "--workload", "yabbob_serial", "--seed", "1",
+               "--match", "sphere-d5", "--repeats", "1"]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # six algorithms at budgets 100 and 1000, one seed
+    assert lines[0].startswith("12 cells, records identical, 0 failed")
+    assert [line.split()[0] for line in lines[2:14:2]] == ["abbo", "cma", "de", "one-plus-one-es", "powell", "tbpsa"]
+    assert [line.split()[1:3] for line in lines[2:4]] == [["5", "100"], ["5", "1000"]]
+    both = subprocess.run([*command[:4], str(_manifest(tmp_path)), "cma", *command[4:]],
+                          capture_output=True, text=True, timeout=120)
+    assert both.returncode == 2 and "either a suite and algorithms or --workload" in both.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +239,37 @@ def test_run_loop_checkpoint_callback_sees_wave_ends_with_a_candidate_asked_twic
     seen = []
     run_loop("discrete-optimistic", lambda x: 1.0, ctx, checkpoint_callback=lambda done, h: seen.append(done))
     assert seen == list(range(2, 101, 2))
+
+
+def test_history_reads_as_the_list_of_pairs():
+    ctx = make_context(budget=6)
+    _rec, history = run_loop(RandomProbe(ctx), lambda x: float(x[0]), ctx)
+    pairs = list(history)
+    assert [i for i, _loss in pairs] == [1, 2, 3, 4, 5, 6]
+    assert all(type(i) is int and type(loss) is float for i, loss in pairs)
+    assert len(history) == 6 and history == pairs and pairs == history and history == tuple(pairs)
+    assert history != pairs[:-1] and history != "not a history"
+    assert history[0] == pairs[0] and history[-1] == pairs[-1] and history[1:4] == pairs[1:4]
+    with pytest.raises(IndexError):
+        history[6]
+    assert min(loss for _i, loss in history) == min(loss for _i, loss in pairs)
+
+
+def test_history_holds_at_most_16_bytes_per_evaluation():
+    budget = 100_000
+    ctx = make_context(budget=budget)
+    point = np.zeros(2)
+
+    class Fixed(Optimizer):
+        def _ask(self):
+            return self._new_candidate(point)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _rec, history = run_loop(Fixed(ctx), lambda x: 1.5, ctx)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(history) == budget
+    assert held <= 16 * budget

@@ -158,3 +158,35 @@ def test_plan_masks_include_the_forced_coordinate(np_size):
     replay.random((np_size, d))
     forced = replay.integers(d, size=np_size)
     assert de._masks[np.arange(np_size), forced].all()
+
+
+def _free_asks_from_pending(de):
+    """``free_asks`` as the slots of the pending candidates give it."""
+    generation, start = divmod(de._cursor, de.np_size)
+    busy = {cand.payload[0] for cand in de.pending.values()}
+    drawn = de._plan_generation == generation
+    free = 0
+    for slot in range(start, de.np_size):
+        if slot in busy or (de._initialized[slot] and not (drawn and busy.isdisjoint(de._donors[slot]))):
+            break
+        busy.add(slot)
+        free += 1
+    return max(1, free)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 40])
+def test_free_asks_equals_the_rule_over_the_pending_slots(workers):
+    # asks run ahead of tells and tells come out of order; with 40 in flight
+    # and 8 slots, one slot has several asks pending
+    context = RunContext(DomainSpec([continuous()] * 3), budget=600, num_workers=workers)
+    de = DifferentialEvolution(context, seed=2, population_size=8)
+    rng = np.random.default_rng(workers)
+    in_flight = []
+    while de.num_tells < de.budget:
+        assert de.free_asks() == _free_asks_from_pending(de)
+        room = min(de.budget - de.num_asks, workers - len(in_flight))
+        if room and (not in_flight or rng.random() < 0.6):
+            in_flight += de.ask_many(int(rng.integers(1, room + 1)))
+        else:
+            cand = in_flight.pop(int(rng.integers(len(in_flight))))
+            de.tell(cand, float(cand.point @ cand.point))

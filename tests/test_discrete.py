@@ -223,3 +223,38 @@ def test_fastga_requires_two_variables():
     dom = DomainSpec([integer(0, 5)])
     with pytest.raises(ConfigurationError):
         FastGa(RunContext(dom, budget=10), seed=0)
+
+
+def _mutate_by_scalar_draws(solver, indices):
+    """The mutation of integer and categorical variables, one ``integers`` draw per index."""
+    child = solver.parent.copy()
+    for i in indices:
+        v = solver.domain.variables[i]
+        low, high = (v.low, v.high) if v.kind == "integer" else (0, v.arity - 1)
+        draw = int(solver.rng.integers(low, high))
+        child[i] = float(draw if draw < child[i] else draw + 1)
+    return child
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutation_draws_equal_the_scalar_draws_in_index_order(seed):
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 51, size=40)  # the range of each draw; width 1 flips a binary variable
+    variables = [
+        integer(low := int(rng.integers(-5, 5)), low + int(w)) if rng.random() < 0.5 else categorical(int(w) + 1)
+        for w in widths
+    ]
+    context = RunContext(DomainSpec(variables), budget=100)
+    solvers = [REGISTRY["discrete-fixed"](context, seed=seed) for _ in range(2)]
+    for step in range(60):
+        count = int(rng.integers(1, len(variables) + 1))  # both sides of SCALAR_DRAWS
+        indices = np.sort(rng.choice(len(variables), size=count, replace=False))
+        parent = np.array([float(rng.integers(v.low, v.high + 1)) if v.kind == "integer"
+                           else float(rng.integers(v.arity)) for v in variables])
+        for solver in solvers:
+            solver.parent = parent.copy()
+        child = solvers[0]._mutate(indices)
+        want = _mutate_by_scalar_draws(solvers[1], indices)
+        assert child.tobytes() == want.tobytes()
+        assert solvers[0].rng.bit_generator.state == solvers[1].rng.bit_generator.state
+        assert np.all(child[indices] != parent[indices])

@@ -158,3 +158,43 @@ def test_scalar_view_decode_always_valid(dom, seed):
     for _ in range(5):
         z = 3.0 * rng.standard_normal(view.dim)
         dom.validate(view.decode(z))
+
+
+def _general_decode(view, z):
+    return view.center + view.scale * z
+
+
+def _general_encode(view, x):
+    return (np.asarray(x, dtype=float) - view.center) / view.scale
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, 1e-310, -1e-310, 1.5, -2.25, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_identity_view_is_the_general_formula_bit_for_bit(rows):
+    d = len(SPECIAL)
+    view = DomainSpec([continuous()] * d).scalar_view
+    assert view.identity
+    rng = np.random.default_rng(rows or 0)
+    shape = (d,) if rows is None else (rows, d)
+    for z in (np.broadcast_to(SPECIAL, shape).copy(), rng.standard_normal(shape), -np.zeros(shape)):
+        assert view.decode(z).tobytes() == _general_decode(view, z).tobytes()
+        assert view.encode(z).tobytes() == _general_encode(view, z).tobytes()
+        assert view.decode(z) is not z and view.encode(z) is not z
+
+
+@pytest.mark.parametrize(
+    "variable",
+    [continuous(lower=-1.0), continuous(upper=3.0), continuous(-2.0, 2.0), continuous(scale=2.0),
+     continuous(scale=0.5), integer(0, 4), integer(-3, 3), unbounded_integer()],
+)
+def test_bounded_integer_scaled_or_shifted_views_keep_the_general_formula(variable):
+    view = DomainSpec([continuous(), variable, continuous()]).scalar_view
+    assert not view.identity
+    z = np.array([0.3, -0.0, 1.7])
+    x = _general_decode(view, z)
+    np.clip(x, view.lower, view.upper, out=x)
+    x[view.int_mask] = np.rint(x[view.int_mask])
+    assert view.decode(z).tobytes() == x.tobytes()
+    assert view.encode(x).tobytes() == _general_encode(view, x).tobytes()

@@ -135,3 +135,17 @@ def test_default_domains():
     assert get_base("sphere").default_domain(3).all_continuous
     dom = get_base("onemax").default_domain(5)
     assert all(v.is_discrete for v in dom.variables) and dom.max_arity == 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 7, 20, 31, 50, 120, 200, 1000])
+def test_method_dot_and_norm_equal_the_dispatched_forms(d):
+    # the kernels, transforms and solvers use ``a.dot(b)``, ``math.sqrt(v.dot(v))``
+    # and ``np.multiply.outer`` for ``np.dot``, ``np.linalg.norm`` and ``np.outer``
+    rng = np.random.default_rng(d)
+    for scale in (1.0, 1e-160, 1e150):
+        v, w = scale * rng.standard_normal(d), rng.standard_normal(d)
+        m = rng.standard_normal((d, d))
+        assert v.dot(w).tobytes() == np.dot(v, w).tobytes()
+        assert m.dot(v).tobytes() == np.dot(m, v).tobytes()
+        assert np.float64(math.sqrt(v.dot(v))).tobytes() == np.linalg.norm(v).tobytes()
+        assert np.multiply.outer(v, w).tobytes() == np.outer(v, w).tobytes()

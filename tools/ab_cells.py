@@ -2,6 +2,8 @@
 
     python3 tools/ab_cells.py <checkout-a> <checkout-b> <suite-or-manifest> <alg> [<alg> ...] \
         [--seeds 2] [--master-seed 0] [--repeats 3] [--match parallel-]
+    python3 tools/ab_cells.py <checkout-a> <checkout-b> --workload yabbob_serial --seed 1 \
+        [--repeats 3] [--match d20]
 
 Each checkout's ``src/optbench`` is imported under its own package name
 (``optbench_a``, ``optbench_b``), so both run in this one process on the same
@@ -15,6 +17,11 @@ is not the same bytes on both sides is named at the end, after the whole
 grid has run, and the script exits 1.  Whole-launch timings of a shared host
 drift too much to compare two checkouts; the minimum of interleaved runs of
 the same cell drifts much less.
+
+``--workload NAME --seed S`` takes the manifest, algorithms, seed count and
+master seed of a perfbench ``run`` workload instead of a suite and
+algorithms: checkout a's ``perfbench/workloads.prepare`` writes them into a
+temporary directory, so the grid is exactly the benchmark's cells.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import importlib
 import importlib.util
 import os
 import sys
+import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -64,6 +72,19 @@ def cells(side, suite_arg: str, algorithms, seeds, master_seed: int, match: str)
     ]
 
 
+def workload_grid(checkout: Path, workload: str, seed: int, workdir: Path):
+    """``(manifest, algorithms, seeds, master seed)`` of a perfbench ``run`` workload."""
+    for path in (checkout / "perfbench", checkout / "src"):
+        sys.path.insert(0, str(path))
+    from workloads import prepare
+
+    unit = prepare(workload, seed, workdir)
+    if unit.external:
+        raise SystemExit(f"error: {workload} is not a run workload")
+    master_seed = int(unit.argv[unit.argv.index("--master-seed") + 1])
+    return str(unit.manifest), unit.algorithms, unit.seeds, master_seed
+
+
 def timed_line(side, cell) -> tuple[float, str, str]:
     start = time.perf_counter()
     record = side["harness.experiment"].run_cell(*cell)
@@ -75,20 +96,29 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout_a", type=Path)
     parser.add_argument("checkout_b", type=Path)
-    parser.add_argument("suite", help="shipped suite name or manifest path")
-    parser.add_argument("algs", nargs="+")
+    parser.add_argument("suite", nargs="?", help="shipped suite name or manifest path")
+    parser.add_argument("algs", nargs="*")
     parser.add_argument("--seeds", type=int, default=1, help="seeds 0..n-1 per cell")
     parser.add_argument("--master-seed", type=int, default=0)
+    parser.add_argument("--workload", help="a perfbench run workload instead of a suite and algorithms")
+    parser.add_argument("--seed", type=int, default=1, help="the workload seed")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--match", default="", help="keep problems whose id contains this text")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.seeds < 1:
         parser.error("--repeats and --seeds must be at least 1")
+    if (args.workload is None) == (args.suite is None) or (args.workload is None) != bool(args.algs):
+        parser.error("give either a suite and algorithms or --workload")
 
     for name in THREAD_VARS:  # before either checkout imports numpy
         os.environ.setdefault(name, "1")
     sides = [load_checkout(args.checkout_a, "optbench_a"), load_checkout(args.checkout_b, "optbench_b")]
-    grids = [cells(side, args.suite, args.algs, range(args.seeds), args.master_seed, args.match) for side in sides]
+    with tempfile.TemporaryDirectory(prefix="ab_cells_") as workdir:
+        if args.workload is not None:
+            args.suite, args.algs, args.seeds, args.master_seed = workload_grid(
+                args.checkout_a, args.workload, args.seed, Path(workdir))
+        grids = [cells(side, args.suite, args.algs, range(args.seeds), args.master_seed, args.match)
+                 for side in sides]
     if not grids[0]:
         raise SystemExit("error: no cell matches")
     sums: dict[tuple[str, int, int], list[float]] = defaultdict(lambda: [0.0, 0.0])
