@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--algs", required=True, help="comma-separated algorithm specs")
     run_p.add_argument("--seeds", default="5", help="seed count n, or an inclusive range a..b")
     run_p.add_argument("--master-seed", type=int, default=None)
-    run_p.add_argument("--workers", type=int, default=1, help="process pool size for cells")
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="processes that run cells, this one included; cells are dealt one at a time")
     run_p.add_argument("--out", required=True)
     run_p.set_defaults(func=_cmd_run)
 

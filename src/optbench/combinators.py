@@ -7,23 +7,32 @@ builder, path, seed, init_point)``.  It builds its children on demand with
 routes candidates to them:
 
 - ``_wrap(child, child_cand, lift)`` returns the outer candidate for a child
-  candidate, a new one with the payload ``(child, child_cand)`` or, when the
-  child re-asks one of its own candidates, the outer candidate it already
-  has;
+  candidate, a new one with the payload ``(weakref.ref(child), child_cand)``
+  or, when the child re-asks one of its own candidates, the outer candidate
+  it already has;
 - the inherited ``_tell`` forwards every tell and re-tell of a routed
-  candidate to its child, then calls ``_after_tell``.  Candidates a
-  composite makes itself (surrogate proposals) carry no route.
+  candidate to its child while the child lives, then calls ``_after_tell``.
+  Candidates a composite makes itself (surrogate proposals) carry no route.
 
 What a composite keeps: the payload holds its child candidate strongly, so
-a re-tell always reaches the child, but the child candidate's ``outer``
-link back to the outer candidate is weak.  A route lives exactly as long
-as its outer candidate: while it is pending, the incumbent, in a noisy
-handle's ``archive`` or held by the caller.  A re-ask whose outer
-candidate nobody holds any more gets a fresh outer candidate, with the
-next id, the outer point the child candidate was first lifted to (the lift
-does not run again, so a bridge's rng does not move) and the child
-candidate's observations, so a noise-free composite keeps no told
-candidates and its ``num_told`` still counts each child candidate once.
+a re-tell reaches a live child, but it links the child itself weakly, and
+the child candidate's ``outer`` link back to the outer candidate is weak
+too.  The composite holds its live children (a chain's ``_active``,
+bet-and-run's ``children``, progressive widening's ``_child``, the
+wrappers' ``child`` and ``inner``).  A child it has retired (a chain's
+finished child, a narrower prefix child) is never asked again and nothing
+reads its state, so it is freed at once, even while a noisy handle's
+``archive`` keeps the outer candidates it made; tells of its candidates
+stop at the composite.
+
+A route lives exactly as long as its outer candidate: while it is
+pending, the incumbent, in a noisy handle's ``archive`` or held by the
+caller.  A re-ask whose outer candidate nobody holds any more gets a fresh
+outer candidate, with the next id, the outer point the child candidate was
+first lifted to (the lift does not run again, so a bridge's rng does not
+move) and the child candidate's observations, so a noise-free composite
+keeps no told candidates and its ``num_told`` still counts each child
+candidate once.
 
 Each composite's classmethod ``child_contexts(spec, context)`` is the one
 place that decides what its children get: their run contexts in build
@@ -83,7 +92,7 @@ class RoutingOptimizer(Optimizer):
             link, point = child_cand.outer
             cand = link()
         if cand is None:
-            cand = self._new_candidate(point, payload=(child, child_cand))
+            cand = self._new_candidate(point, payload=(weakref.ref(child), child_cand))
             cand.observations.extend(child_cand.observations)  # a re-ask after its outer candidate was freed
             child_cand.outer = (weakref.ref(cand), cand.point)
         return cand
@@ -105,8 +114,10 @@ class RoutingOptimizer(Optimizer):
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
         if candidate.payload is not None:
-            child, child_cand = candidate.payload
-            child.tell(child_cand, loss)
+            link, child_cand = candidate.payload
+            child = link()
+            if child is not None:  # a retired child is freed and told nothing
+                child.tell(child_cand, loss)
         self._after_tell(candidate, loss)
 
     def _after_tell(self, candidate: Candidate, loss: float) -> None:
@@ -239,7 +250,7 @@ class BetAndRunOptimizer(RoutingOptimizer):
         return None if self.survivor is None else self.children[self.survivor]
 
     def _after_tell(self, candidate: Candidate, loss: float) -> None:
-        idx = self.children.index(candidate.payload[0])
+        idx = self.children.index(candidate.payload[0]())
         if loss < self._best[idx]:
             self._best[idx] = loss
         # distinct candidates, so a re-tell cannot end phase 1 before every

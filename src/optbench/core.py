@@ -71,8 +71,8 @@ class Candidate:
     solver stores what its update needs from the ask (a sample direction, a
     population slot) and reads and clears it at the first tell, so a re-tell
     finds ``None`` and holds no extra vectors.  A composite stores the
-    ``(child, child_candidate)`` route and keeps it, so every re-tell
-    reaches the child.
+    ``(weakref.ref(child), child_candidate)`` route and keeps it, so every
+    re-tell reaches the child while the composite keeps the child.
 
     ``owner`` is the token of the handle that made the candidate, which
     ``tell`` and a re-ask check.  It is a plain object, not the handle, so a

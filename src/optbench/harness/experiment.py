@@ -3,14 +3,29 @@
 Every cell derives its own RNG stream from the master seed and the cell
 labels, runs independently, and snapshots the recommendation's simple
 regret on a geometric evaluation grid.  Cells are therefore reproducible
-and order-independent; an optional process pool only changes wall time.
+and order-independent, so running them in several processes changes only
+wall time.
+
+``run_experiment(..., jobs=N)`` runs the cells in N processes: N - 1
+workers and the calling process itself.  Each takes the next cell index
+from one shared counter, so cells are dealt one at a time in manifest
+order.  A worker sends ``(index, record)`` back over its own pipe; the
+parent reads the ready pipes between its own cells and places every record
+by its index.  A worker that dies in a cell fails only that cell, with the
+record ``WorkerDied: process exited with code C`` (or ``killed by signal
+S``), and the other cells still run.  A worker killed while it holds the
+counter's lock is not covered: the lock is never released and the run
+hangs.  An exception that ends the parent's own cell loop, such as
+KeyboardInterrupt, terminates and joins the workers before it propagates.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.connection import wait
 from typing import Sequence
 
 from ..algospec import canonical_text
@@ -91,8 +106,79 @@ def run_cell(
         return ExperimentRecord(**labels, wall_time_ms=wall, failed=True, error=error_text(exc))
 
 
-def _run_cell_args(args) -> ExperimentRecord:
-    return run_cell(*args)
+def _take(counter, taken) -> int:
+    """The next cell index; ``taken`` (a worker's own slot, or None) records it
+    under the counter's lock."""
+    with counter.get_lock():
+        index = counter.value
+        counter.value = index + 1
+        if taken is not None:
+            taken.value = index
+    return index
+
+
+def _work(cells, counter, taken, conn) -> None:
+    """A worker process: run the cells the counter deals it, sending each
+    ``(index, record)`` to the parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops the workers
+    while (index := _take(counter, taken)) < len(cells):
+        conn.send((index, run_cell(*cells[index])))
+    conn.close()
+
+
+def _worker_died(cell, exitcode: int) -> ExperimentRecord:
+    """The failed record of a cell whose worker died in it."""
+    suite_name, problem, budget, num_workers, algorithm_text, _spec, seed, _master_seed = cell
+    how = f"killed by signal {-exitcode}" if exitcode < 0 else f"process exited with code {exitcode}"
+    return ExperimentRecord(suite_name, problem.problem_id, algorithm_text, seed, budget, num_workers,
+                            failed=True, error=f"WorkerDied: {how}")
+
+
+def _run_shared(cells: list, jobs: int) -> list[ExperimentRecord]:
+    """Run ``cells`` in ``jobs - 1`` worker processes and this one, dealt by a shared counter."""
+    counter = multiprocessing.Value("q", 0)
+    records: list[ExperimentRecord | None] = [None] * len(cells)
+    workers, pipes = [], []
+
+    def receive(timeout) -> None:
+        # each write end lives only in its worker, so a pipe reads EOF once its
+        # worker has exited, by returning or by dying
+        for conn in wait(pipes, timeout):
+            try:
+                while conn.poll():
+                    index, record = conn.recv()
+                    records[index] = record
+            except EOFError:
+                pipes.remove(conn)
+                conn.close()
+
+    try:
+        for _ in range(jobs - 1):
+            taken = multiprocessing.RawValue("q", -1)
+            conn, send = multiprocessing.Pipe(duplex=False)
+            pipes.append(conn)
+            worker = multiprocessing.Process(target=_work, args=(cells, counter, taken, send))
+            worker.start()
+            send.close()
+            workers.append((worker, taken))
+        while (index := _take(counter, None)) < len(cells):
+            records[index] = run_cell(*cells[index])
+            receive(0)
+        while pipes:
+            receive(None)
+    except BaseException:
+        for worker, _taken in workers:
+            worker.terminate()
+        raise
+    finally:
+        for conn in pipes:
+            conn.close()
+        for worker, _taken in workers:
+            worker.join()
+    for worker, taken in workers:
+        if 0 <= taken.value < len(cells) and records[taken.value] is None:
+            records[taken.value] = _worker_died(cells[taken.value], worker.exitcode)
+    return records
 
 
 def run_experiment(
@@ -117,7 +203,7 @@ def run_experiment(
                         cells.append(
                             (suite.name, problem, budget, workers, text, spec, seed, master_seed)
                         )
+    jobs = min(jobs, len(cells))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell_args, cells, chunksize=4))
+        return _run_shared(cells, jobs)
     return [run_cell(*cell) for cell in cells]

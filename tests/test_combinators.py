@@ -392,8 +392,8 @@ RECORDS_SUITE_SPECS = {
 @given(spec_trees(), st.integers(10, 60), st.integers(0, 10_000))
 @settings(max_examples=12, deadline=None)
 def test_records_are_the_same_bytes_for_one_and_two_workers(spec_text, budget, master_seed):
-    # the pool changes only wall time: same cells, same order, same bytes,
-    # failed cells included; 8 cells make two chunks, one per worker
+    # a second process changes only wall time: same cells, same order, same
+    # bytes, failed cells included; the 8 cells are dealt one at a time
     suite = BenchmarkSuite(
         "records",
         tuple(SuiteProblem(name, spec, budgets=(budget,)) for name, spec in RECORDS_SUITE_SPECS.items()),

@@ -23,6 +23,8 @@ from optbench import (
     integer,
     run_loop,
 )
+from optbench.bench import FunctionSpec, TransformSpec, make_function
+from optbench.solvers.de import DifferentialEvolution
 
 SPECS = [
     "one-plus-one-es",
@@ -125,3 +127,25 @@ def test_a_re_ask_whose_outer_candidate_was_freed_changes_only_the_id(spec, doma
     assert dropped._next_id > kept._next_id  # fresh outer candidates were made
     assert dropped.recommend().point.tobytes() == kept.recommend().point.tobytes()
     assert dropped.rng.bit_generator.state == kept.rng.bit_generator.state
+
+
+def test_a_noisy_composite_frees_the_children_it_retired():
+    # prog(de) builds a DE child per widening, and a noisy handle's archive keeps
+    # every outer candidate; the route links each child weakly, so the retired
+    # children are freed at once, without a collection (a strong link kept all 120)
+    function = make_function(FunctionSpec("sphere", 120, TransformSpec(noise_std=1.0, transform_seed=1)),
+                             noise_seed=2)
+    ctx = RunContext(function.domain, budget=1000, noisy=True, master_seed=3)
+
+    def live_de() -> int:
+        return sum(type(obj) is DifferentialEvolution for obj in gc.get_objects())
+
+    gc.collect()
+    before, alive = live_de(), []
+
+    def count(done, handle):
+        if done == ctx.budget:
+            alive.extend([live_de() - before, len(handle.archive)])
+
+    run_loop("prog(de)", function, ctx, checkpoint_callback=count)
+    assert alive == [1, ctx.budget]

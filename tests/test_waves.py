@@ -10,6 +10,7 @@ noise stream where n calls leave it, and ``ask_many(n)`` issues what n
 import math
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -154,6 +155,8 @@ def snapshot(obj, memo):
         if isinstance(obj, Candidate):
             return ("cand", obj.id, obj.point.tobytes(), tuple(obj.observations), snapshot(obj.payload, memo))
         return (type(obj).__name__, snapshot(vars(obj), memo))
+    if isinstance(obj, weakref.ref):  # a composite's link to its child
+        return ("weakref", snapshot(obj(), memo))
     if isinstance(obj, np.ndarray):
         return ("array", obj.shape, obj.tobytes())
     if isinstance(obj, np.random.Generator):
