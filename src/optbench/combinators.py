@@ -19,11 +19,11 @@ a re-tell reaches a live child, but it links the child itself weakly, and
 the child candidate's ``outer`` link back to the outer candidate is weak
 too.  The composite holds its live children (a chain's ``_active``,
 bet-and-run's ``children``, progressive widening's ``_child``, the
-wrappers' ``child`` and ``inner``).  A child it has retired (a chain's
-finished child, a narrower prefix child) is never asked again and nothing
-reads its state, so it is freed at once, even while a noisy handle's
-``archive`` keeps the outer candidates it made; tells of its candidates
-stop at the composite.
+wrappers' ``child`` and ``inner``).  No handle, a probe solver included,
+sits in a reference cycle, so every child it has retired (a chain's
+finished child, a narrower prefix child), never asked again and read by
+nothing, is freed at once, even while a noisy handle's ``archive`` keeps
+the outer candidates it made; tells of its candidates stop at the composite.
 
 A route lives exactly as long as its outer candidate: while it is
 pending, the incumbent, in a noisy handle's ``archive`` or held by the
@@ -263,11 +263,9 @@ class BetAndRunOptimizer(RoutingOptimizer):
         self.survivor = int(np.argmin(self._best))
 
     def _recommend(self):
-        if self.survivor is not None:
-            rec = self.children[self.survivor].recommend()
-            if not rec.is_default_center:
-                return rec
-        return None
+        if self.survivor is None or self.children[self.survivor].num_tells == 0:
+            return None
+        return self.children[self.survivor].recommend()
 
 
 class ProgressiveWidening(RoutingOptimizer):

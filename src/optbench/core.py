@@ -84,15 +84,13 @@ class Candidate:
     it was freed makes the fresh one.
     """
 
-    __slots__ = ("id", "point", "observations", "is_default_center", "payload", "owner", "outer", "__weakref__")
+    __slots__ = ("id", "point", "observations", "payload", "owner", "outer", "__weakref__")
 
     def __init__(self, id: int, point: np.ndarray, observations: list[float] | None = None,
-                 is_default_center: bool = False, payload: object = None, owner: object = None,
-                 outer: object = None):
+                 payload: object = None, owner: object = None, outer: object = None):
         self.id = id
         self.point = point
         self.observations = [] if observations is None else observations
-        self.is_default_center = is_default_center
         self.payload = payload
         self.owner = owner
         self.outer = outer
@@ -185,7 +183,7 @@ class Optimizer:
     def _new_candidate(self, point, payload=None) -> Candidate:
         if type(point) is not np.ndarray or point.dtype is not _FLOAT64:
             point = np.asarray(point, dtype=float)
-        cand = Candidate(self._next_id, point, None, False, payload, self._owner)
+        cand = Candidate(self._next_id, point, None, payload, self._owner)
         self._next_id += 1
         return cand
 
@@ -231,7 +229,7 @@ class Optimizer:
         """Fresh candidates for ``points`` (float arrays), the next ids and ``payloads``."""
         ids = range(self._next_id, self._next_id + len(points))
         owner = self._owner
-        cands = [Candidate(i, x, None, False, p, owner) for i, x, p in zip(ids, points, payloads)]
+        cands = [Candidate(i, x, None, p, owner) for i, x, p in zip(ids, points, payloads)]
         self._next_id = ids.stop
         return cands
 
@@ -257,9 +255,11 @@ class Optimizer:
         self._tell(candidate, loss)
 
     def recommend(self) -> Candidate:
+        """The recommendation.  Before any tell it is the domain center as candidate id
+        -1; after, ``_recommend``'s (a point becomes candidate id -2) or the incumbent."""
         if self.num_tells == 0:
             logger.warning("recommend() called before any tell; returning the domain center")
-            return Candidate(-1, self.domain.center(), is_default_center=True)
+            return Candidate(-1, self.domain.center())
         out = self._recommend()
         if out is None:
             return self.incumbent

@@ -62,14 +62,8 @@ def run_cell(
     master_seed: int,
 ) -> ExperimentRecord:
     """Run one cell; any exception is captured in a failed record, not raised."""
-    labels = dict(
-        suite=suite_name,
-        problem=problem.problem_id,
-        algorithm=algorithm_text,
-        seed=seed,
-        budget=budget,
-        num_workers=num_workers,
-    )
+    labels = _labels(suite_name, problem, budget, num_workers, algorithm_text, algorithm_spec, seed,
+                     master_seed)
     cell_seed = derive_seed(
         master_seed, [suite_name, problem.problem_id, budget, num_workers, algorithm_text, seed]
     )
@@ -106,6 +100,12 @@ def run_cell(
         return ExperimentRecord(**labels, wall_time_ms=wall, failed=True, error=error_text(exc))
 
 
+def _labels(suite_name, problem, budget, num_workers, algorithm_text, _spec, seed, _master_seed):
+    """The label fields of a cell's record, from ``run_cell``'s arguments."""
+    return dict(suite=suite_name, problem=problem.problem_id, algorithm=algorithm_text, seed=seed,
+                budget=budget, num_workers=num_workers)
+
+
 def _take(counter, taken) -> int:
     """The next cell index; ``taken`` (a worker's own slot, or None) records it
     under the counter's lock."""
@@ -128,10 +128,8 @@ def _work(cells, counter, taken, conn) -> None:
 
 def _worker_died(cell, exitcode: int) -> ExperimentRecord:
     """The failed record of a cell whose worker died in it."""
-    suite_name, problem, budget, num_workers, algorithm_text, _spec, seed, _master_seed = cell
     how = f"killed by signal {-exitcode}" if exitcode < 0 else f"process exited with code {exitcode}"
-    return ExperimentRecord(suite_name, problem.problem_id, algorithm_text, seed, budget, num_workers,
-                            failed=True, error=f"WorkerDied: {how}")
+    return ExperimentRecord(**_labels(*cell), failed=True, error=f"WorkerDied: {how}")
 
 
 def _run_shared(cells: list, jobs: int) -> list[ExperimentRecord]:

@@ -1,7 +1,8 @@
 """Solver registry: canonical algorithm ids to constructors.
 
 Each entry is the solver class with the parameters that define the id
-bound; ``optbench.wizard`` resolves spec leaves against it.
+bound, so each variant has exactly one id; ``optbench.wizard`` resolves
+spec leaves against it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from .tbpsa import Tbpsa
 
 
 REGISTRY = {
-    "cma": partial(CmaEs),
+    "cma": partial(CmaEs, diagonal=False),
     "diagcma": partial(CmaEs, diagonal=True),
-    "de": partial(DifferentialEvolution),
+    "de": partial(DifferentialEvolution, lhs_init=False),
     "lhsde": partial(DifferentialEvolution, lhs_init=True, population_size=30),
     "one-plus-one-es": partial(OnePlusOneEs),
-    "tbpsa": partial(Tbpsa),
+    "tbpsa": partial(Tbpsa, naive=False),
     "naive-tbpsa": partial(Tbpsa, naive=True),
     "powell": partial(Powell),
     "linear-tr": partial(TrustRegion, quadratic=False),

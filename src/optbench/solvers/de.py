@@ -41,7 +41,7 @@ class DifferentialEvolution(ScalarSolver):
     ):
         super().__init__(context, seed=seed, init_point=init_point)
         d = self._view.dim
-        np_size = (30 if lhs_init else max(30, d)) if population_size is None else population_size
+        np_size = max(30, d) if population_size is None else population_size
         if np_size < 4:
             raise ConfigurationError("DE needs a population of at least 4")
         if not (0.0 <= f_weight <= 2.0):  # 0 is degenerate but well-defined

@@ -1,10 +1,12 @@
 """Derivative-free local search: Powell's method and model trust regions.
 
 These solvers are sequential by nature; they are driven through a probe
-generator so they fit the ask/tell contract.  Surplus parallel asks (more
-outstanding asks than the generator has pending probes) are served as
-Gaussian probes around the best known point, and their tells only feed the
-archive.
+generator so they fit the ask/tell contract.  The generator reaches its
+solver only through a weak proxy, so no frame holds the solver, and a
+dropped solver is freed by reference counting alone, mid-run included.
+Surplus parallel asks (more outstanding asks than the generator has pending
+probes) are served as Gaussian probes around the best known point, and
+their losses never reach the generator.
 
 The trust-region variants fill the classic derivative-free slots with one
 interpolation model (``SlidingModel``) over linear features ``[1, u]`` or
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 
 import numpy as np
 
@@ -173,26 +176,18 @@ class _ProbeDrivenSolver(ScalarSolver):
     def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
         self._best_z = self._z0.copy()
-        self._gen = None
         self._awaiting: int | None = None
         self._last_loss: float | None = None
         self._fallback_scale = 1.0
+        # its frames hold only a weak proxy of this solver, so no cycle runs through them
+        self._gen = type(self)._probes(weakref.proxy(self))
 
     def _probes(self):
         raise NotImplementedError
 
     def _ask(self) -> Candidate:
-        if self._gen is None:
-            self._gen = self._probes()
-        # the probe generators never end, so a send always yields a probe
-        z = None if self._awaiting is not None else self._gen.send(self._last_loss)
-        if self._next_id + 1 == self.budget:  # no re-asks, so ids count the asks, a wave's too
-            # The generator's frame refers back to this solver.  Ending it at
-            # the last ask breaks that cycle, so the solver and its model state
-            # are freed with the run instead of at the next full collection.
-            self._gen.close()
-        if z is not None:
-            cand = self._new_candidate(self._view.decode(z))
+        if self._awaiting is None:  # the generators never end, so a send always yields a probe
+            cand = self._new_candidate(self._view.decode(self._gen.send(self._last_loss)))
             self._awaiting = cand.id
             return cand
         z = self._best_z + self._fallback_scale * self.rng.standard_normal(self._view.dim)
@@ -205,14 +200,15 @@ class _ProbeDrivenSolver(ScalarSolver):
             self._awaiting = None
             self._last_loss = loss
 
-    # shared by subclasses: mean over three resamples in noisy mode
-    def _measure(self, z):
-        if not self.noisy:
-            return (yield z)
-        total = 0.0
-        for _ in range(3):
-            total += yield z
-        return total / 3.0
+
+def _measure(solver, z):
+    """Probe ``z``: one loss, or the mean over three resamples in noisy mode."""
+    if not solver.noisy:
+        return (yield z)
+    total = 0.0
+    for _ in range(3):
+        total += yield z
+    return total / 3.0
 
 
 class Powell(_ProbeDrivenSolver):
@@ -230,17 +226,17 @@ class Powell(_ProbeDrivenSolver):
     def _probes(self):
         d = self._view.dim
         x = self._z0.copy()
-        fx = yield from self._measure(x)
+        fx = yield from _measure(self, x)
         scale = 1.0
         while True:
             x_start = x.copy()
             f_start = fx
             drops = np.zeros(d)
             for i in range(d):
-                x, fx, drops[i] = yield from self._line_search(x, fx, self.directions[i], scale)
+                x, fx, drops[i] = yield from _line_search(self, x, fx, self.directions[i], scale)
             ibig = int(np.argmax(drops))
             delta = drops[ibig]
-            f_extra = yield from self._measure(2.0 * x - x_start)
+            f_extra = yield from _measure(self, 2.0 * x - x_start)
             if f_extra < f_start:
                 t = (
                     2.0 * (f_start - 2.0 * fx + f_extra) * (f_start - fx - delta) ** 2
@@ -251,69 +247,71 @@ class Powell(_ProbeDrivenSolver):
                     norm = math.sqrt(new_dir.dot(new_dir))
                     if norm > 0.0:
                         new_dir = new_dir / norm
-                        x, fx, _ = yield from self._line_search(x, fx, new_dir, scale)
+                        x, fx, _ = yield from _line_search(self, x, fx, new_dir, scale)
                         self.directions[ibig] = new_dir
             step = x - x_start
             moved = math.sqrt(step.dot(step))
             scale = min(max(moved, 1e-12), 1e3)
             self._fallback_scale = scale
 
-    def _line_search(self, x, fx, direction, scale):
-        bracket = yield from self._bracket(x, fx, direction, scale)
-        a, b, c, fa, fb, fc = bracket
-        b, fb = yield from self._refine(x, direction, a, b, c, fa, fb, fc)
-        if fb >= fx:
-            return x, fx, 0.0
-        return x + b * direction, fb, fx - fb
 
-    def _bracket(self, x, fx, u, scale):
-        h = scale
-        f_plus = yield from self._measure(x + h * u)
-        if f_plus >= fx:
-            f_minus = yield from self._measure(x - h * u)
-            if f_minus >= fx:
-                return -h, 0.0, h, f_minus, fx, f_plus
-            sign, f1 = -1.0, f_minus
-        else:
-            sign, f1 = 1.0, f_plus
-        a0, f0 = 0.0, fx
-        a1 = sign * h
-        step = sign * h
-        for _ in range(60):
-            step *= 2.0
-            a2 = a1 + step
-            f2 = yield from self._measure(x + a2 * u)
-            if f2 >= f1:
-                lo, mid, hi = (a0, a1, a2) if sign > 0 else (a2, a1, a0)
-                flo, fmid, fhi = (f0, f1, f2) if sign > 0 else (f2, f1, f0)
-                return lo, mid, hi, flo, fmid, fhi
-            a0, f0, a1, f1 = a1, f1, a2, f2
-        # runaway descent: treat the latest three points as the bracket
-        lo, mid, hi = (a0, a1, a1 + step) if sign > 0 else (a1 + step, a1, a0)
-        return lo, mid, hi, f0, f1, f2
+def _line_search(solver, x, fx, direction, scale):
+    a, b, c, fa, fb, fc = yield from _bracket(solver, x, fx, direction, scale)
+    b, fb = yield from _refine(solver, x, direction, a, b, c, fa, fb, fc)
+    if fb >= fx:
+        return x, fx, 0.0
+    return x + b * direction, fb, fx - fb
 
-    def _refine(self, x, u, a, b, c, fa, fb, fc, max_iter=18):
-        for _ in range(max_iter):
-            tol = 1e-11 * (abs(b) + 1e-3) + 1e-14
-            if (c - a) < tol:
-                break
-            trial = _parabolic_vertex(a, b, c, fa, fb, fc)
-            if trial is None or not (a < trial < c) or abs(trial - b) < 0.1 * tol:
-                # golden-section step into the larger side
-                trial = b + (1.0 - _GOLDEN) * ((c - b) if (c - b) > (b - a) else (a - b))
-            ft = yield from self._measure(x + trial * u)
-            if ft < fb:
-                if trial < b:
-                    c, fc = b, fb
-                else:
-                    a, fa = b, fb
-                b, fb = trial, ft
+
+def _bracket(solver, x, fx, u, scale):
+    h = scale
+    f_plus = yield from _measure(solver, x + h * u)
+    if f_plus >= fx:
+        f_minus = yield from _measure(solver, x - h * u)
+        if f_minus >= fx:
+            return -h, 0.0, h, f_minus, fx, f_plus
+        sign, f1 = -1.0, f_minus
+    else:
+        sign, f1 = 1.0, f_plus
+    a0, f0 = 0.0, fx
+    a1 = sign * h
+    step = sign * h
+    for _ in range(60):
+        step *= 2.0
+        a2 = a1 + step
+        f2 = yield from _measure(solver, x + a2 * u)
+        if f2 >= f1:
+            lo, mid, hi = (a0, a1, a2) if sign > 0 else (a2, a1, a0)
+            flo, fmid, fhi = (f0, f1, f2) if sign > 0 else (f2, f1, f0)
+            return lo, mid, hi, flo, fmid, fhi
+        a0, f0, a1, f1 = a1, f1, a2, f2
+    # runaway descent: treat the latest three points as the bracket
+    lo, mid, hi = (a0, a1, a1 + step) if sign > 0 else (a1 + step, a1, a0)
+    return lo, mid, hi, f0, f1, f2
+
+
+def _refine(solver, x, u, a, b, c, fa, fb, fc, max_iter=18):
+    for _ in range(max_iter):
+        tol = 1e-11 * (abs(b) + 1e-3) + 1e-14
+        if (c - a) < tol:
+            break
+        trial = _parabolic_vertex(a, b, c, fa, fb, fc)
+        if trial is None or not (a < trial < c) or abs(trial - b) < 0.1 * tol:
+            # golden-section step into the larger side
+            trial = b + (1.0 - _GOLDEN) * ((c - b) if (c - b) > (b - a) else (a - b))
+        ft = yield from _measure(solver, x + trial * u)
+        if ft < fb:
+            if trial < b:
+                c, fc = b, fb
             else:
-                if trial < b:
-                    a, fa = trial, ft
-                else:
-                    c, fc = trial, ft
-        return b, fb
+                a, fa = b, fb
+            b, fb = trial, ft
+        else:
+            if trial < b:
+                a, fa = trial, ft
+            else:
+                c, fc = trial, ft
+    return b, fb
 
 
 def _parabolic_vertex(a, b, c, fa, fb, fc) -> float | None:
@@ -340,14 +338,14 @@ class TrustRegion(_ProbeDrivenSolver):
         d = self._view.dim
         need = quadratic_feature_count(d) if self.quadratic else d + 1
         x = self._z0.copy()
-        fx = yield from self._measure(x)
+        fx = yield from _measure(self, x)
         best_x, best_f = x.copy(), fx
         points: list[np.ndarray] = [x.copy()]
         values: list[float] = [fx]
         for axis in range(need - 1):
             direction = _unit(d, axis) if axis < d else self._random_direction(d)
             z = best_x + self.rho * direction
-            f = yield from self._measure(z)
+            f = yield from _measure(self, z)
             points.append(z)
             values.append(f)
             if f < best_f:
@@ -359,7 +357,7 @@ class TrustRegion(_ProbeDrivenSolver):
             if proposal is None:
                 logger.debug("degenerate model fit; random probe at radius %.3g", self.rho)
                 proposal = best_x + self.rho * self._random_direction(d)
-            f = yield from self._measure(proposal)
+            f = yield from _measure(self, proposal)
             model.slide(proposal, f)
             if f < best_f:
                 best_x, best_f = proposal, f

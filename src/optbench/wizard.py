@@ -133,8 +133,8 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
 
     The factory is the registry constructor with the leaf's params and
     ``seed`` bound; a leaf ``seed`` param overrides the derived one.  Unknown
-    ids, unknown params, params the leaf repeats or its id already fixes, and
-    a value other than true or false for a boolean param raise RegistryError.
+    ids, unknown params and params the leaf repeats or its id already fixes
+    raise RegistryError.
     """
     params = dict(leaf.params)
     if len(params) < len(leaf.params):
@@ -150,9 +150,8 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
             f"{', '.join(sorted(REGISTRY) + [WIZARD_ID])}"
         )
     if params:
-        signature = inspect.signature(variant).parameters
-        known = signature.keys() - {"context", "init_point"}
-        for key, value in params.items():
+        known = inspect.signature(variant).parameters.keys() - {"context", "init_point"}
+        for key in params:
             if key in variant.keywords:
                 raise RegistryError(f"{leaf.name!r} fixes parameter {key!r}")
             if key not in known:
@@ -160,9 +159,6 @@ def _leaf_factory(leaf: Leaf, seed: int = 0):
                     f"unknown parameter {key!r} for {leaf.name!r}; "
                     f"known: {', '.join(sorted(known - variant.keywords.keys()))}"
                 )
-            if isinstance(signature[key].default, bool) and not isinstance(value, bool):
-                text = canonical_text(leaf)
-                raise RegistryError(f"bad parameter value in {text!r}: {key} takes true or false")
     return functools.partial(variant, **{"seed": seed, **params})
 
 

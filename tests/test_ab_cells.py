@@ -75,3 +75,12 @@ def test_a_perfbench_workload_gives_its_cells_and_algorithms(tmp_path):
     both = subprocess.run([*command[:4], str(_manifest(tmp_path)), "cma", *command[4:]],
                           capture_output=True, text=True, timeout=120)
     assert both.returncode == 2 and "either a suite and algorithms or --workload" in both.stderr
+
+
+def test_a_workload_needs_perfbench_in_checkout_a(tmp_path):
+    bare = tmp_path / "bare"
+    shutil.copytree(REPO / "src" / "optbench", bare / "src" / "optbench", ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run([sys.executable, str(TOOL), str(bare), str(REPO), "--workload", "yabbob_serial"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"error: {bare / 'perfbench' / 'workloads.py'} does not exist"]

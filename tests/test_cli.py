@@ -231,11 +231,16 @@ def test_removed_solver_keywords_are_unknown_parameters(tmp_path, capsys, algs):
     assert_run_fails_before_any_cell(tmp_path, capsys, algs, f"unknown parameter {key!r} for {name!r}; known: ")
 
 
+@pytest.mark.parametrize("algs", ["cma[diagonal=true]", "tbpsa[naive=true]", "de[lhs_init=true]"])
+def test_a_variant_has_one_id(tmp_path, capsys, algs):
+    # diagcma, naive-tbpsa and lhsde are the only spellings of these variants
+    name, _, rest = algs.partition("[")
+    key = rest.partition("=")[0]
+    assert_run_fails_before_any_cell(tmp_path, capsys, algs, f"{name!r} fixes parameter {key!r}")
+
+
 @pytest.mark.parametrize("algs, reason", [
-    # a boolean takes only true or false, and only an omitted keyword means the default
-    ("cma[diagonal=no]", "diagonal takes true or false"),
-    ("tbpsa[naive=no]", "naive takes true or false"),
-    ("de[lhs_init=1]", "lhs_init takes true or false"),
+    # only an omitted keyword means the default
     ("de[population_size=0]", "DE needs a population of at least 4"),
     ("tbpsa[population_size=0]", "TBPSA needs a whole population of at least 4"),
     ("naive-tbpsa[population_size=3]", "TBPSA needs a whole population of at least 4"),

@@ -128,8 +128,9 @@ def test_unknown_candidate_rejected():
 def test_recommend_before_any_tell_returns_center_with_flag():
     opt = RandomProbe(make_context())
     rec = opt.recommend()
-    assert rec.is_default_center
+    assert rec.id == -1  # the flag: no candidate of the handle has a negative id
     assert np.array_equal(rec.point, opt.domain.center())
+    assert rec.observations == []
 
 
 def test_recommend_default_is_incumbent():

@@ -226,7 +226,7 @@ def test_full_factorizations_are_scheduled_or_forced(monkeypatch):
     first, second = models
     counts = [(m.slides, m.factorizations, m.threshold_hits, m.rejected) for m in models]
     assert counts[0] == counts[1]
-    assert first.slides == 400 - quadratic_feature_count(4) - 1  # the generator ends at the last ask
+    assert first.slides == 400 - quadratic_feature_count(4) - 1  # the last tell's loss is never sent
     scheduled = math.ceil(first.slides / first.size) + 1
     assert first.factorizations <= scheduled + first.threshold_hits + first.rejected
 

@@ -8,6 +8,7 @@ its told candidates in ``archive``, which its incumbent rule rescans.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from optbench import (
     run_loop,
 )
 from optbench.bench import FunctionSpec, TransformSpec, make_function
+from optbench.solvers import REGISTRY
 from optbench.solvers.de import DifferentialEvolution
+from optbench.solvers.localsearch import Powell
 
 SPECS = [
     "one-plus-one-es",
@@ -149,3 +152,64 @@ def test_a_noisy_composite_frees_the_children_it_retired():
 
     run_loop("prog(de)", function, ctx, checkpoint_callback=count)
     assert alive == [1, ctx.budget]
+
+
+# composites over the probe solvers, whose generators once held their solver in a cycle
+PROBE_COMPOSITES = ["prog(powell)", "prog(linear-tr)", "prog(quadratic-tr)", "chain(powell,linear-tr;0.5,0.5)",
+                    "bet(powell,de;0.3)", "softmax(powell)"]
+
+
+def live_handles() -> int:
+    return sum(issubclass(type(obj), Optimizer) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("share", [0.3, 1.0])
+@pytest.mark.parametrize("spec", [*sorted(REGISTRY), *PROBE_COMPOSITES])
+def test_a_dropped_handle_is_freed_by_reference_counting_alone(spec, share, workers):
+    # mid-run too: no handle, root or child, waits for a collection
+    if spec.startswith("discrete-") or spec == "fastga":
+        domain = INTEGERS
+    elif spec.startswith("softmax"):
+        domain = DomainSpec([categorical(3), continuous(), continuous()])
+    else:
+        domain = DomainSpec([continuous() for _ in range(4)])
+    ctx = RunContext(domain, budget=200, num_workers=workers, master_seed=5)
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_handles()
+        handle = build_optimizer(spec, ctx)
+        while handle.num_asks < share * ctx.budget:
+            for cand in handle.ask_many(min(workers, ctx.budget - handle.num_asks)):
+                handle.tell(cand, float(np.sum((cand.point - 1.0) ** 2)))
+        alive = weakref.ref(handle)
+        del handle, cand
+        left = alive() is not None, live_handles() - before
+    finally:
+        gc.enable()
+    assert left == (False, 0)
+
+
+def test_a_widening_run_holds_one_probe_child():
+    # prog(powell) retires a Powell child at every widening; each is freed at once
+    function = make_function(FunctionSpec("sphere", 20, TransformSpec(translation_std=1.0, transform_seed=1)))
+    ctx = RunContext(function.domain, budget=4000, master_seed=3)
+
+    def live_powell() -> int:
+        return sum(type(obj) is Powell for obj in gc.get_objects())  # isinstance matches a proxy too
+
+    alive = []
+
+    def count(done, _handle):
+        if done == ctx.budget:
+            alive.append(live_powell() - before)
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_powell()
+        run_loop("prog(powell)", function, ctx, checkpoint_callback=count)
+    finally:
+        gc.enable()
+    assert alive == [1]

@@ -257,8 +257,11 @@ def test_solver_keywords_are_the_listed_ones():
     assert sum(map(len, settable.values())) == 9
     fixed = {leaf_id: variant.keywords for leaf_id, variant in REGISTRY.items() if variant.keywords}
     assert fixed == {
+        "cma": {"diagonal": False},
         "diagcma": {"diagonal": True},
+        "de": {"lhs_init": False},
         "lhsde": {"lhs_init": True, "population_size": 30},
+        "tbpsa": {"naive": False},
         "naive-tbpsa": {"naive": True},
         "linear-tr": {"quadratic": False},
         "quadratic-tr": {"quadratic": True},

@@ -74,6 +74,8 @@ def cells(side, suite_arg: str, algorithms, seeds, master_seed: int, match: str)
 
 def workload_grid(checkout: Path, workload: str, seed: int, workdir: Path):
     """``(manifest, algorithms, seeds, master seed)`` of a perfbench ``run`` workload."""
+    if not (checkout / "perfbench" / "workloads.py").is_file():
+        raise SystemExit(f"error: {checkout / 'perfbench' / 'workloads.py'} does not exist")
     for path in (checkout / "perfbench", checkout / "src"):
         sys.path.insert(0, str(path))
     from workloads import prepare
