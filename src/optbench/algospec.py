@@ -84,11 +84,12 @@ class Wrap:
 AlgorithmSpec = Leaf | Chain | BetAndRun | Wrap
 
 
-def _format_param(value) -> str:
+def _format_value(value) -> str:
+    """A parameter value or a fraction as text that parses back to it."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:g}"
+        return f"{value:g}" if float(f"{value:g}") == value else repr(value)
     return str(value)
 
 
@@ -97,18 +98,18 @@ def canonical_text(spec: AlgorithmSpec) -> str:
     if isinstance(spec, Leaf):
         if not spec.params:
             return spec.name
-        inner = ",".join(f"{k}={_format_param(v)}" for k, v in spec.params)
+        inner = ",".join(f"{k}={_format_value(v)}" for k, v in spec.params)
         return f"{spec.name}[{inner}]"
     if isinstance(spec, Chain):
         children = ",".join(canonical_text(c) for c in spec.children)
         allocs = ",".join(
-            f"{cnt}a" if cnt is not None else f"{frac:g}"
+            f"{cnt}a" if cnt is not None else _format_value(frac)
             for frac, cnt in zip(spec.fractions, spec.asks)
         )
         return f"chain({children};{allocs})"
     if isinstance(spec, BetAndRun):
         children = ",".join(canonical_text(c) for c in spec.children)
-        return f"bet({children};{spec.phase_fraction:g})"
+        return f"bet({children};{_format_value(spec.phase_fraction)})"
     if isinstance(spec, Wrap):
         return f"{spec.kind}({canonical_text(spec.child)})"
     raise SpecParseError(f"not an algorithm spec: {spec!r}")

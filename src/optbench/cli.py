@@ -198,6 +198,9 @@ def main(argv=None) -> int:
     except OptbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # the pool and an evaluator child are stopped on the way out
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -6,33 +6,22 @@ builder, path, seed, init_point)``.  It builds its children on demand with
 ``builder(child_spec, child_context, path + (index,), init_point)`` and
 routes candidates to them:
 
-- ``_wrap(child, child_cand, lift)`` returns the outer candidate for a child
-  candidate, a new one with the payload ``(weakref.ref(child), child_cand)``
-  or, when the child re-asks one of its own candidates, the outer candidate
-  it already has;
+- ``_wrap(child, child_cand, lift)`` returns a new outer candidate for each
+  fresh child candidate, with the payload ``(weakref.ref(child),
+  child_cand)`` and the point ``lift`` maps the child's point to, if any;
 - the inherited ``_tell`` forwards every tell and re-tell of a routed
   candidate to its child while the child lives, then calls ``_after_tell``.
   Candidates a composite makes itself (surrogate proposals) carry no route.
 
 What a composite keeps: the payload holds its child candidate strongly, so
-a re-tell reaches a live child, but it links the child itself weakly, and
-the child candidate's ``outer`` link back to the outer candidate is weak
-too.  The composite holds its live children (a chain's ``_active``,
-bet-and-run's ``children``, progressive widening's ``_child``, the
-wrappers' ``child`` and ``inner``).  No handle, a probe solver included,
-sits in a reference cycle, so every child it has retired (a chain's
-finished child, a narrower prefix child), never asked again and read by
-nothing, is freed at once, even while a noisy handle's ``archive`` keeps
-the outer candidates it made; tells of its candidates stop at the composite.
-
-A route lives exactly as long as its outer candidate: while it is
-pending, the incumbent, in a noisy handle's ``archive`` or held by the
-caller.  A re-ask whose outer candidate nobody holds any more gets a fresh
-outer candidate, with the next id, the outer point the child candidate was
-first lifted to (the lift does not run again, so a bridge's rng does not
-move) and the child candidate's observations, so a noise-free composite
-keeps no told candidates and its ``num_told`` still counts each child
-candidate once.
+a re-tell reaches a live child, but it links the child itself weakly.  The
+composite holds its live children (a chain's ``_active``, bet-and-run's
+``children``, progressive widening's ``_child``, the wrappers' ``child``
+and ``inner``).  No handle, a probe solver included, sits in a reference
+cycle, so every child it has retired (a chain's finished child, a narrower
+prefix child), never asked again and read by nothing, is freed at once,
+even while a noisy handle's ``archive`` keeps the outer candidates it made;
+tells of its candidates stop at the composite.
 
 Each composite's classmethod ``child_contexts(spec, context)`` is the one
 place that decides what its children get: their run contexts in build
@@ -83,19 +72,9 @@ class RoutingOptimizer(Optimizer):
         return self._builder(spec, context, self._path + (index,), init_point)
 
     def _wrap(self, child: Optimizer, child_cand: Candidate, lift=None) -> Candidate:
-        """The outer candidate for ``child_cand``; ``lift`` maps a child point
-        to an outer point and runs only the first time ``child_cand`` is routed."""
-        if child_cand.outer is None:
-            cand = None
-            point = child_cand.point if lift is None else lift(child_cand.point)
-        else:
-            link, point = child_cand.outer
-            cand = link()
-        if cand is None:
-            cand = self._new_candidate(point, payload=(weakref.ref(child), child_cand))
-            cand.observations.extend(child_cand.observations)  # a re-ask after its outer candidate was freed
-            child_cand.outer = (weakref.ref(cand), cand.point)
-        return cand
+        """The outer candidate for ``child_cand``; ``lift`` maps a child point to an outer point."""
+        point = child_cand.point if lift is None else lift(child_cand.point)
+        return self._new_candidate(point, payload=(weakref.ref(child), child_cand))
 
     def _wave_child(self) -> Optimizer | None:
         """The child that takes the next wave, or None to ask it ask by ask."""
@@ -271,11 +250,11 @@ class BetAndRunOptimizer(RoutingOptimizer):
 class ProgressiveWidening(RoutingOptimizer):
     """Optimize a growing prefix of coordinates, pinning the rest.
 
-    At evaluation ``t`` only the first ``active(t) = min(d, 1 + floor(t /
-    step))`` coordinates are free, with ``step = ceil(0.8 budget / d)``; the
-    child on the k-prefix is built at the first ask that widens to k,
-    warm-started from the best point, with the budget left after ``(k - 1)
-    step`` evaluations.
+    After ``t`` told candidates (a re-tell adds none) only the first
+    ``active(t) = min(d, 1 + floor(t / step))`` coordinates are free, with
+    ``step = ceil(0.8 budget / d)``; the child on the k-prefix is built at
+    the first ask that widens to k, warm-started from the best point, with
+    the budget left after ``(k - 1) step`` evaluations.
     """
 
     @staticmethod
@@ -308,7 +287,7 @@ class ProgressiveWidening(RoutingOptimizer):
         return min(len(self.domain.variables), 1 + tells // self._step)
 
     def _ensure_child(self) -> Optimizer:
-        k = self.active_dims(self.num_tells)
+        k = self.active_dims(self.num_told)
         if k > self._active_dims:
             while self._active_dims < k:  # several widenings at once under parallel asks
                 child_context = next(self._contexts)

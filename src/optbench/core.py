@@ -63,8 +63,9 @@ class RunContext:
 class Candidate:
     """One proposed point and the losses observed for it.
 
-    Observations are only appended through ``tell``; re-tells of the same
-    candidate are legal and used by resampling solvers under noise.
+    Every ask issues a fresh candidate, with no observations and an id its
+    handle never issued before.  Observations are only appended through
+    ``tell``; a caller may re-tell a candidate, which appends another loss.
     Candidates compare by identity.
 
     ``payload`` belongs to the optimizer that created the candidate.  A
@@ -75,25 +76,20 @@ class Candidate:
     re-tell reaches the child while the composite keeps the child.
 
     ``owner`` is the token of the handle that made the candidate, which
-    ``tell`` and a re-ask check.  It is a plain object, not the handle, so a
-    candidate refers to no handle and a told candidate that nobody holds is
-    freed at once, without a cycle collection.  ``outer`` is set by the
-    composite that routes the candidate: a weak reference to the
-    composite's candidate for it, which a re-ask finds while anyone holds
-    that candidate, and that candidate's point, from which a re-ask after
-    it was freed makes the fresh one.
+    ``tell`` checks.  It is a plain object, not the handle, so a candidate
+    refers to no handle and a told candidate that nobody holds is freed at
+    once, without a cycle collection.
     """
 
-    __slots__ = ("id", "point", "observations", "payload", "owner", "outer", "__weakref__")
+    __slots__ = ("id", "point", "observations", "payload", "owner")
 
     def __init__(self, id: int, point: np.ndarray, observations: list[float] | None = None,
-                 payload: object = None, owner: object = None, outer: object = None):
+                 payload: object = None, owner: object = None):
         self.id = id
         self.point = point
         self.observations = [] if observations is None else observations
         self.payload = payload
         self.owner = owner
-        self.outer = outer
 
     @property
     def num_observations(self) -> int:
@@ -110,10 +106,10 @@ class Candidate:
 class Optimizer:
     """Base class for all solvers and combinators.
 
-    Subclasses implement ``_ask`` (a point, a fresh ``_new_candidate(point,
-    payload)``, or an issued Candidate to request a re-tell), ``_tell``, and
-    optionally ``_ask_many`` (a wave in one pass) and ``_recommend``.  The
-    hooks only make candidates; ``ask`` and ``ask_many`` alone issue them.
+    Subclasses implement ``_ask`` (a point or a fresh ``_new_candidate(point,
+    payload)``), ``_tell``, and optionally ``_ask_many`` (a wave in one pass)
+    and ``_recommend``.  The hooks only make candidates, a fresh one per ask;
+    ``ask`` and ``ask_many`` alone issue them.
     The base class owns budget accounting, the pending set and incumbent
     tracking: strict-improvement replacement in noise-free mode, lowest mean
     loss (ties: more observations, then lower id) in noisy mode.
@@ -171,15 +167,6 @@ class Optimizer:
         return None
 
     # ------------------------------------------------------------------
-    def _register(self, out: "np.ndarray | Candidate") -> Candidate:
-        """The candidate of this handle for an ``_ask`` result: a fresh one for
-        a point, or a re-asked candidate once it is checked to be ours."""
-        if type(out) is not Candidate:
-            return self._new_candidate(out)
-        if out.owner is not self._owner:
-            raise ContractError("solver re-asked a candidate it does not own")
-        return out
-
     def _new_candidate(self, point, payload=None) -> Candidate:
         if type(point) is not np.ndarray or point.dtype is not _FLOAT64:
             point = np.asarray(point, dtype=float)
@@ -193,8 +180,8 @@ class Optimizer:
                 f"budget of {self.budget} evaluations exhausted after {self.num_asks} asks"
             )
         cand = self._ask()
-        if type(cand) is not Candidate or cand.owner is not self._owner:
-            cand = self._register(cand)
+        if type(cand) is not Candidate:
+            cand = self._new_candidate(cand)
         self.pending[cand.id] = cand
         self.num_asks += 1
         return cand
@@ -223,7 +210,8 @@ class Optimizer:
         """The ``n`` candidates of a wave, made but not issued: ``ask_many``
         issues them.  A solver that draws a whole wave in one pass overrides
         this and makes its points into candidates through ``_book``."""
-        return [self._register(self._ask()) for _ in range(n)]
+        return [out if type(out := self._ask()) is Candidate else self._new_candidate(out)
+                for _ in range(n)]
 
     def _book(self, points, payloads) -> list[Candidate]:
         """Fresh candidates for ``points`` (float arrays), the next ids and ``payloads``."""

@@ -17,16 +17,24 @@ S``), and the other cells still run.  A worker killed while it holds the
 counter's lock is not covered: the lock is never released and the run
 hangs.  An exception that ends the parent's own cell loop, such as
 KeyboardInterrupt, terminates and joins the workers before it propagates.
+Each process of a pool sets numpy's bundled OpenBLAS to ``cpu_count //
+jobs`` threads (at least 1) unless a thread variable is set, and the parent
+restores its own count when the pool ends.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import multiprocessing
+import os
 import signal
 import time
 from multiprocessing.connection import wait
 from typing import Sequence
+
+import numpy as np
 
 from ..algospec import canonical_text
 from ..bench.suites import BenchmarkSuite, SuiteProblem
@@ -106,6 +114,26 @@ def _labels(suite_name, problem, budget, num_workers, algorithm_text, _spec, see
                 budget=budget, num_workers=num_workers)
 
 
+#: a thread count set by the caller's environment, which a pool leaves alone
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: numpy's bundled OpenBLAS, whose thread count a pool sets
+_OPENBLAS = f"{os.path.dirname(np.__file__)}.libs/libscipy_openblas64_*"
+
+
+def _blas_threads(count: int | None) -> int | None:
+    """Set OpenBLAS to ``count`` threads unless it is None or a thread variable
+    is set; the count it had, or None when it set nothing."""
+    if count is None or any(v in os.environ for v in _THREAD_VARS):
+        return None
+    try:
+        lib = ctypes.CDLL(glob.glob(_OPENBLAS)[0])
+        previous = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(count)
+    except (IndexError, OSError, AttributeError):  # no such library, or another build of it
+        return None
+    return previous
+
+
 def _take(counter, taken) -> int:
     """The next cell index; ``taken`` (a worker's own slot, or None) records it
     under the counter's lock."""
@@ -117,10 +145,11 @@ def _take(counter, taken) -> int:
     return index
 
 
-def _work(cells, counter, taken, conn) -> None:
+def _work(cells, counter, taken, conn, threads) -> None:
     """A worker process: run the cells the counter deals it, sending each
     ``(index, record)`` to the parent."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops the workers
+    _blas_threads(threads)
     while (index := _take(counter, taken)) < len(cells):
         conn.send((index, run_cell(*cells[index])))
     conn.close()
@@ -150,12 +179,15 @@ def _run_shared(cells: list, jobs: int) -> list[ExperimentRecord]:
                 pipes.remove(conn)
                 conn.close()
 
+    threads = max(1, (os.cpu_count() or 1) // jobs)
+    previous = _blas_threads(threads)
     try:
         for _ in range(jobs - 1):
             taken = multiprocessing.RawValue("q", -1)
             conn, send = multiprocessing.Pipe(duplex=False)
             pipes.append(conn)
-            worker = multiprocessing.Process(target=_work, args=(cells, counter, taken, send))
+            args = (cells, counter, taken, send, threads)
+            worker = multiprocessing.Process(target=_work, args=args)
             worker.start()
             send.close()
             workers.append((worker, taken))
@@ -173,6 +205,7 @@ def _run_shared(cells: list, jobs: int) -> list[ExperimentRecord]:
             conn.close()
         for worker, _taken in workers:
             worker.join()
+        _blas_threads(previous)
     for worker, taken in workers:
         if 0 <= taken.value < len(cells) and records[taken.value] is None:
             records[taken.value] = _worker_died(cells[taken.value], worker.exitcode)

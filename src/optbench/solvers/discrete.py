@@ -13,8 +13,9 @@ number of tells so far:
     discrete-lineardecay  r(t) = max(1/d, (1 - t/budget) / 2)
     discrete-adaptive     success: r <- min(1/2, 2 r); failure: r <- max(1/d, r 2^(-1/4))
     discrete-portfolio    r drawn per step from {1/d, sqrt(1/d)/2, 1/2}
-    discrete-optimistic   r = 1/d; re-asks the parent with probability 1/2 and
-                          accepts by mean loss minus a sqrt(2 ln t / n) bonus
+    discrete-optimistic   r = 1/d; asks the parent again with probability 1/2,
+                          averages the n losses of each assignment and accepts
+                          by mean loss minus a sqrt(2 ln t / n) bonus
 
 ``fastga`` instead draws a mutation strength ``k`` from a power law
 ``P(k) ~ k^-1.5`` over ``{1..floor(d/2)}`` and changes exactly ``k``
@@ -158,32 +159,42 @@ class DiscretePortfolio(DiscreteOnePlusOne):
 
 
 class DiscreteOptimistic(DiscreteOnePlusOne):
-    """``discrete-optimistic``: resamples the parent and moves by a lower confidence bound."""
+    """``discrete-optimistic``: resamples the parent and moves by a lower confidence bound.
+
+    ``_losses`` holds the losses of each assignment, keyed by its point's
+    bytes in order of first ask.  A noisy handle recommends the lowest mean
+    (ties: more losses, then the earlier first ask), a noise-free one its incumbent.
+    """
 
     def __init__(self, context: RunContext, seed: int = 0, init_point=None):
         super().__init__(context, seed=seed, init_point=init_point)
-        self._parent_candidate: Candidate | None = None
-        self._seen: dict[bytes, Candidate] = {}
+        self._losses: dict[bytes, list[float]] = {}
 
     def _ask(self):
-        if self._parent_candidate is not None and self.rng.random() < 0.5:
-            return self._parent_candidate  # resample the parent
+        if self.parent_loss is not None and self.rng.random() < 0.5:
+            return self.parent.copy()  # resample the parent
         child = self._mutant()
-        key = child.tobytes()
-        if key not in self._seen:
-            self._seen[key] = self._new_candidate(child)
-        return self._seen[key]  # a revisited assignment keeps its candidate
+        self._losses.setdefault(child.tobytes(), [])
+        return child
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
-        parent, t = self._parent_candidate, max(2, self.num_tells)
-        if parent is None or (candidate is not parent and self._lcb(candidate, t) <= self._lcb(parent, t)):
-            self._parent_candidate = candidate
-            self.parent = candidate.point.copy()
-            self.parent_loss = candidate.mean_loss
+        key, parent, t = candidate.point.tobytes(), self.parent.tobytes(), max(2, self.num_tells)
+        self._losses[key].append(loss)
+        if self.parent_loss is None or key != parent and self._lcb(key, t) <= self._lcb(parent, t):
+            self.parent, self.parent_loss = candidate.point.copy(), self._mean(key)
 
-    @staticmethod
-    def _lcb(cand: Candidate, t: int) -> float:
-        return cand.mean_loss - math.sqrt(2.0 * math.log(t) / cand.num_observations)
+    def _recommend(self):
+        if not self.noisy:
+            return None
+        told = [key for key, losses in self._losses.items() if losses]
+        key = min(told, key=lambda key: (self._mean(key), -len(self._losses[key])))
+        return Candidate(-2, np.frombuffer(key).copy(), list(self._losses[key]))
+
+    def _mean(self, key: bytes) -> float:
+        return sum(self._losses[key]) / len(self._losses[key])
+
+    def _lcb(self, key: bytes, t: int) -> float:
+        return self._mean(key) - math.sqrt(2.0 * math.log(t) / len(self._losses[key]))
 
 
 def strength_probabilities(d: int) -> np.ndarray:

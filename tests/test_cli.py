@@ -1,11 +1,15 @@
 import json
 import os
+import signal
+import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
+import optbench
 from optbench.bench.suites import BenchmarkSuite, SuiteProblem, get_suite, save_manifest, suite_to_manifest
 from optbench.cli import main
 
@@ -542,3 +546,62 @@ def test_report_on_a_malformed_line_is_an_input_error(tmp_path, capsys, file, li
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / file}, line 2: ")
     assert expected in err[0]
+
+
+def _children(pid) -> set[int]:
+    kids = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            kids.update(int(kid) for kid in path.read_text().split())
+        except OSError:  # a thread that ended meanwhile
+            pass
+    return kids
+
+
+def _interrupted(argv, tmp_path):
+    """Run ``optbench argv``, send it SIGINT once it has a child process, and
+    return its exit code, its stderr and the children it had."""
+    src = str(Path(optbench.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "optbench.cli", *argv], env=env, cwd=tmp_path,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline, kids = time.monotonic() + 60, set()
+        while not kids and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            kids = _children(proc.pid)
+        assert kids, "no child process started"
+        time.sleep(0.3)
+        kids |= _children(proc.pid)
+        proc.send_signal(signal.SIGINT)
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    return proc.returncode, err, kids
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads child pids from /proc")
+def test_ctrl_c_in_a_pooled_run_ends_with_one_line_and_no_child(tmp_path):
+    code, err, kids = _interrupted(
+        ["run", "--suite", "yabbob_lite", "--algs", "cma,de", "--seeds", "2", "--workers", "2", "--out", "out"],
+        tmp_path)
+    assert (code, err) == (130, "error: interrupted\n")
+    assert [kid for kid in kids if Path(f"/proc/{kid}").exists()] == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads child pids from /proc")
+def test_ctrl_c_in_eval_server_ends_with_one_line_and_no_child(tmp_path):
+    child = tmp_path / "stalls.py"
+    child.write_text(textwrap.dedent(
+        """
+        import json, sys, time
+        print(json.dumps({"type": "hello", "dimension": 2}), flush=True)
+        sys.stdin.readline()
+        time.sleep(60)
+        """
+    ))
+    code, err, kids = _interrupted(["eval-server", "--cmd", f"{sys.executable} {child}", "--algs", "cma"], tmp_path)
+    assert (code, err) == (130, "error: interrupted\n")
+    assert [kid for kid in kids if Path(f"/proc/{kid}").exists()] == []

@@ -25,7 +25,7 @@ from optbench.combinators import ProgressiveWidening, chain_allocations
 from optbench.errors import error_text
 from optbench.harness.experiment import run_cell, run_experiment
 from optbench.harness.records import record_to_line
-from optbench.solvers import MetamodelWrapper, SoftmaxBridge
+from optbench.solvers import REGISTRY, MetamodelWrapper, SoftmaxBridge
 from optbench.wizard import build_optimizer
 
 
@@ -265,7 +265,7 @@ def test_progressive_requires_continuous_domain():
 
 
 # ---------------------------------------------------------------------------
-# re-ask routing through wrappers
+# re-tell routing through wrappers
 
 
 @pytest.mark.parametrize(
@@ -276,8 +276,7 @@ def test_progressive_requires_continuous_domain():
         (SoftmaxBridge, "softmax", DomainSpec([categorical(3), categorical(4), continuous()])),
     ],
 )
-def test_wrapper_routes_child_reasks_and_retells(composite, kind, domain):
-    # discrete-optimistic re-asks its parent candidate half of the time
+def test_wrapper_routes_caller_retells(composite, kind, domain):
     built = []
 
     def builder(spec, context, path, init):
@@ -285,20 +284,17 @@ def test_wrapper_routes_child_reasks_and_retells(composite, kind, domain):
         built.append(child)
         return child
 
-    ctx = RunContext(domain, budget=120, master_seed=13)
+    ctx = RunContext(domain, budget=120, noisy=True, master_seed=13)
     handle = composite(ctx, Wrap(kind, Leaf("discrete-optimistic")), builder, seed=3)
-    outer_of = {}
-    for _ in range(ctx.budget):
+    routed_retells = 0
+    for i in range(ctx.budget):
         cand = handle.ask()
-        if cand.payload is not None:
-            _child, child_cand = cand.payload
-            # a child re-ask comes back as the outer candidate it already has
-            assert outer_of.setdefault(child_cand, cand) is cand
-        handle.tell(cand, float(np.sum(cand.point**2)))
-    outer_retells = handle.num_tells - handle.num_told
+        for _ in range(1 + i % 3):  # the caller tells some candidates again
+            handle.tell(cand, float(np.sum(cand.point**2)))
+        routed_retells += i % 3 if cand.payload is not None else 0  # a surrogate proposal has no route
     child_retells = sum(child.num_tells - child.num_told for child in built)
-    assert outer_retells > 0
-    assert child_retells == outer_retells  # every re-tell reached the child
+    assert handle.num_tells - handle.num_told == ctx.budget  # 0 + 1 + 2 per three asks
+    assert child_retells == routed_retells > 0  # every re-tell of a routed candidate reached the child
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +316,25 @@ DOMAINS = {
 
 
 @st.composite
-def spec_trees(draw, depth=0):
+def spec_trees(draw, depth=0, leaves=LEAVES):
     if depth >= 3:
-        return draw(st.sampled_from(LEAVES))
+        return draw(st.sampled_from(leaves))
     kind = draw(st.sampled_from(["leaf", "chain", "bet", "meta", "prog", "softmax"]))
     if kind == "leaf":
-        return draw(st.sampled_from(LEAVES))
+        return draw(st.sampled_from(leaves))
     if kind == "chain":
         n = draw(st.integers(1, 3))
-        children = [draw(spec_trees(depth=depth + 1)) for _ in range(n)]
+        children = [draw(spec_trees(depth=depth + 1, leaves=leaves)) for _ in range(n)]
         raw = [draw(st.floats(0.1, 1.0)) for _ in range(n)]
         fracs = [f"{r / sum(raw):.6f}" for r in raw[:-1]]
         last = 1.0 - sum(float(x) for x in fracs)
         fracs.append(f"{last:.6f}")
         return f"chain({','.join(children)};{','.join(fracs)})"
     if kind == "bet":
-        children = [draw(spec_trees(depth=depth + 1)) for _ in range(draw(st.integers(2, 3)))]
+        n = draw(st.integers(2, 3))
+        children = [draw(spec_trees(depth=depth + 1, leaves=leaves)) for _ in range(n)]
         return f"bet({','.join(children)};0.5)"
-    return f"{kind}({draw(spec_trees(depth=depth + 1))})"
+    return f"{kind}({draw(spec_trees(depth=depth + 1, leaves=leaves))})"
 
 
 #: a bet whose chain share (3 of 30) cannot give each child a phase-1 ask
@@ -378,6 +375,56 @@ def test_budget_conservation_over_random_trees(spec_text, domain_name, budget, w
     assert len(history) == budget
     assert handle.num_asks == handle.num_tells == budget
     assert handle.pending == {}
+
+
+def assert_every_ask_is_fresh(handle, workers, noisy, seed):
+    # no observations and an id never issued before, through ask and ask_many alike
+    rng = np.random.default_rng(seed)
+    issued = set()
+    while handle.num_asks < handle.budget:
+        n = min(workers, handle.budget - handle.num_asks)
+        cands = handle.ask_many(n) if n > 1 else [handle.ask()]
+        for cand in cands:
+            assert cand.observations == [] and cand.id not in issued
+            issued.add(cand.id)
+        for cand in cands:
+            handle.tell(cand, float(np.sum((cand.point - 1.0) ** 2)) + noisy * float(rng.normal()))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("alg", sorted(REGISTRY))
+def test_every_ask_of_a_solver_is_a_fresh_candidate(alg, noisy, workers):
+    domain = DOMAINS["4 binary" if alg.startswith("discrete-") or alg == "fastga" else "3 continuous"]
+    ctx = RunContext(domain, budget=120, num_workers=workers, noisy=noisy, master_seed=4)
+    assert_every_ask_is_fresh(build_optimizer(alg, ctx), workers, noisy, seed=4)
+
+
+#: the leaves of the fresh-candidate property: the parent-resampling solver among others
+FRESH_LEAVES = ["discrete-optimistic", "discrete-optimistic", "discrete-fixed", "cma", "one-plus-one-es", "abbo"]
+
+
+@given(
+    spec_trees(leaves=FRESH_LEAVES),
+    st.sampled_from(sorted(DOMAINS)),
+    st.integers(30, 120),
+    st.sampled_from([1, 3]),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@example("chain(discrete-optimistic,discrete-optimistic;0.5,0.5)", "4 binary", 60, 1, True, 0)
+@example("bet(discrete-optimistic,cma;0.5)", "box and integer", 60, 3, True, 0)
+@example("softmax(discrete-optimistic)", "mixed", 60, 1, False, 0)
+@example("prog(discrete-optimistic)", "3 continuous", 60, 3, False, 0)
+@example("meta(discrete-optimistic)", "box and integer", 60, 1, True, 0)
+@settings(max_examples=60, deadline=None)
+def test_every_ask_is_a_fresh_candidate_over_random_trees(spec_text, domain_name, budget, workers, noisy, seed):
+    ctx = RunContext(DOMAINS[domain_name], budget=budget, num_workers=workers, noisy=noisy, master_seed=seed)
+    try:
+        handle = build_optimizer(spec_text, ctx)
+    except ConfigurationError:
+        return  # e.g. a bet phase too thin for its children
+    assert_every_ask_is_fresh(handle, workers, noisy, seed)
 
 
 #: continuous, noisy, binary and permutation problems, each small

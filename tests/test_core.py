@@ -232,9 +232,9 @@ def test_run_loop_checkpoint_callback_sees_wave_ends():
     assert seen == [2, 4, 6]
 
 
-def test_run_loop_checkpoint_callback_sees_wave_ends_with_a_candidate_asked_twice():
-    # discrete-optimistic may resample its parent twice in one wave: the
-    # same Candidate object, so the wave end is found by position.
+def test_run_loop_checkpoint_callback_sees_wave_ends_with_an_assignment_asked_twice():
+    # discrete-optimistic may resample its parent twice in one wave, as two
+    # candidates of one point, so the wave end is found by position.
     dom = DomainSpec([categorical(3)] * 4)
     ctx = RunContext(dom, budget=100, num_workers=2, noisy=True)
     seen = []

@@ -139,6 +139,14 @@ def test_onemax_hits_optimum_well_within_budget():
 # optimistic noisy variant
 
 
+def losses_by_assignment(candidates):
+    """The losses of each told assignment, in order of first tell."""
+    by_point = {}
+    for cand in candidates:
+        by_point.setdefault(cand.point.tobytes(), []).extend(cand.observations)
+    return by_point
+
+
 def test_optimistic_resamples_parent_and_recommends_best_mean():
     dom = DomainSpec([integer(0, 3)])
     rng = np.random.default_rng(11)
@@ -150,15 +158,16 @@ def test_optimistic_resamples_parent_and_recommends_best_mean():
     ctx = RunContext(dom, budget=400, noisy=True, master_seed=11)
     handle = REGISTRY["discrete-optimistic"](ctx, seed=11)
     rec, _ = run_loop(handle, f, ctx)
-    # the recommendation is the point with the best observed mean...
-    best_mean = min(handle.archive, key=lambda c: (c.mean_loss, -c.num_observations, c.id))
-    assert np.array_equal(rec.point, best_mean.point)
+    # the recommendation is the assignment with the best observed mean...
+    by_point = losses_by_assignment(handle.archive)
+    best = min(by_point, key=lambda key: (np.mean(by_point[key]), -len(by_point[key])))
+    assert rec.point.tobytes() == best
     # ...which differs from the last asked point in general and has many samples
-    assert rec.num_observations > 10
+    assert rec.observations == by_point[best] and rec.num_observations > 10
     assert int(rec.point[0]) == 1  # enough budget to identify the true best arm
 
 
-def test_optimistic_reuses_candidates_for_revisited_points():
+def test_optimistic_averages_revisited_assignments():
     dom = DomainSpec([integer(0, 1)])
     rng = np.random.default_rng(12)
     ctx = RunContext(dom, budget=100, noisy=True, master_seed=12)
@@ -168,8 +177,74 @@ def test_optimistic_reuses_candidates_for_revisited_points():
         return float(x[0]) + float(rng.normal(0, 0.1))
 
     run_loop(handle, f, ctx)
-    assert len(handle.archive) <= 2  # two possible assignments only
-    assert sum(c.num_observations for c in handle.archive) == 100
+    # one fresh candidate per ask; the losses are pooled per assignment
+    assert [c.id for c in handle.archive] == list(range(100))
+    assert all(c.num_observations == 1 for c in handle.archive)
+    assert len(handle._losses) <= 2  # two possible assignments only
+    assert handle._losses == losses_by_assignment(handle.archive)
+
+
+def optimistic_by_hand(domain, budget, seed, noisy, f):
+    """The optimistic rule written plainly over assignments, serially: the
+    asked points, their losses and the recommended point."""
+    mutator = REGISTRY["discrete-fixed"](RunContext(domain, budget=budget), seed=seed)  # its mutants only
+    losses, parent, asked, told = {}, None, [], []
+    best_loss, best_point = math.inf, None
+
+    def lcb(key, t):
+        n = len(losses[key])
+        return sum(losses[key]) / n - math.sqrt(2.0 * math.log(t) / n)
+
+    for t in range(1, budget + 1):
+        if parent is not None and mutator.rng.random() < 0.5:
+            x = np.frombuffer(parent).copy()
+        else:
+            x = mutator._mutant()
+        key = x.tobytes()
+        losses.setdefault(key, [])
+        loss = f(x)
+        asked.append(key)
+        told.append(loss)
+        losses[key].append(loss)
+        if parent is None or (key != parent and lcb(key, max(2, t)) <= lcb(parent, max(2, t))):
+            parent = key
+            mutator.parent = x.copy()
+        if loss < best_loss:
+            best_loss, best_point = loss, key
+    if noisy:  # the lowest mean; ties: more losses, then the earlier first ask
+        told_keys = [key for key in losses if losses[key]]
+        best_point = min(told_keys, key=lambda k: (sum(losses[k]) / len(losses[k]), -len(losses[k])))
+    return asked, told, best_point
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("domain", [
+    DomainSpec([integer(0, 2) for _ in range(3)]),
+    DomainSpec([categorical(3), integer(0, 1), unbounded_integer()]),
+    DomainSpec([integer(0, 1), continuous(-1.0, 1.0)]),
+])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_optimistic_equals_the_rule_written_by_hand(domain, noisy, seed):
+    budget = 300
+
+    def objective(seed):
+        rng = np.random.default_rng(seed)
+        noise = 1.0 if noisy else 0.0
+        return lambda x: float(np.sum((x - 1.0) ** 2)) + noise * float(rng.normal())
+
+    want_points, want_losses, want_rec = optimistic_by_hand(domain, budget, seed, noisy, objective(3))
+    ctx = RunContext(domain, budget=budget, noisy=noisy)
+    handle = REGISTRY["discrete-optimistic"](ctx, seed=seed)
+    points, f = [], objective(3)
+
+    def logged(x):
+        points.append(x.tobytes())
+        return f(x)
+
+    rec, history = run_loop(handle, logged, ctx)
+    assert points == want_points
+    assert [loss for _i, loss in history] == want_losses
+    assert rec.point.tobytes() == want_rec
 
 
 # ---------------------------------------------------------------------------

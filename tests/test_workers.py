@@ -5,6 +5,8 @@ The tests that patch ``run_cell`` need the workers forked from the test
 process, where the patch is in force.
 """
 
+import ctypes
+import glob
 import json
 import multiprocessing
 import os
@@ -179,3 +181,60 @@ def test_an_interrupt_in_the_parent_leaves_no_worker_behind(monkeypatch):
         run_experiment(SUITE, ALGS, [0, 1], master_seed=4, jobs=3)
     assert multiprocessing.active_children() == []
     assert time.monotonic() - start < 4.0  # the workers were stopped, not waited for
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """The getter of numpy's OpenBLAS thread count, with no thread variable set
+    and the count at 1, restored afterwards."""
+    libs = glob.glob(experiment._OPENBLAS)
+    if not libs:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    for name in experiment._THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    lib = ctypes.CDLL(libs[0])
+    get_threads = lib.scipy_openblas_get_num_threads64_
+    set_threads = lib.scipy_openblas_set_num_threads64_
+    before = get_threads()
+    set_threads(1)
+    yield get_threads
+    set_threads(before)
+
+
+def assert_threads_in_every_cell(monkeypatch, get_threads, want, jobs, serial) -> None:
+    def check(cell, run):
+        assert get_threads() == want  # a worker that fails this dies, and its record differs
+        return run(*cell)
+
+    patch_run_cell(monkeypatch, worker=check, parent=check)
+    assert lines(jobs) == serial
+
+
+@FORKED
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_each_pool_process_gets_its_share_of_the_blas_threads(monkeypatch, serial, blas_threads,
+                                                              jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert_threads_in_every_cell(monkeypatch, blas_threads, 6 // jobs, jobs, serial)
+    assert blas_threads() == 1  # the parent's own count is back
+
+
+@FORKED
+@pytest.mark.parametrize("why", ["variable", "no-library", "no-symbol"])
+def test_a_thread_variable_or_no_openblas_leaves_the_blas_threads_alone(monkeypatch, serial,
+                                                                       blas_threads, why):
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    if why == "variable":
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    elif why == "no-library":
+        monkeypatch.setattr(experiment, "_OPENBLAS", "no-such-library-*")
+    else:  # a library without the thread-count functions: numpy's bundled libgfortran
+        other = experiment._OPENBLAS.replace("libscipy_openblas64_", "libgfortran")
+        monkeypatch.setattr(experiment, "_OPENBLAS", other)
+    assert_threads_in_every_cell(monkeypatch, blas_threads, 1, 3, serial)
+    assert blas_threads() == 1
+
+
+def test_a_serial_run_leaves_the_blas_threads_alone(monkeypatch, serial, blas_threads):
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert_threads_in_every_cell(monkeypatch, blas_threads, 1, 1, serial)
