@@ -132,9 +132,11 @@ def chain_allocations(budget: int, fractions, asks) -> list[int]:
 class ChainOptimizer(RoutingOptimizer):
     """Run children in turn; each starts from the best point found so far.
 
-    The final recommendation is the last child's recommendation, with the
-    global incumbent as fallback when the recommendation has been observed
-    to be worse.
+    The final recommendation is the last child's recommendation; a
+    noise-free chain falls back to the global incumbent when the
+    recommendation has been observed to be worse.  A noisy chain's incumbent
+    is the lowest of single noisy draws, so it has no fallback and warm-starts
+    each child from the recommendation of the one before.
     """
 
     @classmethod
@@ -154,7 +156,9 @@ class ChainOptimizer(RoutingOptimizer):
         self._active_index += 1
         while self._contexts[self._active_index] is None:
             self._active_index += 1
-        init = self.incumbent.point if self.incumbent is not None else self.init_point
+        init = self.init_point
+        if self.incumbent is not None:
+            init = self.recommend().point if self.noisy else self.incumbent.point
         self._active = self._build(
             self._active_index,
             self.spec.children[self._active_index],
@@ -174,7 +178,7 @@ class ChainOptimizer(RoutingOptimizer):
         if self._active.num_tells == 0:
             return None
         rec = self._active.recommend()
-        if rec.observations and self.incumbent is not None and rec.mean_loss > self.incumbent_loss:
+        if not self.noisy and rec.observations and rec.mean_loss > self.incumbent_loss:
             return self.incumbent
         return rec
 

@@ -167,6 +167,9 @@ class Optimizer:
         return None
 
     # ------------------------------------------------------------------
+    def _register(self, out: "np.ndarray | Candidate") -> Candidate:
+        return out if type(out) is Candidate else self._new_candidate(out)
+
     def _new_candidate(self, point, payload=None) -> Candidate:
         if type(point) is not np.ndarray or point.dtype is not _FLOAT64:
             point = np.asarray(point, dtype=float)
@@ -179,9 +182,7 @@ class Optimizer:
             raise BudgetExceededError(
                 f"budget of {self.budget} evaluations exhausted after {self.num_asks} asks"
             )
-        cand = self._ask()
-        if type(cand) is not Candidate:
-            cand = self._new_candidate(cand)
+        cand = self._register(self._ask())
         self.pending[cand.id] = cand
         self.num_asks += 1
         return cand
@@ -210,8 +211,7 @@ class Optimizer:
         """The ``n`` candidates of a wave, made but not issued: ``ask_many``
         issues them.  A solver that draws a whole wave in one pass overrides
         this and makes its points into candidates through ``_book``."""
-        return [out if type(out := self._ask()) is Candidate else self._new_candidate(out)
-                for _ in range(n)]
+        return [self._register(self._ask()) for _ in range(n)]
 
     def _book(self, points, payloads) -> list[Candidate]:
         """Fresh candidates for ``points`` (float arrays), the next ids and ``payloads``."""

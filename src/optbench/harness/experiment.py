@@ -17,9 +17,9 @@ S``), and the other cells still run.  A worker killed while it holds the
 counter's lock is not covered: the lock is never released and the run
 hangs.  An exception that ends the parent's own cell loop, such as
 KeyboardInterrupt, terminates and joins the workers before it propagates.
-Each process of a pool sets numpy's bundled OpenBLAS to ``cpu_count //
-jobs`` threads (at least 1) unless a thread variable is set, and the parent
-restores its own count when the pool ends.
+Each process of a pool sets numpy's bundled OpenBLAS to one thread unless
+a thread variable is set, and the parent restores its own count when the
+pool ends.
 """
 
 from __future__ import annotations
@@ -145,11 +145,11 @@ def _take(counter, taken) -> int:
     return index
 
 
-def _work(cells, counter, taken, conn, threads) -> None:
+def _work(cells, counter, taken, conn) -> None:
     """A worker process: run the cells the counter deals it, sending each
     ``(index, record)`` to the parent."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent stops the workers
-    _blas_threads(threads)
+    _blas_threads(1)
     while (index := _take(counter, taken)) < len(cells):
         conn.send((index, run_cell(*cells[index])))
     conn.close()
@@ -179,15 +179,13 @@ def _run_shared(cells: list, jobs: int) -> list[ExperimentRecord]:
                 pipes.remove(conn)
                 conn.close()
 
-    threads = max(1, (os.cpu_count() or 1) // jobs)
-    previous = _blas_threads(threads)
+    previous = _blas_threads(1)
     try:
         for _ in range(jobs - 1):
             taken = multiprocessing.RawValue("q", -1)
             conn, send = multiprocessing.Pipe(duplex=False)
             pipes.append(conn)
-            args = (cells, counter, taken, send, threads)
-            worker = multiprocessing.Process(target=_work, args=args)
+            worker = multiprocessing.Process(target=_work, args=(cells, counter, taken, send))
             worker.start()
             send.close()
             workers.append((worker, taken))

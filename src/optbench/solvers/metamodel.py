@@ -118,6 +118,8 @@ class MetamodelWrapper(RoutingOptimizer):
     points and, when a trustworthy minimizer exists, serves it as the next
     ask instead of the child's sample.  Surrogate candidates update the
     incumbent but are not fed back into the child's distribution update.
+    A noisy wrapper recommends its child's recommendation, since its own
+    incumbent is the lowest of single noisy draws.
     It keeps only the last ``metamodel_window(d)`` told points and losses,
     the ones ``metamodel_propose`` fits.
     """
@@ -151,6 +153,9 @@ class MetamodelWrapper(RoutingOptimizer):
             if proposal is not None:
                 return self._view.decode(self._view.encode(proposal))
         return self._wrap(self.child, self.child.ask())
+
+    def _recommend(self):
+        return self.child.recommend() if self.noisy and self.child.num_tells else None
 
     def _after_tell(self, candidate: Candidate, loss: float) -> None:
         self._points.append(candidate.point)

@@ -17,6 +17,7 @@ from optbench import (
 from optbench.bench import FunctionSpec, make_function
 from optbench.solvers import REGISTRY
 from optbench.solvers.discrete import FastGa, strength_probabilities
+from optbench.wizard import build_optimizer
 
 
 def binary_domain(d):
@@ -245,6 +246,45 @@ def test_optimistic_equals_the_rule_written_by_hand(domain, noisy, seed):
     assert points == want_points
     assert [loss for _i, loss in history] == want_losses
     assert rec.point.tobytes() == want_rec
+
+
+def best_mean_assignment(handle) -> bytes:
+    """The told assignment of a ``discrete-optimistic`` handle with the lowest mean loss."""
+    told = {key: losses for key, losses in handle._losses.items() if losses}
+    return min(told, key=lambda key: (sum(told[key]) / len(told[key]), -len(told[key])))
+
+
+def noisy_bowl(seed):
+    """A d3 bowl under noise of sd 3, at which a lowest single draw is seldom the best mean."""
+    rng = np.random.default_rng(seed)
+    return lambda x: float(np.sum((x - 1.0) ** 2)) + 3.0 * float(rng.normal())
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_noisy_meta_over_optimistic_recommends_the_childs_best_mean(seed):
+    ctx = RunContext(DomainSpec([integer(0, 2) for _ in range(3)]), budget=300, noisy=True)
+    handle = build_optimizer("meta(discrete-optimistic)", ctx)
+    rec, _ = run_loop(handle, noisy_bowl(seed), ctx)
+    assert rec.point.tobytes() == best_mean_assignment(handle.child)
+    assert rec.num_observations > 1  # an average, not the wrapper's lowest single draw
+
+
+@pytest.mark.parametrize("seed", [2, 3])  # seeds at which the two starts differ
+def test_noisy_chain_of_optimistic_starts_and_recommends_by_the_childs_best_mean(seed):
+    ctx = RunContext(DomainSpec([integer(0, 2) for _ in range(3)]), budget=300, noisy=True)
+    handle = build_optimizer("chain(discrete-optimistic,discrete-optimistic;0.5,0.5)", ctx)
+    f = noisy_bowl(seed)
+    children = []
+    for _ in range(300):
+        cand = handle.ask()
+        if not children or handle._active is not children[-1]:
+            children.append(handle._active)
+        handle.tell(cand, f(cand.point))
+    first, second = children
+    assert second.init_point.tobytes() == best_mean_assignment(first)
+    rec = handle.recommend()
+    assert rec.point.tobytes() == best_mean_assignment(second)
+    assert rec.num_observations > 1
 
 
 # ---------------------------------------------------------------------------

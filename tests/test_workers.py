@@ -183,10 +183,15 @@ def test_an_interrupt_in_the_parent_leaves_no_worker_behind(monkeypatch):
     assert time.monotonic() - start < 4.0  # the workers were stopped, not waited for
 
 
+#: the OpenBLAS thread count before a run: above the one thread a pool sets,
+#: and above the two CPUs a small machine has
+START_THREADS = 3
+
+
 @pytest.fixture
 def blas_threads(monkeypatch):
     """The getter of numpy's OpenBLAS thread count, with no thread variable set
-    and the count at 1, restored afterwards."""
+    and the count at ``START_THREADS``, restored afterwards."""
     libs = glob.glob(experiment._OPENBLAS)
     if not libs:
         pytest.skip("numpy has no bundled OpenBLAS")
@@ -196,7 +201,7 @@ def blas_threads(monkeypatch):
     get_threads = lib.scipy_openblas_get_num_threads64_
     set_threads = lib.scipy_openblas_set_num_threads64_
     before = get_threads()
-    set_threads(1)
+    set_threads(START_THREADS)
     yield get_threads
     set_threads(before)
 
@@ -212,18 +217,16 @@ def assert_threads_in_every_cell(monkeypatch, get_threads, want, jobs, serial) -
 
 @FORKED
 @pytest.mark.parametrize("jobs", [2, 3])
-def test_each_pool_process_gets_its_share_of_the_blas_threads(monkeypatch, serial, blas_threads,
-                                                              jobs):
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    assert_threads_in_every_cell(monkeypatch, blas_threads, 6 // jobs, jobs, serial)
-    assert blas_threads() == 1  # the parent's own count is back
+def test_each_pool_process_gets_one_blas_thread(monkeypatch, serial, blas_threads, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # a host whose affinity mask holds fewer
+    assert_threads_in_every_cell(monkeypatch, blas_threads, 1, jobs, serial)
+    assert blas_threads() == START_THREADS  # the parent's own count is back
 
 
 @FORKED
 @pytest.mark.parametrize("why", ["variable", "no-library", "no-symbol"])
 def test_a_thread_variable_or_no_openblas_leaves_the_blas_threads_alone(monkeypatch, serial,
                                                                        blas_threads, why):
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
     if why == "variable":
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
     elif why == "no-library":
@@ -231,10 +234,9 @@ def test_a_thread_variable_or_no_openblas_leaves_the_blas_threads_alone(monkeypa
     else:  # a library without the thread-count functions: numpy's bundled libgfortran
         other = experiment._OPENBLAS.replace("libscipy_openblas64_", "libgfortran")
         monkeypatch.setattr(experiment, "_OPENBLAS", other)
-    assert_threads_in_every_cell(monkeypatch, blas_threads, 1, 3, serial)
-    assert blas_threads() == 1
+    assert_threads_in_every_cell(monkeypatch, blas_threads, START_THREADS, 3, serial)
+    assert blas_threads() == START_THREADS
 
 
 def test_a_serial_run_leaves_the_blas_threads_alone(monkeypatch, serial, blas_threads):
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    assert_threads_in_every_cell(monkeypatch, blas_threads, 1, 1, serial)
+    assert_threads_in_every_cell(monkeypatch, blas_threads, START_THREADS, 1, serial)
