@@ -88,7 +88,8 @@ def _cmd_report(args) -> int:
 
 
 _ALIASES = {"dimension": "d", "budget": "b", "num_workers": "w"}
-#: --ctx key -> (SelectionContext field, its type); int-typed fields are at least 1
+#: --ctx key -> (SelectionContext field, its type); int-typed fields are at least 1, float-typed
+#: ones at least 0 (inf is an unbounded integer, NaN is refused)
 _CTX_FIELDS = {
     _ALIASES.get(name, name): (name, cast) for name, cast in get_type_hints(SelectionContext).items()
 }
@@ -116,6 +117,8 @@ def _parse_ctx(text: str) -> SelectionContext:
                 raise OptbenchError(f"bad context item {item!r}; {key} takes a number") from None
             if cast is int and kwargs[field] < 1:
                 raise OptbenchError(f"bad context item {item!r}; {key} must be at least 1")
+            if cast is float and not kwargs[field] >= 0:
+                raise OptbenchError(f"bad context item {item!r}; {key} must be at least 0")
     if "dimension" not in kwargs or "budget" not in kwargs:
         raise OptbenchError("--ctx needs at least d=<n> and b=<n>")
     return SelectionContext(**kwargs)

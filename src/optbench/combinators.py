@@ -9,19 +9,18 @@ routes candidates to them:
 - ``_wrap(child, child_cand, lift)`` returns a new outer candidate for each
   fresh child candidate, with the payload ``(weakref.ref(child),
   child_cand)`` and the point ``lift`` maps the child's point to, if any;
-- the inherited ``_tell`` forwards every tell and re-tell of a routed
-  candidate to its child while the child lives, then calls ``_after_tell``.
-  Candidates a composite makes itself (surrogate proposals) carry no route.
+- the inherited ``_tell`` forwards the tell of a routed candidate to its
+  child while the child lives, then calls ``_after_tell``.  Candidates a
+  composite makes itself (surrogate proposals) carry no route.
 
-What a composite keeps: the payload holds its child candidate strongly, so
-a re-tell reaches a live child, but it links the child itself weakly.  The
-composite holds its live children (a chain's ``_active``, bet-and-run's
-``children``, progressive widening's ``_child``, the wrappers' ``child``
-and ``inner``).  No handle, a probe solver included, sits in a reference
-cycle, so every child it has retired (a chain's finished child, a narrower
-prefix child), never asked again and read by nothing, is freed at once,
-even while a noisy handle's ``archive`` keeps the outer candidates it made;
-tells of its candidates stop at the composite.
+What a composite keeps: the payload holds its child candidate strongly but
+links the child itself weakly.  The composite holds its live children (a
+chain's ``_active``, bet-and-run's ``children``, progressive widening's
+``_child``, the wrappers' ``child`` and ``inner``).  No handle, a probe
+solver included, sits in a reference cycle, so every child it has retired
+(a chain's finished child, a narrower prefix child), never asked again and
+read by nothing, is freed at once, even while the composite's incumbent
+routes to it; tells of its candidates stop at the composite.
 
 Each composite's classmethod ``child_contexts(spec, context)`` is the one
 place that decides what its children get: their run contexts in build
@@ -236,9 +235,7 @@ class BetAndRunOptimizer(RoutingOptimizer):
         idx = self.children.index(candidate.payload[0]())
         if loss < self._best[idx]:
             self._best[idx] = loss
-        # distinct candidates, so a re-tell cannot end phase 1 before every
-        # child has had its phase-1 asks
-        if self.survivor is None and sum(child.num_told for child in self.children) >= sum(self._phase_allocs):
+        if self.survivor is None and sum(child.num_tells for child in self.children) >= sum(self._phase_allocs):
             self._pick_survivor()
 
     def _pick_survivor(self) -> None:
@@ -254,7 +251,7 @@ class BetAndRunOptimizer(RoutingOptimizer):
 class ProgressiveWidening(RoutingOptimizer):
     """Optimize a growing prefix of coordinates, pinning the rest.
 
-    After ``t`` told candidates (a re-tell adds none) only the first
+    After ``t`` tells only the first
     ``active(t) = min(d, 1 + floor(t / step))`` coordinates are free, with
     ``step = ceil(0.8 budget / d)``; the child on the k-prefix is built at
     the first ask that widens to k, warm-started from the best point, with
@@ -291,7 +288,7 @@ class ProgressiveWidening(RoutingOptimizer):
         return min(len(self.domain.variables), 1 + tells // self._step)
 
     def _ensure_child(self) -> Optimizer:
-        k = self.active_dims(self.num_told)
+        k = self.active_dims(self.num_tells)
         if k > self._active_dims:
             while self._active_dims < k:  # several widenings at once under parallel asks
                 child_context = next(self._contexts)

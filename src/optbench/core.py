@@ -64,36 +64,28 @@ class Candidate:
     """One proposed point and the losses observed for it.
 
     Every ask issues a fresh candidate, with no observations and an id its
-    handle never issued before.  Observations are only appended through
-    ``tell``; a caller may re-tell a candidate, which appends another loss.
-    Candidates compare by identity.
+    handle never issued before, and ``tell`` appends its one loss.  So a
+    handle's own candidates hold one loss each; ``observations`` is a list
+    because a recommendation may carry several (``discrete-optimistic``
+    recommends an assignment with all the losses told for it).  Candidates
+    compare by identity.
 
     ``payload`` belongs to the optimizer that created the candidate.  A
     solver stores what its update needs from the ask (a sample direction, a
-    population slot) and reads and clears it at the first tell, so a re-tell
-    finds ``None`` and holds no extra vectors.  A composite stores the
-    ``(weakref.ref(child), child_candidate)`` route and keeps it, so every
-    re-tell reaches the child while the composite keeps the child.
-
-    ``owner`` is the token of the handle that made the candidate, which
-    ``tell`` checks.  It is a plain object, not the handle, so a candidate
-    refers to no handle and a told candidate that nobody holds is freed at
-    once, without a cycle collection.
+    population slot) and reads and clears it at the tell, so a told
+    candidate holds no extra vectors.  A composite stores the
+    ``(weakref.ref(child), child_candidate)`` route, through which the tell
+    reaches the child.
     """
 
-    __slots__ = ("id", "point", "observations", "payload", "owner")
+    __slots__ = ("id", "point", "observations", "payload")
 
     def __init__(self, id: int, point: np.ndarray, observations: list[float] | None = None,
-                 payload: object = None, owner: object = None):
+                 payload: object = None):
         self.id = id
         self.point = point
         self.observations = [] if observations is None else observations
         self.payload = payload
-        self.owner = owner
-
-    @property
-    def num_observations(self) -> int:
-        return len(self.observations)
 
     @property
     def mean_loss(self) -> float:
@@ -111,18 +103,17 @@ class Optimizer:
     and ``_recommend``.  The hooks only make candidates, a fresh one per ask;
     ``ask`` and ``ask_many`` alone issue them.
     The base class owns budget accounting, the pending set and incumbent
-    tracking: strict-improvement replacement in noise-free mode, lowest mean
-    loss (ties: more observations, then lower id) in noisy mode.
+    tracking.  ``tell`` takes each pending candidate exactly once and raises
+    a ContractError for any other (one told already, or asked from another
+    handle) before it changes anything.  The incumbent is the first
+    candidate with the strictly lowest told loss, in noisy mode too: with
+    one loss per candidate that is the lowest mean, and a noisy solver's
+    ``_recommend`` gives its aggregate estimate instead.
     Composites derive from ``combinators.RoutingOptimizer``, which routes
     candidates to their children through the payload.
 
-    A handle holds its pending candidates and its incumbent, not every
-    candidate it was told: ``num_told`` counts the distinct told candidates.
-    Only a noisy handle keeps them all, in ``archive`` (in order of first
-    tell, for as long as the handle lives), because a re-tell of the noisy
-    incumbent can move its mean above another candidate's and the rule then
-    rescans them.  A noise-free handle's ``archive`` stays empty: read
-    ``num_told`` for a count and ``incumbent`` for the best candidate.
+    A handle holds its pending candidates and its incumbent, not the
+    candidates it was told: ``num_tells`` counts them.
 
     ``check_context`` raises the ConfigurationError of a context the solver
     cannot run on.  The constructor calls it first, and
@@ -144,16 +135,12 @@ class Optimizer:
         self.noisy = context.noisy
         self.rng = np.random.default_rng(seed)
         self.init_point = None if init_point is None else np.asarray(init_point, dtype=float)
-        self.archive: list[Candidate] = []  # noisy mode only: empty when noise-free, count with num_told
         self.pending: dict[int, Candidate] = {}
         self.incumbent: Candidate | None = None
         self.num_asks = 0
         self.num_tells = 0
-        self.num_told = 0
-        self._owner = object()  # the token of this handle's candidates
+        self.incumbent_loss = math.inf
         self._next_id = 0
-        self._incumbent_loss = math.inf
-        self._incumbent_key: tuple[float, int, int] | None = None  # noisy mode
 
     # ------------------------------------------------------------------
     # subclass hooks
@@ -173,7 +160,7 @@ class Optimizer:
     def _new_candidate(self, point, payload=None) -> Candidate:
         if type(point) is not np.ndarray or point.dtype is not _FLOAT64:
             point = np.asarray(point, dtype=float)
-        cand = Candidate(self._next_id, point, None, payload, self._owner)
+        cand = Candidate(self._next_id, point, None, payload)
         self._next_id += 1
         return cand
 
@@ -216,8 +203,7 @@ class Optimizer:
     def _book(self, points, payloads) -> list[Candidate]:
         """Fresh candidates for ``points`` (float arrays), the next ids and ``payloads``."""
         ids = range(self._next_id, self._next_id + len(points))
-        owner = self._owner
-        cands = [Candidate(i, x, None, p, owner) for i, x, p in zip(ids, points, payloads)]
+        cands = [Candidate(i, x, None, p) for i, x, p in zip(ids, points, payloads)]
         self._next_id = ids.stop
         return cands
 
@@ -225,21 +211,14 @@ class Optimizer:
         loss = float(loss)
         if not math.isfinite(loss):
             raise InvalidLossError(f"loss must be finite, got {loss!r}")
-        if candidate.owner is not self._owner:
-            raise ContractError(f"candidate id {candidate.id} unknown to this optimizer")
-        observations = candidate.observations
-        if not observations:
-            self.num_told += 1
-            if self.noisy:
-                self.archive.append(candidate)
-        observations.append(loss)
-        self.pending.pop(candidate.id, None)
+        if self.pending.get(candidate.id) is not candidate:
+            raise ContractError(f"candidate id {candidate.id} is not pending on this optimizer")
+        del self.pending[candidate.id]
+        candidate.observations.append(loss)
         self.num_tells += 1
-        if self.noisy:
-            self._update_noisy_incumbent(candidate)
-        elif loss < self._incumbent_loss:
+        if loss < self.incumbent_loss:
             self.incumbent = candidate
-            self._incumbent_loss = loss
+            self.incumbent_loss = loss
         self._tell(candidate, loss)
 
     def recommend(self) -> Candidate:
@@ -254,31 +233,6 @@ class Optimizer:
         if isinstance(out, Candidate):
             return out
         return Candidate(-2, np.asarray(out, dtype=float))
-
-    # ------------------------------------------------------------------
-    def _update_noisy_incumbent(self, candidate: Candidate) -> None:
-        # only a tell changes a key, so the incumbent's is kept until it is told
-        if self.incumbent is None:
-            self.incumbent = candidate
-        elif candidate is self.incumbent:
-            # the incumbent's own mean moved; a full rescan keeps the rule exact
-            self.incumbent = min(self.archive, key=self._noisy_key)
-        else:
-            key = self._noisy_key(candidate)
-            if key < self._incumbent_key:
-                self.incumbent, self._incumbent_key = candidate, key
-            return
-        self._incumbent_key = self._noisy_key(self.incumbent)
-
-    @staticmethod
-    def _noisy_key(cand: Candidate) -> tuple[float, int, int]:
-        return (cand.mean_loss, -len(cand.observations), cand.id)
-
-    @property
-    def incumbent_loss(self) -> float:
-        if self.incumbent is None:
-            return math.inf
-        return self.incumbent.mean_loss if self.noisy else self._incumbent_loss
 
 
 #: rows of one ``ScalarSolver`` normal block

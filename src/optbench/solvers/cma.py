@@ -131,8 +131,6 @@ class CmaEs(ScalarSolver):
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
         y, candidate.payload = candidate.payload, None
-        if y is None:
-            y = (self._view.encode(candidate.point) - self.mean) / self.sigma
         self._told_y.append(y)
         self._told_losses.append(loss)
         if len(self._told_y) >= self.lam:

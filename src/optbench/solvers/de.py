@@ -162,10 +162,7 @@ class DifferentialEvolution(ScalarSolver):
         self._masks = masks
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
-        entry, candidate.payload = candidate.payload, None
-        if entry is None:
-            return  # re-tell of an old candidate: population already settled
-        slot, z = entry
+        (slot, z), candidate.payload = candidate.payload, None
         self._busy[slot] -= 1
         if loss <= self.losses[slot]:
             self.positions[slot] = z

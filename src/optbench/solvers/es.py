@@ -37,8 +37,6 @@ class OnePlusOneEs(ScalarSolver):
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
         z, candidate.payload = candidate.payload, None
-        if z is None:  # re-tell: reconstruct from the point
-            z = self._view.encode(candidate.point)
         if self._parent_loss is None:
             self._parent = z
             self._parent_loss = loss

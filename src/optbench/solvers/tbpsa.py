@@ -55,7 +55,6 @@ class Tbpsa(ScalarSolver):
         self._gen: list[tuple[np.ndarray, float, float]] = []  # (z, log sigma_i, loss)
         self._best_elite_mean = math.inf
         self._stagnation = 0
-        self._best_single: tuple[float, np.ndarray] | None = None
 
     @property
     def generation_size(self) -> int:
@@ -81,11 +80,7 @@ class Tbpsa(ScalarSolver):
         return max(1, self.lam - len(self._gen) - len(self.pending))
 
     def _tell(self, candidate: Candidate, loss: float) -> None:
-        if self._best_single is None or loss < self._best_single[0]:
-            self._best_single = (loss, candidate.point)
         sample, candidate.payload = candidate.payload, None
-        if sample is None:
-            sample = (self._view.encode(candidate.point), math.log(self.sigma))
         self._gen.append((sample[0], sample[1], loss))
         if len(self._gen) >= self.lam:
             self._update_generation()
@@ -113,9 +108,7 @@ class Tbpsa(ScalarSolver):
 
     def _recommend(self):
         if self.naive:
-            if self._best_single is None:
-                return None
-            return self._best_single[1]
+            return self.incumbent.point
         if not self.center_history:
             return None
         return self._view.decode(np.mean(self.center_history, axis=0))

@@ -122,6 +122,14 @@ def test_explain_rejects_bad_context(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad context item '{item}'; {item[0]} must be at least 1\n"
+    # an arity that is NaN or negative picks no rule; inf is an unbounded integer
+    for item in ("max_arity=nan", "max_arity=-1"):
+        assert main(["explain", "--ctx", f"d=3,b=10,has_discrete=true,{item}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad context item '{item}'; max_arity must be at least 0\n"
+    assert main(["explain", "--ctx", "d=3,b=10,has_discrete=true,max_arity=inf"]) == 0
+    assert capsys.readouterr().out.startswith("rule 4:")
 
 
 def test_master_seed_env_fallback(tmp_path, monkeypatch):

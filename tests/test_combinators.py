@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from optbench import (
     ConfigurationError,
+    ContractError,
     DomainSpec,
-    Leaf,
     OptbenchError,
     RunContext,
-    Wrap,
     canonical_text,
     categorical,
     continuous,
@@ -21,11 +20,11 @@ from optbench.bench import make_function
 from optbench.bench.suites import BenchmarkSuite, SuiteProblem
 from optbench.bench.transforms import BenchmarkFunction, FunctionSpec, TransformSpec
 from optbench.bench.tsp import simple_tsp
-from optbench.combinators import ProgressiveWidening, chain_allocations
+from optbench.combinators import chain_allocations
 from optbench.errors import error_text
 from optbench.harness.experiment import run_cell, run_experiment
 from optbench.harness.records import record_to_line
-from optbench.solvers import REGISTRY, MetamodelWrapper, SoftmaxBridge
+from optbench.solvers import REGISTRY, SoftmaxBridge
 from optbench.wizard import build_optimizer
 
 
@@ -213,12 +212,13 @@ def test_bet_and_run_budget_conservation():
 
 
 def test_a_re_tell_does_not_end_phase_1_early():
-    # phase 1 is one ask per child; a re-tell of child 0's candidate used to
-    # make child 0 the survivor, which then ran out of its 9 evaluations
+    # phase 1 is one ask per child; a refused re-tell of child 0's candidate must not
+    # make child 0 the survivor, which would run out of its 9 evaluations
     handle = build_optimizer("bet(tbpsa,de;0.2)", RunContext(sphere_domain(1), budget=10, master_seed=0))
     cand = handle.ask()
     handle.tell(cand, 0.0)
-    handle.tell(cand, 0.0)
+    with pytest.raises(ContractError):
+        handle.tell(cand, 0.0)
     assert handle.survivor is None
     for _ in range(9):
         handle.tell(handle.ask(), 1.0)
@@ -262,39 +262,6 @@ def test_progressive_requires_continuous_domain():
     dom = DomainSpec([integer(0, 3)])
     with pytest.raises(ConfigurationError):
         build_optimizer("prog(de)", RunContext(dom, budget=10))
-
-
-# ---------------------------------------------------------------------------
-# re-tell routing through wrappers
-
-
-@pytest.mark.parametrize(
-    "composite, kind, domain",
-    [
-        (MetamodelWrapper, "meta", sphere_domain(3)),
-        (ProgressiveWidening, "prog", sphere_domain(3)),
-        (SoftmaxBridge, "softmax", DomainSpec([categorical(3), categorical(4), continuous()])),
-    ],
-)
-def test_wrapper_routes_caller_retells(composite, kind, domain):
-    built = []
-
-    def builder(spec, context, path, init):
-        child = build_optimizer(spec, context, path, init)
-        built.append(child)
-        return child
-
-    ctx = RunContext(domain, budget=120, noisy=True, master_seed=13)
-    handle = composite(ctx, Wrap(kind, Leaf("discrete-optimistic")), builder, seed=3)
-    routed_retells = 0
-    for i in range(ctx.budget):
-        cand = handle.ask()
-        for _ in range(1 + i % 3):  # the caller tells some candidates again
-            handle.tell(cand, float(np.sum(cand.point**2)))
-        routed_retells += i % 3 if cand.payload is not None else 0  # a surrogate proposal has no route
-    child_retells = sum(child.num_tells - child.num_told for child in built)
-    assert handle.num_tells - handle.num_told == ctx.budget  # 0 + 1 + 2 per three asks
-    assert child_retells == routed_retells > 0  # every re-tell of a routed candidate reached the child
 
 
 # ---------------------------------------------------------------------------

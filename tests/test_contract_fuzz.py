@@ -2,8 +2,9 @@
 
 Every solver must emit only in-domain points, tolerate the full parallelism
 contract, and keep a non-increasing incumbent in noise-free mode.  A state
-machine also drives one handle through ask, tell, re-tell and recommend in
-any order, which the wave-shaped ``run_loop`` never does.
+machine also drives one handle, noisy or not, through ask, tell, a refused
+second tell and recommend in any order, which the wave-shaped ``run_loop``
+never does.
 """
 
 import math
@@ -23,6 +24,7 @@ from hypothesis.stateful import (
 
 from optbench import (
     BudgetExceededError,
+    ContractError,
     DomainSpec,
     RunContext,
     build_optimizer,
@@ -31,6 +33,8 @@ from optbench import (
     integer,
     unbounded_integer,
 )
+from optbench.solvers import REGISTRY
+from test_waves import snapshot
 
 CONTINUOUS_SOLVERS = [
     "cma",
@@ -151,8 +155,9 @@ def test_wizard_built_optimizer_contract_on_scalar_domains(dom, seed, noisy):
 
 
 class AskTellMachine(RuleBasedStateMachine):
-    """One noise-free handle under arbitrary ask/tell/re-tell/recommend
-    order, against a model of the pending set and the incumbent."""
+    """One handle, noisy or noise-free, under ask, tell, re-tell and recommend
+    in any order, against a model of the pending set and the incumbent; a
+    re-tell raises a ContractError and changes nothing."""
 
     def __init__(self, alg):
         super().__init__()
@@ -163,10 +168,12 @@ class AskTellMachine(RuleBasedStateMachine):
         seed=st.integers(0, 2**32 - 1),
         budget=st.integers(10, 60),
         workers=st.integers(1, 5),
+        noisy=st.booleans(),
     )
-    def build(self, dom, seed, budget, workers):
+    def build(self, dom, seed, budget, workers, noisy):
         self.domain = dom
-        self.handle = build_optimizer(self.alg, RunContext(dom, budget=budget, num_workers=workers, master_seed=seed))
+        context = RunContext(dom, budget=budget, num_workers=workers, noisy=noisy, master_seed=seed)
+        self.handle = build_optimizer(self.alg, context)
         self.pending = {}
         self.told = []
         self.best = (math.inf, None)  # the first strictly lowest told loss and its candidate
@@ -181,22 +188,23 @@ class AskTellMachine(RuleBasedStateMachine):
         self.domain.validate(cand.point)
         self.pending[cand.id] = cand
 
-    def _tell(self, cand, loss):
+    @precondition(lambda self: self.pending)
+    @rule(data=st.data(), loss=st.floats(-10.0, 10.0))
+    def tell(self, data, loss):
+        cand = self.pending.pop(data.draw(st.sampled_from(sorted(self.pending))))
         self.handle.tell(cand, loss)
-        self.pending.pop(cand.id, None)
         self.told.append(cand)
         if loss < self.best[0]:
             self.best = (loss, cand)
 
-    @precondition(lambda self: self.pending)
-    @rule(data=st.data(), loss=st.floats(-10.0, 10.0))
-    def tell(self, data, loss):
-        self._tell(self.pending[data.draw(st.sampled_from(sorted(self.pending)))], loss)
-
     @precondition(lambda self: self.told)
     @rule(data=st.data(), loss=st.floats(-10.0, 10.0))
     def retell(self, data, loss):
-        self._tell(data.draw(st.sampled_from(self.told)), loss)
+        cand = data.draw(st.sampled_from(self.told))
+        observations, num_tells = list(cand.observations), self.handle.num_tells
+        with pytest.raises(ContractError):
+            self.handle.tell(cand, loss)
+        assert cand.observations == observations and self.handle.num_tells == num_tells
 
     @rule()
     def recommend(self):
@@ -217,3 +225,43 @@ def test_ask_tell_in_any_order(alg):
         lambda: AskTellMachine(alg),
         settings=settings(max_examples=20, stateful_step_count=50, deadline=None),
     )
+
+
+COMPOSITES = [
+    "chain(cma,powell;0.5,0.5)",
+    "bet(tbpsa,de;0.2)",
+    "prog(de)",
+    "meta(cma)",
+    "softmax(cma)",
+    "meta(discrete-optimistic)",
+    "prog(discrete-optimistic)",
+    "softmax(discrete-optimistic)",
+    "chain(discrete-optimistic,discrete-optimistic;0.5,0.5)",
+    "bet(discrete-optimistic,discrete-optimistic;0.2)",
+    "abbo",
+]
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("spec", [*sorted(REGISTRY), *COMPOSITES])
+def test_a_second_tell_raises_and_changes_nothing(spec, noisy):
+    if spec.startswith("softmax"):
+        variables = [categorical(3), categorical(4), continuous()]
+    elif spec in DISCRETE_SOLVERS or "(discrete-optimistic," in spec:
+        variables = [integer(0, 2), categorical(3), integer(-2, 2)]
+    else:
+        variables = [continuous()] * 3
+    handle = build_optimizer(spec, RunContext(DomainSpec(variables), budget=60, num_workers=3, noisy=noisy,
+                                              master_seed=5))
+    told = []
+    while handle.num_asks < 30:
+        for cand in handle.ask_many(3):
+            handle.tell(cand, float(np.sum(cand.point**2)))
+            told.append(cand)
+    handle.ask_many(2)  # left pending
+    for cand in (handle.incumbent, told[0], told[-1]):
+        picture, observations = snapshot(handle, {}), list(cand.observations)
+        with pytest.raises(ContractError):
+            handle.tell(cand, -1e9)  # would be the incumbent, and a child's incumbent, if told
+        assert cand.observations == observations
+        assert snapshot(handle, {}) == picture  # pending, counts, incumbent and every child's state

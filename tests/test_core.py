@@ -81,31 +81,20 @@ def test_incumbent_non_increasing_over_any_tell_sequence():
         best = opt.incumbent_loss
 
 
-def test_noisy_mean_incumbent_with_retell():
-    opt = RandomProbe(make_context(budget=10, noisy=True))
-    a = opt.ask()
-    opt.tell(a, 0.0)
-    opt.tell(a, 2.0)  # re-tell: mean 1.0
-    assert a.mean_loss == 1.0
-    b = opt.ask()
-    opt.tell(b, 0.9)
-    assert opt.incumbent is b
-    # same mean but more observations wins
-    c = opt.ask()
-    opt.tell(c, 0.9)
-    opt.tell(c, 0.9)
-    assert opt.incumbent is c
-
-
-def test_noisy_incumbent_rescan_when_own_mean_degrades():
-    opt = RandomProbe(make_context(budget=10, noisy=True))
+@pytest.mark.parametrize("noisy", [False, True])
+def test_a_tie_keeps_the_first_tell_and_a_second_tell_raises(noisy):
+    opt = RandomProbe(make_context(budget=10, noisy=noisy))
     a = opt.ask()
     b = opt.ask()
     opt.tell(a, 0.5)
-    opt.tell(b, 0.6)
-    assert opt.incumbent is a
-    opt.tell(a, 10.0)  # mean jumps to 5.25
-    assert opt.incumbent is b
+    opt.tell(b, 0.5)
+    assert opt.incumbent is a  # a tie keeps the earlier tell, noisy too
+    for cand in (a, b):
+        with pytest.raises(ContractError):
+            opt.tell(cand, 10.0)
+    assert opt.incumbent is a and opt.incumbent_loss == 0.5
+    assert a.observations == [0.5] and b.observations == [0.5]
+    assert opt.num_tells == 2 and opt.pending == {}
 
 
 def test_non_finite_loss_rejected():
@@ -118,11 +107,13 @@ def test_non_finite_loss_rejected():
 
 
 def test_unknown_candidate_rejected():
-    opt = RandomProbe(make_context())
-    opt.ask()
+    opt, other = RandomProbe(make_context()), RandomProbe(make_context())
+    mine, theirs = opt.ask(), other.ask()
     stranger = Candidate(999, np.zeros(2))
-    with pytest.raises(ContractError):
-        opt.tell(stranger, 1.0)
+    for cand in (stranger, theirs):  # theirs has mine's id
+        with pytest.raises(ContractError):
+            opt.tell(cand, 1.0)
+    assert opt.pending == {0: mine} and other.pending == {0: theirs} and opt.num_tells == 0
 
 
 def test_recommend_before_any_tell_returns_center_with_flag():

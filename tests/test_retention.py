@@ -1,10 +1,9 @@
 """What a handle keeps: its own state, not every candidate it was told.
 
-A noise-free handle holds its pending candidates and its incumbent; a
+A handle, noisy or not, holds its pending candidates and its incumbent; a
 composite's route links its child weakly.  So the number of live
 candidates does not grow with the budget, and no candidate or handle sits in
-a reference cycle that only a full collection frees.  A noisy handle keeps
-its told candidates in ``archive``, which its incumbent rule rescans.
+a reference cycle that only a full collection frees.
 """
 
 import gc
@@ -52,22 +51,28 @@ def live_candidates() -> int:
     return sum(type(obj) is Candidate for obj in gc.get_objects())
 
 
-def candidates_held_after_run(spec, budget):
+def candidates_held_after_run(spec, budget, noisy):
     gc.collect()
     before = live_candidates()
-    ctx = context(budget)
+    ctx = context(budget, noisy)
     handle = build_optimizer(spec, ctx)
-    run_loop(handle, sphere, ctx)
+    rng = np.random.default_rng(0)
+    run_loop(handle, lambda x: sphere(x) + float(rng.normal()) if noisy else sphere(x), ctx)
     gc.collect()
     held = live_candidates() - before
-    assert handle.num_told == budget and handle.archive == []
+    assert handle.num_tells == budget
     return held
 
 
+@pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("spec", SPECS)
-def test_live_candidates_do_not_grow_with_the_budget(spec):
-    small, large = candidates_held_after_run(spec, 300), candidates_held_after_run(spec, 3000)
-    assert large <= small <= 10
+def test_live_candidates_do_not_grow_with_the_budget(spec, noisy):
+    small, large = candidates_held_after_run(spec, 300, noisy), candidates_held_after_run(spec, 3000, noisy)
+    assert max(small, large) <= 10
+    if not noisy:
+        # noisy, a chain's incumbent came from its retired first child at one budget and not at
+        # the other, and that incumbent's route holds the child's candidate: one more, not more per tell
+        assert large <= small
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -86,17 +91,6 @@ def test_a_dropped_handle_leaves_no_cycle_of_candidates_or_handles(spec):
         gc.garbage.clear()
         gc.enable()
     assert cyclic == []
-
-
-@pytest.mark.parametrize("spec", ["one-plus-one-es", "tbpsa", "chain(cma,powell;0.5,0.5)"])
-def test_a_noisy_handle_keeps_its_told_candidates(spec):
-    ctx = context(400, noisy=True)
-    handle = build_optimizer(spec, ctx)
-    rng = np.random.default_rng(0)
-    run_loop(handle, lambda x: sphere(x) + float(rng.normal()), ctx)
-    assert len(handle.archive) == handle.num_told == 400
-    assert len({id(cand) for cand in handle.archive}) == 400
-    assert handle.incumbent in handle.archive
 
 
 INTEGERS = DomainSpec([integer(0, 2) for _ in range(4)])
@@ -127,15 +121,15 @@ def test_holding_the_asked_candidates_changes_nothing(spec, domain):
     dropped, dropped_trace = run(hold=False)
     assert dropped_trace == kept_trace
     assert len({point for _id, point, _obs in kept_trace}) < ctx.budget  # assignments were revisited
-    assert dropped.num_told == kept.num_told == dropped._next_id == ctx.budget
+    assert dropped.num_tells == kept.num_tells == dropped._next_id == ctx.budget
     assert dropped.recommend().point.tobytes() == kept.recommend().point.tobytes()
     assert dropped.rng.bit_generator.state == kept.rng.bit_generator.state
 
 
 def test_a_noisy_composite_frees_the_children_it_retired():
-    # prog(de) builds a DE child per widening, and a noisy handle's archive keeps
-    # every outer candidate; the route links each child weakly, so the retired
-    # children are freed at once, without a collection (a strong link kept all 120)
+    # prog(de) builds a DE child per widening; the route links each child weakly,
+    # so the retired children are freed at once, without a collection, even the
+    # one the incumbent's route leads to
     function = make_function(FunctionSpec("sphere", 120, TransformSpec(noise_std=1.0, transform_seed=1)),
                              noise_seed=2)
     ctx = RunContext(function.domain, budget=1000, noisy=True, master_seed=3)
@@ -148,10 +142,10 @@ def test_a_noisy_composite_frees_the_children_it_retired():
 
     def count(done, handle):
         if done == ctx.budget:
-            alive.extend([live_de() - before, len(handle.archive)])
+            alive.append(live_de() - before)
 
     run_loop("prog(de)", function, ctx, checkpoint_callback=count)
-    assert alive == [1, ctx.budget]
+    assert alive == [1]
 
 
 # composites over the probe solvers, whose generators once held their solver in a cycle

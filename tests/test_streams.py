@@ -18,6 +18,13 @@ per registry id and must not be regenerated either.
 The ``de`` and ``lhsde`` digests, and those of ``LSGO_DIGESTS`` (a d50
 overlapping composite, serial), were recorded while DE asked one candidate
 per wave; a serial DE run that asks in waves must give the same history.
+
+``NOISY_DIGESTS`` pin the noisy solvers and composites on a translated d6
+problem, and ``abbo`` on a noisy categorical domain (wizard rule 1,
+``discrete-optimistic``), with the id of the handle's final incumbent as
+well.  They were recorded while a noisy handle ranked its told candidates
+by mean loss and kept them all; one tell per candidate must pick the same
+incumbents.  Never regenerate them either.
 """
 
 import hashlib
@@ -35,6 +42,7 @@ from optbench import (
     unbounded_integer,
 )
 from optbench.bench import FunctionSpec, TransformSpec, get_suite, make_function
+from optbench.wizard import build_optimizer
 
 SPEC = FunctionSpec("ellipsoid", 7, TransformSpec(translation_std=1.0, rotate=True, transform_seed=5))
 
@@ -58,9 +66,11 @@ DIGESTS = {
 }
 
 
-def _digest(rec, history) -> str:
+def _digest(rec, history, incumbent=None) -> str:
     text = ",".join(float.hex(loss) for _, loss in history)
     text += ";" + ",".join(float.hex(float(v)) for v in rec.point)
+    if incumbent is not None:
+        text += f";{incumbent.id}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -133,3 +143,54 @@ def discrete_digest(spec: str, noisy: bool, workers: int) -> str:
 @pytest.mark.parametrize("spec,noisy,workers", sorted(DISCRETE_DIGESTS))
 def test_discrete_history_is_pinned(spec, noisy, workers):
     assert discrete_digest(spec, noisy, workers) == DISCRETE_DIGESTS[spec, noisy, workers]
+
+
+NOISY_SPEC = FunctionSpec("ellipsoid", 6, TransformSpec(translation_std=1.0, noise_std=1.0, transform_seed=5))
+
+NOISY_DIGESTS = {
+    ("tbpsa", 1): "a39314ed0ae985d7",
+    ("tbpsa", 5): "7801b290d02a5a24",
+    ("naive-tbpsa", 1): "7916e7493d85cafd",
+    ("naive-tbpsa", 5): "c074a95d0f05e1f4",
+    ("powell", 1): "c9a5e9147bd573fb",
+    ("powell", 5): "574d56b8c9ffe7ab",
+    ("quadratic-tr", 1): "7a5c20cd4a0ad277",
+    ("quadratic-tr", 5): "f2aa79998e7e87ac",
+    ("prog(de)", 1): "16f7b5aa488ad6ac",
+    ("prog(de)", 5): "2c3772fc33dba280",
+    ("bet(tbpsa,de;0.2)", 1): "517a42a686340e97",
+    ("bet(tbpsa,de;0.2)", 5): "1ba33385de9dfa7d",
+    ("chain(cma,powell;0.5,0.5)", 1): "a220968d8bd3e969",
+    ("chain(cma,powell;0.5,0.5)", 5): "e879a26569cc1cec",
+    ("meta(cma)", 1): "da2d521d57f16dad",
+    ("meta(cma)", 5): "63aa2ea036d60440",
+}
+
+
+def _incumbent_digest(spec: str, function, context: RunContext) -> str:
+    handle = build_optimizer(spec, context)
+    rec, history = run_loop(handle, function, context)
+    return _digest(rec, history, handle.incumbent)
+
+
+@pytest.mark.parametrize("spec,workers", sorted(NOISY_DIGESTS))
+def test_noisy_history_and_incumbent_are_pinned(spec, workers):
+    f = make_function(NOISY_SPEC)
+    ctx = RunContext(f.domain, budget=300, num_workers=workers, noisy=True, master_seed=11)
+    assert _incumbent_digest(spec, f, ctx) == NOISY_DIGESTS[spec, workers]
+
+
+CATEGORICAL = DomainSpec([categorical(4)] * 6)
+
+NOISY_ABBO_DIGESTS = {1: "307aa0810eb9cfd6", 3: "07f81102936de599"}
+
+
+@pytest.mark.parametrize("workers", sorted(NOISY_ABBO_DIGESTS))
+def test_noisy_categorical_abbo_is_pinned(workers):
+    noise = np.random.default_rng(7)
+
+    def f(x):
+        return float(np.sum(x != np.arange(6) % 4)) + float(noise.normal(0.0, 1.0))
+
+    ctx = RunContext(CATEGORICAL, budget=300, num_workers=workers, noisy=True, master_seed=11)
+    assert _incumbent_digest("abbo", f, ctx) == NOISY_ABBO_DIGESTS[workers]
